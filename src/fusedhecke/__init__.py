@@ -43,7 +43,6 @@ from .hecke import (
     basis_element,
     element_from_obj,
     element_to_obj,
-    embed_shift,
     generator,
     left_mul_generator,
     multiply,
@@ -63,7 +62,6 @@ from .permutations import (
     reduced_word,
 )
 from .qnumbers import (
-    ParamPoint,
     brace_int,
     format_rational,
     parse_rational,
@@ -75,7 +73,6 @@ from .qnumbers import (
 from .tensorrep import (
     WBasis,
     classical_fused_R_matrix,
-    classical_sigma_direct,
     fused_R_matrix,
     hecke_rmatrix,
     represent,

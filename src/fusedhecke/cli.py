@@ -115,6 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_qnum(args) -> int:
     q = parse_rational(args.q)
     fn = args.fn
+    if fn != "pochhammer" and (args.L is None or args.L < 0):
+        raise FusedHeckeError(f"{fn} needs --L >= 0")
     if fn == "int":
         val = q_int(args.L, q)
     elif fn == "factorial":

@@ -13,15 +13,18 @@ element on failure.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, InternalConsistencyError, ParameterError, PoleError
 from .hecke import (
     HeckeElement,
-    _raw,
+    _frozen,
+    _mul_affine_right,
+    _r_check_constant,
     element_to_obj,
     mul_r_check_right,
     mul_symmetriser_right,
@@ -31,7 +34,7 @@ from .hecke import (
     unit,
     zero,
 )
-from .permutations import all_permutations, identity
+from .permutations import identity
 from .qnumbers import as_fraction, brace_int, q_binomial, q_pochhammer
 
 
@@ -133,7 +136,7 @@ def _blocks_product(m: int, q, intervals) -> HeckeElement:
 @lru_cache(maxsize=None)
 def projector_P(ctx: FusedContext) -> HeckeElement:
     """The idempotent P = S_[1,k] S_[k+1,2k] ... on the context's strands."""
-    return _blocks_product(ctx.strands, ctx.q, tuple(ctx.blocks()))
+    return _frozen(_blocks_product(ctx.strands, ctx.q, ctx.blocks()))
 
 
 def projector_mixed(k: int, ell: int, q):
@@ -147,29 +150,8 @@ def projector_mixed(k: int, ell: int, q):
 
 def _mul_projector_right(x: HeckeElement, intervals) -> HeckeElement:
     for (lo, hi) in intervals:
-        if x.q == 1:
-            x = _mul_block_sym_classical(x, lo, hi)
-        else:
-            x = mul_symmetriser_right(x, lo, hi)
+        x = mul_symmetriser_right(x, lo, hi)
     return x
-
-
-def _mul_block_sym_classical(x: HeckeElement, lo: int, hi: int) -> HeckeElement:
-    """x * S_[lo,hi] at q = 1: all block permutations carry weight 1/r!,
-    so accumulate the r! re-keyings and scale once."""
-    r = hi - lo + 1
-    if r == 1:
-        return x
-    o = lo - 1
-    total: dict = {}
-    for wp in all_permutations(r):
-        sel = [o + t - 1 for t in wp]
-        for v, c in x.terms.items():
-            key = v[:o] + tuple(v[s] for s in sel) + v[hi:]
-            cur = total.get(key)
-            total[key] = c if cur is None else cur + c
-    inv = Fraction(1, math.factorial(r))
-    return _raw(x.m, x.q, {k: c * inv for k, c in total.items() if c})
 
 
 # -- partial elementary braidings ---------------------------------------------
@@ -204,23 +186,25 @@ def partial_braiding(ctx: FusedContext, i: int, p: int) -> HeckeElement:
     off = (i - 1) * ctx.k
     for a in braiding_word(ctx.k, ctx.k, p):
         x = right_mul_generator(x, off + a)
-    return _mul_projector_right(x, ctx.blocks())
+    return _frozen(_mul_projector_right(x, ctx.blocks()))
 
 
 @lru_cache(maxsize=None)
 def partial_braiding_mixed(k: int, ell: int, p: int, q) -> HeckeElement:
-    """The mixed partial braiding P^(k,ell) (word) P^(ell,k) in H_{k+ell}."""
+    """The mixed partial braiding P^(k,ell) (word) P^(ell,k) in H_{k+ell};
+    for ell = k it is the two-ellipse partial_braiding."""
     q = as_fraction(q)
     if ell < k:
         raise DomainError("mixed braidings need ell >= k")
+    if ell == k:
+        return partial_braiding(FusedContext(k, 2, q), 1, p)
     if not 0 <= p <= k:
         raise DomainError(f"braiding order p={p} out of range 0..{k}")
     m = k + ell
     x = _blocks_product(m, q, [(1, k), (k + 1, m)])
     for a in braiding_word(k, ell, p):
         x = right_mul_generator(x, a)
-    x = mul_symmetriser_right(x, 1, ell)
-    return mul_symmetriser_right(x, ell + 1, m)
+    return _frozen(_mul_projector_right(x, [(1, ell), (ell + 1, m)]))
 
 
 # -- baxterisation coefficients ------------------------------------------------
@@ -284,43 +268,89 @@ def classical_coefficients(k: int, mu) -> tuple:
     return tuple(values)
 
 
+class _Baxterisation(NamedTuple):
+    """What the multiplicative (q, u) Baxterisation and its additive q = 1
+    limit differ in: the expansion coefficients of R(arg) over the partial
+    braidings, the constant c(arg, s) of the grid factor sigma_j + c at
+    shift s, and the argument of the middle factor of the braided relation.
+
+    The coefficient functions look the module's coefficient functions up at
+    call time, so that a replacement of the module attribute applies.
+    """
+
+    q: Fraction
+    coefficients: Callable[[int, Fraction], tuple]
+    constant: Callable[[Fraction, int], Fraction]
+    middle: Callable[[Fraction, Fraction], Fraction]
+
+
+def _multiplicative(q) -> _Baxterisation:
+    q = as_fraction(q)
+    return _Baxterisation(
+        q,
+        lambda k, u: baxter_coefficients(k, k, u, q).values,
+        lambda u, s: _r_check_constant(u * q ** (2 * s), q),
+        operator.mul,
+    )
+
+
+def _additive_constant(mu: Fraction, s: int) -> Fraction:
+    if mu + s == 0:
+        raise PoleError(f"classical grid factor has a pole: mu + {s} = 0")
+    return 1 / (mu + s)
+
+
+_ADDITIVE = _Baxterisation(
+    Fraction(1),
+    lambda k, mu: classical_coefficients(k, mu),
+    _additive_constant,
+    operator.add,
+)
+
+
 # -- baxterised R-elements ------------------------------------------------------
 
 
-def baxter_R_expansion(ctx: FusedContext, i: int, u) -> HeckeElement:
-    """The baxterised element at ellipse i: sum_p a_p(u) * (partial braiding p)."""
-    coeffs = baxter_coefficients(ctx.k, ctx.k, u, ctx.q)
+def _expansion(ctx: FusedContext, i: int, arg, bax: _Baxterisation) -> HeckeElement:
+    """sum_p coefficient_p(arg) * (partial braiding p) at ellipse i."""
     out = zero(ctx.strands, ctx.q)
-    for p, a in enumerate(coeffs.values):
+    for p, a in enumerate(bax.coefficients(ctx.k, arg)):
         out = out + partial_braiding(ctx, i, p).scale(a)
     return out
 
 
-def _mul_grid_right(x: HeckeElement, k: int, ell: int, u, offset: int):
+def baxter_R_expansion(ctx: FusedContext, i: int, u) -> HeckeElement:
+    """The baxterised element at ellipse i: sum_p a_p(u) * (partial braiding p)."""
+    return _expansion(ctx, i, u, _multiplicative(ctx.q))
+
+
+def _mul_grid_right(x: HeckeElement, k: int, ell: int, arg, offset: int,
+                    bax: _Baxterisation) -> HeckeElement:
     """Right-multiply by the k x ell grid of baxterised generators
 
-        prod_{a=k..1} R_{a}(u q^{2(1-a)}) R_{a+1}(u q^{2(2-a)}) ... R_{a+ell-1}(...),
+        prod_{a=k..1} prod_{t=0..ell-1} (sigma_{offset+a+t} + c(arg, t+1-a)),
 
-    shifted by `offset` strands; outer factors ordered right to left as the
-    row index a increases.
+    the outer factors ordered right to left as the row index a increases;
+    c(u, s) = -(q - 1/q)/(1 - u q^{2s}), or 1/(mu + s) at q = 1.
     """
-    u = as_fraction(u)
-    q = x.q
     for a in range(k, 0, -1):
         for t in range(ell):
-            x = mul_r_check_right(x, offset + a + t, u * q ** (2 * (t + 1 - a)))
+            x = _mul_affine_right(x, offset + a + t, bax.constant(arg, t + 1 - a))
     return x
+
+
+def _factorised(k: int, ell: int, arg, bax: _Baxterisation) -> HeckeElement:
+    """P^(k,ell) * (grid of k*ell baxterised generators) * P^(ell,k)."""
+    m = k + ell
+    x = _blocks_product(m, bax.q, [(1, k), (k + 1, m)])
+    x = _mul_grid_right(x, k, ell, arg, 0, bax)
+    return _mul_projector_right(x, [(1, ell), (ell + 1, m)])
 
 
 def baxter_R_factorized(k: int, ell: int, u, q) -> HeckeElement:
     """The fused product P^(k,ell) * (grid of kl baxterised generators) *
     P^(ell,k) in H_{k+ell}(q)."""
-    q = as_fraction(q)
-    m = k + ell
-    x = _blocks_product(m, q, [(1, k), (k + 1, m)])
-    x = _mul_grid_right(x, k, ell, u, 0)
-    x = mul_symmetriser_right(x, 1, ell)
-    return mul_symmetriser_right(x, ell + 1, m)
+    return _factorised(k, ell, as_fraction(u), _multiplicative(q))
 
 
 def baxter_R_one_sided(k: int, u, q) -> HeckeElement:
@@ -339,11 +369,10 @@ def baxter_R_one_sided(k: int, u, q) -> HeckeElement:
 def _mul_mixed_R_right(x: HeckeElement, k: int, ell: int, u, offset: int):
     """x * (embedded fused R^(k,ell)(u) at the given strand offset), all four
     symmetriser blocks applied explicitly."""
-    x = mul_symmetriser_right(x, offset + 1, offset + k)
-    x = mul_symmetriser_right(x, offset + k + 1, offset + k + ell)
-    x = _mul_grid_right(x, k, ell, u, offset)
-    x = mul_symmetriser_right(x, offset + 1, offset + ell)
-    return mul_symmetriser_right(x, offset + ell + 1, offset + k + ell)
+    end = offset + k + ell
+    x = _mul_projector_right(x, [(offset + 1, offset + k), (offset + k + 1, end)])
+    x = _mul_grid_right(x, k, ell, u, offset, _multiplicative(x.q))
+    return _mul_projector_right(x, [(offset + 1, offset + ell), (offset + ell + 1, end)])
 
 
 # -- Yang-Baxter verification ----------------------------------------------------
@@ -355,19 +384,47 @@ def _assert_projector_idempotent(ctx: FusedContext):
         raise InternalConsistencyError(f"projector not idempotent for {ctx}")
 
 
-def _assert_lemma_equivalence(k: int, q, args):
+def _assert_lemma_equivalence(k: int, args, bax: _Baxterisation):
     """Exact check that the factorised and expanded forms agree at the given
     spectral arguments; the fast verification chains rely on it."""
-    for u in args:
-        fac = baxter_R_factorized(k, k, u, q)
-        coeffs = baxter_coefficients(k, k, u, q)
-        exp = zero(2 * k, q)
-        for p, a in enumerate(coeffs.values):
-            exp = exp + partial_braiding_mixed(k, k, p, q).scale(a)
-        if fac != exp:
+    ctx = FusedContext(k, 2, bax.q)
+    for arg in args:
+        if _factorised(k, k, arg, bax) != _expansion(ctx, 1, arg, bax):
             raise ParameterError(
-                f"factorised/expanded forms disagree at k={k}, u={u}, q={q}"
+                f"factorised/expanded forms disagree at k={k}, argument {arg}, "
+                f"q={bax.q}"
             )
+
+
+def _verify_ybe(ctx: FusedContext, u, v, i: int, method: str, bax: _Baxterisation):
+    """R_i(u) R_{i+1}(w) R_i(v) = R_{i+1}(v) R_i(w) R_{i+1}(u) with the
+    middle argument w = bax.middle(u, v); see verify_braided_ybe."""
+    u, v = as_fraction(u), as_fraction(v)
+    if not 1 <= i <= ctx.n - 2:
+        raise DomainError("need 1 <= i <= n-2 for the braided relation")
+    w = bax.middle(u, v)
+    if method == "auto":
+        method = "direct" if ctx.strands <= 6 else "fast"
+    r = lambda j, arg: _expansion(ctx, j, arg, bax)
+    if method == "direct":
+        lhs = multiply(multiply(r(i, u), r(i + 1, w)), r(i, v))
+        rhs = multiply(multiply(r(i + 1, v), r(i, w)), r(i + 1, u))
+        return _verdict(lhs, rhs)
+    k = ctx.k
+    _assert_lemma_equivalence(k, (u, w, v), bax)
+    _assert_projector_idempotent(ctx)
+    blocks = ctx.blocks()
+
+    # each factor is P (grid) P; the expansion elements and the chain tails
+    # end in a projector pass, so the leading P of the next factor is
+    # absorbed by the idempotence asserted above
+    def times_R(x, j, arg):
+        x = _mul_grid_right(x, k, k, arg, (j - 1) * k, bax)
+        return _mul_projector_right(x, blocks)
+
+    lhs = times_R(times_R(r(i, u), i + 1, w), i, v)
+    rhs = times_R(times_R(r(i + 1, v), i, w), i + 1, u)
+    return _verdict(lhs, rhs)
 
 
 def verify_braided_ybe(ctx: FusedContext, u, v, i: int = 1, method: str = "auto"):
@@ -379,43 +436,7 @@ def verify_braided_ybe(ctx: FusedContext, u, v, i: int = 1, method: str = "auto"
     the factorised/expanded equivalence at the three spectral arguments);
     "auto" picks "direct" up to 6 strands.
     """
-    u, v = as_fraction(u), as_fraction(v)
-    if not 1 <= i <= ctx.n - 2:
-        raise DomainError("need 1 <= i <= n-2 for the braided relation")
-    uv = u * v
-    if method == "auto":
-        method = "direct" if ctx.strands <= 6 else "fast"
-    if method == "direct":
-        lhs = multiply(
-            multiply(baxter_R_expansion(ctx, i, u), baxter_R_expansion(ctx, i + 1, uv)),
-            baxter_R_expansion(ctx, i, v),
-        )
-        rhs = multiply(
-            multiply(baxter_R_expansion(ctx, i + 1, v), baxter_R_expansion(ctx, i, uv)),
-            baxter_R_expansion(ctx, i + 1, u),
-        )
-        return _verdict(lhs, rhs)
-    k = ctx.k
-    _assert_lemma_equivalence(k, ctx.q, (u, uv, v))
-    _assert_projector_idempotent(ctx)
-    blocks = ctx.blocks()
-    off = lambda j: (j - 1) * k
-
-    # each factor is P (grid) P; the expansion elements and the chain tails
-    # end in a projector pass, so the leading P of the next factor is
-    # absorbed by the idempotence asserted above
-    lhs = baxter_R_expansion(ctx, i, u)
-    lhs = _mul_grid_right(lhs, k, k, uv, off(i + 1))
-    lhs = _mul_projector_right(lhs, blocks)
-    lhs = _mul_grid_right(lhs, k, k, v, off(i))
-    lhs = _mul_projector_right(lhs, blocks)
-
-    rhs = baxter_R_expansion(ctx, i + 1, v)
-    rhs = _mul_grid_right(rhs, k, k, uv, off(i))
-    rhs = _mul_projector_right(rhs, blocks)
-    rhs = _mul_grid_right(rhs, k, k, u, off(i + 1))
-    rhs = _mul_projector_right(rhs, blocks)
-    return _verdict(lhs, rhs)
+    return _verify_ybe(ctx, u, v, i, method, _multiplicative(ctx.q))
 
 
 def verify_mixed_ybe(k: int, l: int, m: int, u, v, q) -> VerifyResult:
@@ -446,8 +467,7 @@ def verify_commPR(k: int, ell: int, u, q) -> VerifyResult:
     r = baxter_R_factorized(k, ell, u, q)
     p_kl, _ = projector_mixed(k, ell, q)
     lhs = multiply(p_kl, r)
-    rhs = mul_symmetriser_right(r, 1, ell)
-    rhs = mul_symmetriser_right(rhs, ell + 1, k + ell)
+    rhs = _mul_projector_right(r, [(1, ell), (ell + 1, k + ell)])
     return _verdict(lhs, rhs)
 
 
@@ -507,48 +527,13 @@ def minimal_polynomial_check(ctx: FusedContext, check_minimality: bool = True) -
 def classical_baxter_R(k: int, n: int, i: int, mu) -> HeckeElement:
     """The additive-parameter solution in the q = 1 fused algebra:
     sum_p c_p(mu) * (partial braiding p) with the classical coefficients."""
-    mu = as_fraction(mu)
-    ctx = FusedContext(k, n, Fraction(1))
-    coeffs = classical_coefficients(k, mu)
-    out = zero(ctx.strands, Fraction(1))
-    for p, c in enumerate(coeffs):
-        out = out + partial_braiding(ctx, i, p).scale(c)
-    return out
-
-
-def _mul_yang_right(x: HeckeElement, a: int, mu) -> HeckeElement:
-    """x * (sigma_a + 1/mu) at q = 1."""
-    if mu == 0:
-        raise PoleError(f"classical factor at strand {a}: additive argument 0")
-    y = right_mul_generator(x, a)
-    return y + x.scale(Fraction(1) / mu)
-
-
-def _mul_classical_grid_right(x: HeckeElement, k: int, ell: int, mu, offset: int):
-    for a in range(k, 0, -1):
-        for t in range(ell):
-            x = _mul_yang_right(x, offset + a + t, mu + t + 1 - a)
-    return x
+    return _expansion(FusedContext(k, n, Fraction(1)), i, mu, _ADDITIVE)
 
 
 def classical_baxter_R_factorized(k: int, mu) -> HeckeElement:
     """Fused product form at q = 1 in H_{2k}(1): projector, grid of Yang
     factors (sigma_a + 1/(mu + shift)), projector."""
-    mu = as_fraction(mu)
-    ctx = FusedContext(k, 2, Fraction(1))
-    x = projector_P(ctx)
-    x = _mul_classical_grid_right(x, k, k, mu, 0)
-    return _mul_projector_right(x, ctx.blocks())
-
-
-def _assert_classical_equivalence(k: int, args):
-    for mu in args:
-        fac = classical_baxter_R_factorized(k, mu)
-        exp = classical_baxter_R(k, 2, 1, mu)
-        if fac != exp:
-            raise ParameterError(
-                f"classical factorised/expanded forms disagree at k={k}, mu={mu}"
-            )
+    return _factorised(k, k, as_fraction(mu), _ADDITIVE)
 
 
 def verify_classical_ybe(k: int, n: int, mu, nu, i: int = 1, method: str = "auto"):
@@ -556,40 +541,7 @@ def verify_classical_ybe(k: int, n: int, mu, nu, i: int = 1, method: str = "auto
 
         R_i(mu) R_{i+1}(mu+nu) R_i(nu) = R_{i+1}(nu) R_i(mu+nu) R_{i+1}(mu).
     """
-    mu, nu = as_fraction(mu), as_fraction(nu)
-    if not 1 <= i <= n - 2:
-        raise DomainError("need 1 <= i <= n-2 for the braided relation")
-    ctx = FusedContext(k, n, Fraction(1))
-    s = mu + nu
-    if method == "auto":
-        method = "direct" if ctx.strands <= 6 else "fast"
-    if method == "direct":
-        lhs = multiply(
-            multiply(classical_baxter_R(k, n, i, mu), classical_baxter_R(k, n, i + 1, s)),
-            classical_baxter_R(k, n, i, nu),
-        )
-        rhs = multiply(
-            multiply(classical_baxter_R(k, n, i + 1, nu), classical_baxter_R(k, n, i, s)),
-            classical_baxter_R(k, n, i + 1, mu),
-        )
-        return _verdict(lhs, rhs)
-    _assert_classical_equivalence(k, (mu, s, nu))
-    _assert_projector_idempotent(ctx)
-    blocks = ctx.blocks()
-    off = lambda j: (j - 1) * k
-
-    lhs = classical_baxter_R(k, n, i, mu)
-    lhs = _mul_classical_grid_right(lhs, k, k, s, off(i + 1))
-    lhs = _mul_projector_right(lhs, blocks)
-    lhs = _mul_classical_grid_right(lhs, k, k, nu, off(i))
-    lhs = _mul_projector_right(lhs, blocks)
-
-    rhs = classical_baxter_R(k, n, i + 1, nu)
-    rhs = _mul_classical_grid_right(rhs, k, k, s, off(i))
-    rhs = _mul_projector_right(rhs, blocks)
-    rhs = _mul_classical_grid_right(rhs, k, k, mu, off(i + 1))
-    rhs = _mul_projector_right(rhs, blocks)
-    return _verdict(lhs, rhs)
+    return _verify_ybe(FusedContext(k, n, Fraction(1)), mu, nu, i, method, _ADDITIVE)
 
 
 # -- the two-ellipse worked product --------------------------------------------------

@@ -13,8 +13,10 @@ are pruned eagerly and equality of elements is structural.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import DomainError, ParameterError, PoleError, ResourceError
 from .permutations import (
@@ -69,15 +71,7 @@ class HeckeElement:
 
     def __add__(self, other):
         self._compat(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            v = out.get(w)
-            s = c if v is None else v + c
-            if s:
-                out[w] = s
-            elif v is not None:
-                del out[w]
-        return _raw(self.m, self.q, out)
+        return _raw(self.m, self.q, _accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -135,6 +129,24 @@ def _raw(m, q, terms) -> HeckeElement:
     return x
 
 
+def _frozen(x: HeckeElement) -> HeckeElement:
+    """x with a read-only term map, for results that a cache hands out."""
+    return _raw(x.m, x.q, MappingProxyType(x.terms))
+
+
+def _accumulate(out: dict, items) -> dict:
+    """Add each (key, value) pair of items into out, dropping the keys whose
+    sum is zero; returns out."""
+    for key, val in items:
+        cur = out.get(key)
+        s = val if cur is None else cur + val
+        if s:
+            out[key] = s
+        elif cur is not None:
+            del out[key]
+    return out
+
+
 # -- basis constructors -----------------------------------------------------
 
 
@@ -160,74 +172,40 @@ def basis_element(w: Perm, m: int, q) -> HeckeElement:
 
 
 def left_mul_generator(i: int, x: HeckeElement) -> HeckeElement:
-    """sigma_i * x expanded in the standard basis."""
+    """sigma_i * x expanded in the standard basis: s_i * w swaps the values
+    i, i+1 of w, and where the length goes down (i occurs after i+1) the
+    term also stays put with weight q - 1/q."""
     if not 1 <= i <= x.m - 1:
         raise DomainError(f"generator index {i} out of range for m={x.m}")
-    lam = x.q - 1 / x.q
     j = i + 1
-    if not lam:
-        return _raw(
-            x.m,
-            x.q,
-            {
-                tuple(j if v == i else i if v == j else v for v in w): c
-                for w, c in x.terms.items()
-            },
+    swap = list(range(x.m + 1))
+    swap[i], swap[j] = j, i
+    # w -> s_i * w is a bijection of the support, so the first pass has no
+    # collisions
+    out = {tuple(map(swap.__getitem__, w)): c for w, c in x.terms.items()}
+    lam = x.q - 1 / x.q
+    if lam:
+        _accumulate(
+            out, ((w, lam * c) for w, c in x.terms.items() if w.index(i) > w.index(j))
         )
-    out = {}
-    for w, c in x.terms.items():
-        # s_i * w swaps the values i, i+1; length goes up iff i occurs first
-        pi = w.index(i)
-        pj = w.index(j)
-        lst = list(w)
-        lst[pi], lst[pj] = j, i
-        sw = tuple(lst)
-        v = out.get(sw)
-        s = c if v is None else v + c
-        if s:
-            out[sw] = s
-        elif v is not None:
-            del out[sw]
-        if lam and pi > pj:
-            v = out.get(w)
-            s = lam * c if v is None else v + lam * c
-            if s:
-                out[w] = s
-            elif v is not None:
-                del out[w]
     return _raw(x.m, x.q, out)
 
 
 def right_mul_generator(x: HeckeElement, i: int) -> HeckeElement:
-    """x * sigma_i expanded in the standard basis."""
+    """x * sigma_i expanded in the standard basis: w * s_i swaps the entries
+    at positions i, i+1 of w, and where the length goes down (a descent at
+    i) the term also stays put with weight q - 1/q."""
     if not 1 <= i <= x.m - 1:
         raise DomainError(f"generator index {i} out of range for m={x.m}")
-    lam = x.q - 1 / x.q
     i0 = i - 1
-    if not lam:
-        # q**2 == 1: the product is a bijective re-keying of the support
-        return _raw(
-            x.m,
-            x.q,
-            {w[:i0] + (w[i0 + 1], w[i0]) + w[i0 + 2 :]: c for w, c in x.terms.items()},
+    # w -> w * s_i is a bijection of the support, so the first pass has no
+    # collisions
+    out = {w[:i0] + (w[i0 + 1], w[i0]) + w[i0 + 2 :]: c for w, c in x.terms.items()}
+    lam = x.q - 1 / x.q
+    if lam:
+        _accumulate(
+            out, ((w, lam * c) for w, c in x.terms.items() if w[i0] > w[i0 + 1])
         )
-    out = {}
-    for w, c in x.terms.items():
-        # w * s_i swaps the entries at positions i, i+1
-        ws = w[:i0] + (w[i0 + 1], w[i0]) + w[i0 + 2 :]
-        v = out.get(ws)
-        s = c if v is None else v + c
-        if s:
-            out[ws] = s
-        elif v is not None:
-            del out[ws]
-        if lam and w[i0] > w[i0 + 1]:
-            v = out.get(w)
-            s = lam * c if v is None else v + lam * c
-            if s:
-                out[w] = s
-            elif v is not None:
-                del out[w]
     return _raw(x.m, x.q, out)
 
 
@@ -244,13 +222,7 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
             y = b
             for idx in reversed(reduced_word(w)):
                 y = left_mul_generator(idx, y)
-        for wy, cy in y.terms.items():
-            v = total.get(wy)
-            s = c * cy if v is None else v + c * cy
-            if s:
-                total[wy] = s
-            elif v is not None:
-                del total[wy]
+        _accumulate(total, ((wy, c * cy) for wy, cy in y.terms.items()))
     return _raw(a.m, a.q, total)
 
 
@@ -273,53 +245,35 @@ def mul_element_right(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     total: dict = {}
     for w, c in y.terms.items():
         z = mul_basis_right(x, w)
-        for wz, cz in z.terms.items():
-            v = total.get(wz)
-            s = c * cz if v is None else v + c * cz
-            if s:
-                total[wz] = s
-            elif v is not None:
-                del total[wz]
+        _accumulate(total, ((wz, c * cz) for wz, cz in z.terms.items()))
     return _raw(x.m, x.q, total)
 
 
-# -- embeddings and baxterised generators ------------------------------------
+# -- baxterised generators ------------------------------------------------------
 
 
-def embed_shift(x: HeckeElement, offset: int, new_m: int) -> HeckeElement:
-    """Image of x under sigma_i -> sigma_{i+offset} into H_{new_m}(q)."""
-    if offset < 0 or x.m + offset > new_m:
-        raise DomainError(
-            f"cannot embed {x.m} strands with offset {offset} into {new_m}"
-        )
-    _check_strands(new_m)
-    head = tuple(range(1, offset + 1))
-    tail = tuple(range(offset + x.m + 1, new_m + 1))
-    out = {}
-    for w, c in x.terms.items():
-        out[head + tuple(v + offset for v in w) + tail] = c
-    return _raw(new_m, x.q, out)
+def _r_check_constant(u: Fraction, q: Fraction) -> Fraction:
+    """The constant c of the baxterised generator sigma_i + c, that is
+    sigma_i - (q - 1/q)/(1 - u)."""
+    if u == 1:
+        raise PoleError("baxterised generator has a pole at spectral argument 1")
+    return (1 / q - q) / (1 - u)
+
+
+def _mul_affine_right(x: HeckeElement, i: int, c: Fraction) -> HeckeElement:
+    """x * (sigma_i + c)."""
+    y = right_mul_generator(x, i)
+    return y + x.scale(c) if c else y
 
 
 def r_check_generator(i: int, u, m: int, q) -> HeckeElement:
     """The baxterised generator sigma_i - (q - 1/q)/(1 - u)."""
-    q = as_fraction(q)
-    u = as_fraction(u)
-    if u == 1:
-        raise PoleError("baxterised generator has a pole at u = 1")
-    x = generator(i, m, q)
-    c = (q - 1 / q) / (1 - u)
-    return x - unit(m, q).scale(c)
+    return mul_r_check_right(unit(m, q), i, u)
 
 
 def mul_r_check_right(x: HeckeElement, i: int, u) -> HeckeElement:
     """x * (sigma_i - (q - 1/q)/(1 - u)); the workhorse of fusion products."""
-    u = as_fraction(u)
-    if u == 1:
-        raise PoleError(f"baxterised factor at strand {i}: spectral argument 1")
-    c = (x.q - 1 / x.q) / (1 - u)
-    y = right_mul_generator(x, i)
-    return y - x.scale(c) if c else y
+    return _mul_affine_right(x, i, _r_check_constant(as_fraction(u), x.q))
 
 
 # -- q-symmetrisers ----------------------------------------------------------
@@ -339,7 +293,7 @@ def symmetriser_sum(i: int, j: int, m: int, q) -> HeckeElement:
         raise DomainError(f"invalid symmetriser interval [{i},{j}] in H_{m}")
     r = j - i + 1
     if r == 1:
-        return unit(m, q)
+        return _frozen(unit(m, q))
     fact = q_factorial(r, q)
     if fact == 0:
         raise ParameterError(f"[{r}]_q! vanishes at q={q}")
@@ -350,7 +304,7 @@ def symmetriser_sum(i: int, j: int, m: int, q) -> HeckeElement:
     for wp in all_permutations(r):
         w = head + tuple(v + i - 1 for v in wp) + tail
         terms[w] = pref * q ** length(wp)
-    return _raw(m, q, terms)
+    return _raw(m, q, MappingProxyType(terms))
 
 
 def mul_symmetriser_right(x: HeckeElement, i: int, j: int) -> HeckeElement:
@@ -360,13 +314,22 @@ def mul_symmetriser_right(x: HeckeElement, i: int, j: int) -> HeckeElement:
     factorised formula has poles).
     """
     s = symmetriser_sum(i, j, x.m, x.q)
-    return mul_element_right(x, s)
-
-
-def mul_symmetriser_left(x: HeckeElement, i: int, j: int) -> HeckeElement:
-    """S_[i,j] * x, applied term by term from the sum formula."""
-    s = symmetriser_sum(i, j, x.m, x.q)
-    return multiply(s, x)
+    if i == j:
+        return x
+    if x.q != 1:
+        return mul_element_right(x, s)
+    # at q = 1 every block permutation carries the weight 1/r!, so sum the
+    # r! re-keyings of x and scale once
+    r, o = j - i + 1, i - 1
+    total: dict = {}
+    for wp in all_permutations(r):
+        sel = [o + t - 1 for t in wp]
+        for v, c in x.terms.items():
+            key = v[:o] + tuple(v[t] for t in sel) + v[j:]
+            cur = total.get(key)
+            total[key] = c if cur is None else cur + c
+    inv = Fraction(1, math.factorial(r))
+    return _raw(x.m, x.q, {w: c * inv for w, c in total.items() if c})
 
 
 def symmetriser_product(i: int, j: int, m: int, q) -> HeckeElement:

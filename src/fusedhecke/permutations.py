@@ -18,7 +18,7 @@ import itertools
 import os
 from functools import lru_cache
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ParameterError, ResourceError
 
 Perm = tuple[int, ...]
 
@@ -27,7 +27,16 @@ ENUMERATION_BOUND = 10
 
 def max_strands() -> int:
     """Strand bound for algebra elements; FUSED_HECKE_MAX_STRANDS overrides."""
-    return int(os.environ.get("FUSED_HECKE_MAX_STRANDS", "9"))
+    text = os.environ.get("FUSED_HECKE_MAX_STRANDS", "9")
+    try:
+        bound = int(text)
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise ParameterError(
+            f"FUSED_HECKE_MAX_STRANDS must be a positive integer, got {text!r}"
+        )
+    return bound
 
 
 def is_permutation(w) -> bool:
@@ -78,17 +87,6 @@ def simple_transposition(i: int, m: int) -> Perm:
     w = list(range(1, m + 1))
     w[i - 1], w[i] = w[i], w[i - 1]
     return tuple(w)
-
-
-def swap_positions(w: Perm, i: int) -> Perm:
-    """w * s_i: exchange the entries at positions i, i+1 (1-based)."""
-    return w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
-
-
-def swap_values(w: Perm, i: int) -> Perm:
-    """s_i * w: exchange the values i, i+1 wherever they occur."""
-    j = i + 1
-    return tuple(j if x == i else i if x == j else x for x in w)
 
 
 @lru_cache(maxsize=None)

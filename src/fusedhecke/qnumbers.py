@@ -14,7 +14,6 @@ q-numbers take their continuous limit values there instead of failing on
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError
@@ -81,6 +80,8 @@ def q_int(L: int, q) -> Fraction:
 def q_factorial(L: int, q) -> Fraction:
     """[L]_q! = [1]_q [2]_q ... [L]_q, with [0]_q! = 1."""
     q = as_fraction(q)
+    if L < 0:
+        raise ParameterError("q_factorial needs L >= 0")
     out = Fraction(1)
     for r in range(1, L + 1):
         out *= q_int(r, q)
@@ -130,48 +131,3 @@ def brace_int(L: int, q) -> Fraction:
     if q * q == 1:
         return Fraction(L)
     return (q ** (2 * L) - 1) / (q * q - 1)
-
-
-@dataclass(frozen=True)
-class ParamPoint:
-    """A specialization (q, u[, v]) together with the largest fusion level
-    k_bound it must support.
-
-    Validation enforces q != 0, the non-degeneracy of 1 + q**2 + ... +
-    q**(2(l-1)) for l = 2..k_bound (automatic over the rationals, checked
-    anyway), and the pole-avoidance u, v != q**(2m) for |m| < k_bound.
-    """
-
-    q: Fraction
-    u: Fraction | None = None
-    v: Fraction | None = None
-    k_bound: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", as_fraction(self.q))
-        if self.u is not None:
-            object.__setattr__(self, "u", as_fraction(self.u))
-        if self.v is not None:
-            object.__setattr__(self, "v", as_fraction(self.v))
-        if self.k_bound < 1:
-            raise ParameterError("k_bound must be a positive integer")
-        if self.q == 0:
-            raise ParameterError("q must be nonzero")
-        for ell in range(2, self.k_bound + 1):
-            if brace_int(ell, self.q) == 0:
-                raise ParameterError(
-                    f"degenerate q: 1 + q^2 + ... + q^(2({ell}-1)) vanishes"
-                )
-        for name in ("u", "v"):
-            w = getattr(self, name)
-            if w is None:
-                continue
-            for m in range(1 - self.k_bound, self.k_bound):
-                if w == self.q ** (2 * m):
-                    raise ParameterError(
-                        f"spectral parameter {name} = q^(2*{m}) hits a pole"
-                    )
-
-    @property
-    def is_classical(self) -> bool:
-        return self.q * self.q == 1

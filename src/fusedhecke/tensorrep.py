@@ -19,16 +19,17 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .errors import DomainError, ParameterError, ResourceError
+from .errors import DomainError, InternalConsistencyError, ParameterError, ResourceError
 from .fused import (
+    _ADDITIVE,
     VerifyResult,
-    baxter_coefficients,
+    _Baxterisation,
+    _multiplicative,
     braiding_word,
-    classical_coefficients,
 )
-from .hecke import HeckeElement
-from .permutations import all_permutations, length, reduced_word
-from .qnumbers import as_fraction, format_rational, q_factorial
+from .hecke import HeckeElement, _accumulate, symmetriser_sum
+from .permutations import reduced_word
+from .qnumbers import as_fraction, format_rational
 
 MAX_TENSOR_DIM = 6561
 MAX_YBE_DIM = 4096
@@ -40,28 +41,22 @@ MAX_YBE_DIM = 4096
 
 
 def _apply_gen(vec: dict, pos: int, q) -> dict:
-    """Apply the standard R-matrix at tensor slots (pos, pos+1)."""
-    lam = q - 1 / q
+    """Apply the standard R-matrix at tensor slots (pos, pos+1): e_a e_b goes
+    to q e_a e_b if a = b, else to e_b e_a, plus (q - 1/q) e_a e_b if a < b."""
     p0 = pos - 1
-    out = {}
-
-    def add(key, val):
-        cur = out.get(key)
-        s = val if cur is None else cur + val
-        if s:
-            out[key] = s
-        elif cur is not None:
-            del out[key]
-
-    for idx, c in vec.items():
-        a, b = idx[p0], idx[p0 + 1]
-        if a == b:
-            add(idx, q * c)
-        else:
-            swapped = idx[:p0] + (b, a) + idx[p0 + 2 :]
-            add(swapped, c)
-            if a < b:
-                add(idx, lam * c)
+    # swapping the two slots is a bijection of the support, so the first
+    # pass has no collisions
+    out = {
+        idx[:p0] + (idx[p0 + 1], idx[p0]) + idx[p0 + 2 :]: (
+            q * c if idx[p0] == idx[p0 + 1] else c
+        )
+        for idx, c in vec.items()
+    }
+    lam = q - 1 / q
+    if lam:
+        _accumulate(
+            out, ((idx, lam * c) for idx, c in vec.items() if idx[p0] < idx[p0 + 1])
+        )
     return out
 
 
@@ -72,39 +67,12 @@ def _apply_word(vec: dict, word, q) -> dict:
     return vec
 
 
-def _apply_symmetriser(vec: dict, i: int, j: int, q) -> dict:
-    """Apply the q-symmetriser on slots i..j (sum formula)."""
-    r = j - i + 1
-    if r == 1:
-        return vec
-    pref = q ** (-(r * (r - 1)) // 2) / q_factorial(r, q)
-    out = {}
-    for wp in all_permutations(r):
-        word = tuple(a + i - 1 for a in reduced_word(wp))
-        coeff = pref * q ** length(wp)
-        img = _apply_word(vec, word, q)
-        for key, val in img.items():
-            cur = out.get(key)
-            s = coeff * val if cur is None else cur + coeff * val
-            if s:
-                out[key] = s
-            elif cur is not None:
-                del out[key]
-    return out
-
-
 def _apply_element(vec: dict, x: HeckeElement) -> dict:
     """Apply a Hecke algebra element (acting on m = x.m tensor slots)."""
     out = {}
     for w, c in x.terms.items():
         img = _apply_word(vec, reduced_word(w), x.q)
-        for key, val in img.items():
-            cur = out.get(key)
-            s = c * val if cur is None else cur + c * val
-            if s:
-                out[key] = s
-            elif cur is not None:
-                del out[key]
+        _accumulate(out, ((key, c * val) for key, val in img.items()))
     return out
 
 
@@ -189,13 +157,12 @@ def w_basis(k: int, N: int, q) -> WBasis:
     indices = [
         t for t in _multi_indices(N, k) if all(t[a] <= t[a + 1] for a in range(k - 1))
     ]
-    columns = []
-    for t in indices:
-        columns.append(_apply_symmetriser({t: Fraction(1)}, 1, k, q))
-    wb = WBasis(k, N, q, tuple(indices), tuple(columns))
+    sym = symmetriser_sum(1, k, k, q)
+    columns = tuple(_apply_element({t: Fraction(1)}, sym) for t in indices)
+    wb = WBasis(k, N, q, tuple(indices), columns)
     expected = comb(k + N - 1, k)
     if wb.dim != expected or linalg.rank(wb.matrix()) != expected:
-        raise RuntimeError(
+        raise InternalConsistencyError(
             f"symmetric power basis degenerate for k={k}, N={N}, q={q}"
         )
     return wb
@@ -238,61 +205,38 @@ def sigma_matrix(k: int, p: int, N: int, q) -> np.ndarray:
         raise ResourceError("V^(tensor 2k) exceeds the tensor bound")
     wb, pairs, index_of, basis_mat, cols = _pair_basis(k, N, q)
     word = braiding_word(k, k, p)
+    sym1 = symmetriser_sum(1, k, 2 * k, q)
+    sym2 = symmetriser_sum(k + 1, 2 * k, 2 * k, q)
     images = linalg.zeros(N ** (2 * k), len(pairs))
     for c, vec in enumerate(cols):
-        img = _apply_symmetriser(vec, 1, k, q)
-        img = _apply_symmetriser(img, k + 1, 2 * k, q)
+        img = _apply_element(_apply_element(vec, sym1), sym2)
         img = _apply_word(img, word, q)
-        img = _apply_symmetriser(img, 1, k, q)
-        img = _apply_symmetriser(img, k + 1, 2 * k, q)
+        img = _apply_element(_apply_element(img, sym1), sym2)
         for key, val in img.items():
             images[index_of[key], c] = val
-    return linalg.solve_exact(basis_mat, images)
+    mat = linalg.solve_exact(basis_mat, images)
+    mat.setflags(write=False)
+    return mat
+
+
+def _R_matrix(k: int, N: int, arg, bax: _Baxterisation) -> np.ndarray:
+    """sum_p coefficient_p(arg) * sigma_matrix(p) on W tensor W."""
+    d = comb(k + N - 1, k) ** 2
+    out = linalg.zeros(d, d)
+    for p, a in enumerate(bax.coefficients(k, arg)):
+        out = out + sigma_matrix(k, p, N, bax.q) * a
+    return out
 
 
 def fused_R_matrix(k: int, N: int, u, q) -> np.ndarray:
     """The baxterised solution on W tensor W: sum_p a_p(u) sigma_matrix(p)."""
-    q = as_fraction(q)
-    u = as_fraction(u)
-    coeffs = baxter_coefficients(k, k, u, q)
-    d = comb(k + N - 1, k) ** 2
-    out = linalg.zeros(d, d)
-    for p, a in enumerate(coeffs.values):
-        out = out + sigma_matrix(k, p, N, q) * a
-    return out
+    return _R_matrix(k, N, u, _multiplicative(q))
 
 
 def classical_fused_R_matrix(k: int, N: int, mu) -> np.ndarray:
     """The additive-parameter solution at q = 1 with the classical
     coefficients over the same partial-braiding matrices."""
-    coeffs = classical_coefficients(k, mu)
-    d = comb(k + N - 1, k) ** 2
-    out = linalg.zeros(d, d)
-    for p, c in enumerate(coeffs):
-        out = out + sigma_matrix(k, p, N, Fraction(1)) * c
-    return out
-
-
-def classical_sigma_direct(k: int, p: int, N: int) -> np.ndarray:
-    """Independent q = 1 route to the partial braiding matrix: symmetrise,
-    exchange the letter blocks (k-p+1..k) and (k+1..k+p) as a plain position
-    permutation, symmetrise again."""
-    one = Fraction(1)
-    wb, pairs, index_of, basis_mat, cols = _pair_basis(k, N, one)
-    perm = list(range(2 * k))
-    for s in range(p):
-        perm[k - p + s], perm[k + s] = perm[k + s], perm[k - p + s]
-    images = linalg.zeros(N ** (2 * k), len(pairs))
-    for c, vec in enumerate(cols):
-        img = _apply_symmetriser(vec, 1, k, one)
-        img = _apply_symmetriser(img, k + 1, 2 * k, one)
-        img = { tuple(key[perm[t]] for t in range(2 * k)): val
-                for key, val in img.items() }
-        img = _apply_symmetriser(img, 1, k, one)
-        img = _apply_symmetriser(img, k + 1, 2 * k, one)
-        for key, val in img.items():
-            images[index_of[key], c] = val
-    return linalg.solve_exact(basis_mat, images)
+    return _R_matrix(k, N, mu, _ADDITIVE)
 
 
 def verify_matrix_ybe(k: int, N: int, u, v, q) -> VerifyResult:

@@ -16,7 +16,6 @@ from fusedhecke import (
     classical_baxter_R,
     classical_coefficients,
     classical_fused_R_matrix,
-    classical_sigma_direct,
     fused_product_example_check,
     generator,
     linalg,
@@ -39,6 +38,7 @@ from fusedhecke.reference_data import (
     reference_coefficients_k2,
     reference_sigma_k2N2,
 )
+from oracles import classical_sigma_direct
 
 QS = [F(2), F(3, 2), F(5, 3)]
 

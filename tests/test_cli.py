@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from fusedhecke import element_from_obj, fused_R_matrix, linalg
 from fusedhecke.cli import main
 from fusedhecke.fused import VerifyResult
@@ -127,3 +129,27 @@ def test_output_file(tmp_path, capsys):
                        "--u", "3/5", "--output", str(target))
     assert code == 0
     assert json.loads(target.read_text())["dim"] == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ("--fn", "int"),
+    ("--fn", "factorial"),
+    ("--fn", "binomial", "--p", "1"),
+    ("--fn", "brace"),
+    ("--fn", "factorial", "--L", "-3"),
+    ("--fn", "int", "--L", "-1"),
+])
+def test_qnum_missing_or_negative_L_exits_2(capsys, argv):
+    code, out, err = run(capsys, "qnum", *argv, "--q", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--L" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_bad_max_strands_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("FUSED_HECKE_MAX_STRANDS", value)
+    code, _, err = run(capsys, "verify-ybe", "--k", "1")
+    assert code == 2
+    assert err.startswith("error:") and "FUSED_HECKE_MAX_STRANDS" in err
+    assert repr(value) in err

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -32,6 +33,7 @@ from fusedhecke import (
     verify_commPR,
     verify_mixed_ybe,
 )
+from fusedhecke import fused
 from fusedhecke.fused import braiding_word
 from fusedhecke.hecke import zero
 
@@ -370,3 +372,83 @@ def test_fused_serialization_header():
     assert obj["kind"] == "fused"
     assert obj["k"] == 2 and obj["n"] == 2
     assert obj["strands"] == 4
+
+
+# -- the shared YBE chain with a wrong coefficient ---------------------------------------------
+
+
+def _bump_baxter(monkeypatch):
+    orig = fused.baxter_coefficients
+
+    def bumped(k, ell, u, q):
+        c = orig(k, ell, u, q)
+        return dataclasses.replace(c, values=(c.values[0] + 1,) + c.values[1:])
+
+    monkeypatch.setattr(fused, "baxter_coefficients", bumped)
+
+
+def _bump_classical(monkeypatch):
+    orig = fused.classical_coefficients
+
+    def bumped(k, mu):
+        c = orig(k, mu)
+        return (c[0] + 1,) + c[1:]
+
+    monkeypatch.setattr(fused, "classical_coefficients", bumped)
+
+
+# (perturbation, verifier taking the method, first spectral argument)
+PERTURBED_CHAINS = {
+    "multiplicative": (
+        _bump_baxter,
+        lambda method: verify_braided_ybe(
+            FusedContext(2, 3, F(2)), F(3, 7), F(5, 9), method=method
+        ),
+        F(3, 7),
+    ),
+    "additive": (
+        _bump_classical,
+        lambda method: verify_classical_ybe(2, 3, F(7, 2), F(9, 4), method=method),
+        F(7, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PERTURBED_CHAINS)
+def test_ybe_direct_fails_on_wrong_coefficient(monkeypatch, case):
+    bump, verify, _ = PERTURBED_CHAINS[case]
+    bump(monkeypatch)
+    res = verify("direct")
+    assert not res.ok
+    assert res.diff is not None and res.diff.left != res.diff.right
+
+
+@pytest.mark.parametrize("case", PERTURBED_CHAINS)
+def test_ybe_fast_rejects_wrong_coefficient(monkeypatch, case):
+    bump, verify, first = PERTURBED_CHAINS[case]
+    bump(monkeypatch)
+    with pytest.raises(ParameterError, match="factorised/expanded") as err:
+        verify("fast")
+    assert f"argument {first}," in str(err.value)
+
+
+# -- cached results are read-only --------------------------------------------------------------
+
+
+CACHED_ELEMENTS = {
+    "symmetriser_sum": lambda: symmetriser_sum(1, 2, 4, F(2)),
+    "projector_P": lambda: projector_P(FusedContext(2, 2, F(2))),
+    "partial_braiding": lambda: partial_braiding(FusedContext(2, 2, F(2)), 1, 1),
+    "partial_braiding_mixed": lambda: partial_braiding_mixed(1, 2, 1, F(2)),
+}
+
+
+@pytest.mark.parametrize("name", CACHED_ELEMENTS)
+def test_cached_element_is_read_only(name):
+    get = CACHED_ELEMENTS[name]
+    before = dict(get().terms)
+    with pytest.raises(AttributeError):
+        get().terms.clear()
+    with pytest.raises(TypeError):
+        get().terms[next(iter(before))] = F(99)
+    assert get().terms == before

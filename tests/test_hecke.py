@@ -14,7 +14,6 @@ from fusedhecke import (
     compose,
     element_from_obj,
     element_to_obj,
-    embed_shift,
     generator,
     identity,
     left_mul_generator,
@@ -29,7 +28,7 @@ from fusedhecke import (
     unit,
 )
 from fusedhecke.hecke import right_mul_generator, zero
-from fusedhecke.permutations import simple_transposition, swap_positions
+from fusedhecke.permutations import simple_transposition
 
 QS = [F(2), F(3, 2), F(5, 3)]
 
@@ -175,7 +174,7 @@ def _alt_reduced_word(w):
     word = []
     while cur != identity(len(w)):
         i = next(t + 1 for t in range(len(w) - 1) if cur[t] > cur[t + 1])
-        cur = swap_positions(cur, i)
+        cur = cur[: i - 1] + (cur[i], cur[i - 1]) + cur[i + 1 :]
         word.append(i)
     word.reverse()
     return tuple(word)
@@ -191,30 +190,6 @@ def test_basis_element_independent_of_reduced_word():
         for i in _alt_reduced_word(w):
             alt = right_mul_generator(alt, i)
         assert canon == alt == basis_element(w, 4, q)
-
-
-# -- embeddings ----------------------------------------------------------------
-
-
-def test_embed_shift_examples():
-    q = F(2)
-    x = generator(1, 2, q) + unit(2, q).scale(F(1, 3))
-    padded = embed_shift(x, 0, 4)
-    assert padded.coefficient((2, 1, 3, 4)) == 1
-    assert embed_shift(generator(1, 2, q), 1, 3) == generator(2, 3, q)
-    with pytest.raises(DomainError):
-        embed_shift(x, 3, 4)
-
-
-def test_embed_shift_homomorphism():
-    q = F(3, 2)
-    elems = [unit(2, q), generator(1, 2, q), r_check_generator(1, F(3, 7), 2, q)]
-    for off in (0, 1, 2):
-        for a in elems:
-            for b in elems:
-                assert embed_shift(multiply(a, b), off, 4) == multiply(
-                    embed_shift(a, off, 4), embed_shift(b, off, 4)
-                )
 
 
 # -- baxterised generators -------------------------------------------------------

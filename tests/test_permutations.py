@@ -16,8 +16,6 @@ from fusedhecke.permutations import (
     perm_from_str,
     perm_to_str,
     simple_transposition,
-    swap_positions,
-    swap_values,
 )
 
 
@@ -90,18 +88,6 @@ def test_reduced_word_roundtrip(m):
         word = reduced_word(w)
         assert len(word) == length(w)
         assert _compose_word(word, m) == w
-
-
-def test_swap_helpers():
-    w = (2, 3, 1)
-    assert swap_positions(w, 1) == (3, 2, 1)
-    assert swap_values(w, 1) == (1, 3, 2)
-    # s_i w corresponds to swapping values, w s_i to swapping positions
-    for w in all_permutations(4):
-        for i in range(1, 4):
-            s = simple_transposition(i, 4)
-            assert compose(s, w) == swap_values(w, i)
-            assert compose(w, s) == swap_positions(w, i)
 
 
 def test_one_line_serialization():

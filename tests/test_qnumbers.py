@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from fusedhecke import (
-    ParamPoint,
+    FusedContext,
     ParameterError,
     brace_int,
     format_rational,
@@ -39,6 +39,8 @@ def test_q_factorial():
     assert q_factorial(0, F(5)) == 1
     assert q_factorial(2, F(2)) == q_int(1, F(2)) * q_int(2, F(2)) == F(5, 2)
     assert q_factorial(3, F(1)) == 6
+    with pytest.raises(ParameterError):
+        q_factorial(-3, F(2))
 
 
 def test_q_binomial_values():
@@ -90,22 +92,8 @@ def test_brace_int_vs_q_int(q):
 @pytest.mark.parametrize("q", QS)
 def test_pochhammer_nonzero_under_point_invariants(q):
     for p in range(4):
-        ParamPoint(q, k_bound=p + 1)
+        FusedContext(p + 1, 2, q)
         assert q_pochhammer(q**-2, q**-2, p) != 0
-
-
-def test_param_point_validation():
-    ParamPoint(F(2), F(3, 7), F(5, 9), k_bound=3)
-    with pytest.raises(ParameterError):
-        ParamPoint(F(0))
-    with pytest.raises(ParameterError):
-        ParamPoint(F(2), u=F(1), k_bound=1)  # u = q^0
-    with pytest.raises(ParameterError):
-        ParamPoint(F(2), u=F(4), k_bound=2)  # u = q^2
-    with pytest.raises(ParameterError):
-        ParamPoint(F(2), u=F(1, 4), k_bound=2)  # u = q^-2
-    # the same value is fine when the fusion level does not reach it
-    ParamPoint(F(2), u=F(4), k_bound=1)
 
 
 def test_rational_serialization():

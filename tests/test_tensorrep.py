@@ -10,7 +10,6 @@ from fusedhecke import (
     HeckeElement,
     all_permutations,
     classical_fused_R_matrix,
-    classical_sigma_direct,
     fused_R_matrix,
     generator,
     hecke_rmatrix,
@@ -27,6 +26,7 @@ from fusedhecke import linalg
 from fusedhecke.errors import ResourceError
 from fusedhecke.fused import baxter_coefficients, classical_coefficients
 from fusedhecke.tensorrep import matrix_from_obj, matrix_to_csv, matrix_to_obj
+from oracles import classical_sigma_direct
 
 
 def test_hecke_rmatrix_diagonal_action():
@@ -253,3 +253,10 @@ def test_matrix_serialization_roundtrip():
     assert len(csv.strip().splitlines()) == 4
     # corner entry is q - (q - 1/q)/(1 - u) = 2 - (3/2)/(2/5)
     assert csv.splitlines()[0].split(",")[0] == "-7/4"
+
+
+def test_sigma_matrix_is_read_only():
+    want = sigma_matrix(2, 1, 2, F(2)).copy()
+    with pytest.raises(ValueError):
+        sigma_matrix(2, 1, 2, F(2))[0, 0] = 99
+    assert linalg.mat_equal(sigma_matrix(2, 1, 2, F(2)), want)
