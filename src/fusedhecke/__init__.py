@@ -15,24 +15,18 @@ from .errors import (
     ResourceError,
 )
 from .fused import (
-    BaxterCoefficients,
     FusedContext,
     baxter_R_expansion,
     baxter_R_factorized,
-    baxter_R_one_sided,
     baxter_coefficients,
-    braiding_word,
     classical_baxter_R,
     classical_baxter_R_factorized,
     classical_coefficients,
     element_diff,
-    fused_element_to_obj,
-    fused_product_example_check,
     minimal_polynomial_check,
     partial_braiding,
     partial_braiding_mixed,
     projector_P,
-    projector_mixed,
     verify_braided_ybe,
     verify_classical_ybe,
     verify_commPR,
@@ -40,42 +34,31 @@ from .fused import (
 )
 from .hecke import (
     HeckeElement,
-    basis_element,
     element_from_obj,
     element_to_obj,
     generator,
     left_mul_generator,
     multiply,
-    r_check_generator,
     right_mul_generator,
     symmetriser_product,
-    symmetriser_recursion_check,
     symmetriser_sum,
     unit,
 )
 from .permutations import (
-    all_permutations,
-    compose,
     identity,
-    inverse,
-    length,
     reduced_word,
 )
 from .qnumbers import (
     brace_int,
     format_rational,
-    parse_rational,
     q_binomial,
     q_factorial,
     q_int,
     q_pochhammer,
 )
 from .tensorrep import (
-    WBasis,
     classical_fused_R_matrix,
     fused_R_matrix,
-    hecke_rmatrix,
-    represent,
     sigma_matrix,
     verify_matrix_ybe,
     w_basis,

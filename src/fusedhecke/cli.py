@@ -199,6 +199,8 @@ def _cmd_verify_ybe(args) -> int:
 def _cmd_verify_algebra(args) -> int:
     q = parse_rational(args.q)
     u = parse_rational(args.u)
+    if args.trials < 0:
+        raise FusedHeckeError("verify-algebra needs --trials >= 0")
     k, n = args.k, args.n
     m = k * n
     rng = random.Random(args.seed)

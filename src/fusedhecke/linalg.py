@@ -1,9 +1,9 @@
 """Exact dense linear algebra over the rationals.
 
 Matrices are numpy arrays with dtype=object holding `fractions.Fraction`
-(or int) entries; all products, ranks and solves are exact.  The matrix
-product skips zero entries, which matters because the R-matrices are very
-sparse.
+(or int) entries; the constructors, products and comparisons here are exact.
+The matrix product skips zero entries, which matters because the R-matrices
+are very sparse.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-
-from .errors import InternalConsistencyError
 
 
 def fmat(rows) -> np.ndarray:
@@ -68,63 +66,3 @@ def first_matrix_diff(a: np.ndarray, b: np.ndarray):
                 return (i, j, a[i, j], b[i, j])
     return None
 
-
-def _echelonize(aug: list, left_cols: int):
-    """In-place Gauss-Jordan on the first left_cols columns; returns the list
-    of pivot columns.  Pivoting picks the first nonzero entry, which is all
-    exact arithmetic needs."""
-    rows = len(aug)
-    pivots = []
-    r = 0
-    for c in range(left_cols):
-        pr = next((t for t in range(r, rows) if aug[t][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        piv = aug[r][c]
-        if piv != 1:
-            inv = 1 / Fraction(piv)
-            aug[r] = [inv * v for v in aug[r]]
-        for t in range(rows):
-            if t != r and aug[t][c]:
-                f = aug[t][c]
-                aug[t] = [x - f * y for x, y in zip(aug[t], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
-
-
-def rank(a: np.ndarray) -> int:
-    aug = [[Fraction(v) for v in row] for row in a]
-    return len(_echelonize(aug, a.shape[1]))
-
-
-def solve_exact(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve m @ x = b exactly for a full-column-rank m.
-
-    Raises InternalConsistencyError if m is column-rank-deficient or if some
-    column of b lies outside the column span of m.
-    """
-    n, d = m.shape
-    nb, r = b.shape
-    if n != nb:
-        raise ValueError("incompatible shapes in solve_exact")
-    aug = [
-        [Fraction(m[i, j]) for j in range(d)] + [Fraction(b[i, j]) for j in range(r)]
-        for i in range(n)
-    ]
-    pivots = _echelonize(aug, d)
-    if len(pivots) != d:
-        raise InternalConsistencyError(
-            f"coefficient matrix is rank {len(pivots)} < {d}"
-        )
-    for t in range(d, n):
-        if any(aug[t][d:]):
-            raise InternalConsistencyError("right-hand side outside column span")
-    x = np.zeros((d, r), dtype=object)
-    for row_idx, c in enumerate(pivots):
-        for j in range(r):
-            x[c, j] = aug[row_idx][d + j]
-    return x

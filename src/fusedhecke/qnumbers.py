@@ -111,6 +111,8 @@ def q_pochhammer(a, q, p: int) -> Fraction:
     """(a; q)_p = prod_{r=0}^{p-1} (1 - a q**r), with (a; q)_0 = 1."""
     a = as_fraction(a)
     q = as_fraction(q)
+    if p < 0:
+        raise ParameterError("q_pochhammer needs p >= 0")
     out = Fraction(1)
     for r in range(p):
         out *= 1 - a * q**r

@@ -3,9 +3,11 @@ powers W = S_q^k(V).
 
 The Hecke algebra acts on V^(tensor m) through the standard R-matrix at each
 pair of adjacent slots; W is carried by the (unnormalised) symmetriser images
-of the nondecreasing basis tensors, and the braiding operators on W tensor W
-are extracted by an exact change-of-basis solve.  All matrices are numpy
-object arrays over exact rationals.
+of the nondecreasing basis tensors.  That action only rearranges letters, so
+each basis vector w_a of W lives on the rearrangements of its own tensor t_a,
+and w_a tensor w_b is the one basis vector of W tensor W with a term at
+t_a + t_b: the braiding operators on W tensor W are read off at those keys.
+All matrices are numpy object arrays over exact rationals.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 
 import numpy as np
 
@@ -80,11 +83,10 @@ def _multi_indices(N: int, m: int):
     return list(itertools.product(range(1, N + 1), repeat=m))
 
 
-def _vec_to_column(vec: dict, index_of: dict) -> list:
-    col = [Fraction(0)] * len(index_of)
-    for key, val in vec.items():
-        col[index_of[key]] = val
-    return col
+def _check_tensor_dim(N: int, m: int) -> None:
+    dim = N**m
+    if dim > MAX_TENSOR_DIM:
+        raise ResourceError(f"V^(tensor {m}) has dimension {dim} > {MAX_TENSOR_DIM}")
 
 
 # -- representations -----------------------------------------------------------
@@ -110,9 +112,8 @@ def hecke_rmatrix(N: int, q) -> np.ndarray:
 
 def represent(x: HeckeElement, N: int) -> np.ndarray:
     """Matrix of x on V^(tensor m) with the local R-matrix action."""
+    _check_tensor_dim(N, x.m)
     dim = N**x.m
-    if dim > MAX_TENSOR_DIM:
-        raise ResourceError(f"V^(tensor {x.m}) has dimension {dim} > {MAX_TENSOR_DIM}")
     idxs = _multi_indices(N, x.m)
     index_of = {t: r for r, t in enumerate(idxs)}
     mat = linalg.zeros(dim, dim)
@@ -133,59 +134,33 @@ class WBasis:
     N: int
     q: Fraction
     indices: tuple
-    columns: tuple  # sparse dicts over multi-indices, one per basis vector
+    columns: tuple  # read-only sparse maps over multi-indices, one per basis vector
 
     @property
     def dim(self) -> int:
         return len(self.indices)
 
-    def matrix(self) -> np.ndarray:
-        idxs = _multi_indices(self.N, self.k)
-        index_of = {t: r for r, t in enumerate(idxs)}
-        mat = linalg.zeros(len(idxs), self.dim)
-        for c, vec in enumerate(self.columns):
-            for key, val in vec.items():
-                mat[index_of[key], c] = val
-        return mat
-
 
 @lru_cache(maxsize=None)
 def w_basis(k: int, N: int, q) -> WBasis:
+    """The basis of W; raises if a column leaves the rearrangements of its
+    own tensor t_a or vanishes there, which would make the columns (whose
+    supports are then disjoint) dependent."""
     q = as_fraction(q)
-    if N**k > MAX_TENSOR_DIM:
-        raise ResourceError("symmetric power exceeds the tensor bound")
-    indices = [
+    _check_tensor_dim(N, k)
+    indices = tuple(
         t for t in _multi_indices(N, k) if all(t[a] <= t[a + 1] for a in range(k - 1))
-    ]
+    )
     sym = symmetriser_sum(1, k, k, q)
     columns = tuple(_apply_element({t: Fraction(1)}, sym) for t in indices)
-    wb = WBasis(k, N, q, tuple(indices), columns)
-    expected = comb(k + N - 1, k)
-    if wb.dim != expected or linalg.rank(wb.matrix()) != expected:
+    if len(indices) != comb(k + N - 1, k) or not all(
+        col.get(t) and all(tuple(sorted(key)) == t for key in col)
+        for t, col in zip(indices, columns)
+    ):
         raise InternalConsistencyError(
             f"symmetric power basis degenerate for k={k}, N={N}, q={q}"
         )
-    return wb
-
-
-@lru_cache(maxsize=None)
-def _pair_basis(k: int, N: int, q):
-    """Basis matrix of W tensor W inside V^(tensor 2k), plus the pair list."""
-    wb = w_basis(k, N, q)
-    pairs = [(a, b) for a in range(wb.dim) for b in range(wb.dim)]
-    idxs = _multi_indices(N, 2 * k)
-    index_of = {t: r for r, t in enumerate(idxs)}
-    mat = linalg.zeros(len(idxs), len(pairs))
-    cols = []
-    for (a, b) in pairs:
-        vec = {}
-        for ka, va in wb.columns[a].items():
-            for kb, vb in wb.columns[b].items():
-                vec[ka + kb] = va * vb
-        cols.append(vec)
-        for key, val in vec.items():
-            mat[index_of[key], len(cols) - 1] = val
-    return wb, pairs, index_of, mat, cols
+    return WBasis(k, N, q, indices, tuple(MappingProxyType(c) for c in columns))
 
 
 @lru_cache(maxsize=None)
@@ -193,28 +168,37 @@ def sigma_matrix(k: int, p: int, N: int, q) -> np.ndarray:
     """Matrix of the order-p partial braiding on W tensor W, in the basis
     w_a tensor w_b ordered lexicographically.
 
-    Computed by applying the sandwiched operator (symmetrisers, braiding
-    word, symmetrisers) on V^(tensor 2k) and solving exactly for the
-    coordinates in the W tensor W basis; raises if an image ever leaves the
-    span, which no admissible parameter can trigger.
+    Computed by applying the braiding word and then the symmetrisers to each
+    w_a tensor w_b on V^(tensor 2k) (the leading symmetrisers fix it) and
+    reading the coordinate of w_a' tensor w_b' off the image at t_a' + t_b';
+    raises if the image minus that combination is not zero, which no
+    admissible parameter can trigger.
     """
     q = as_fraction(q)
     if not 0 <= p <= k:
         raise DomainError(f"braiding order p={p} out of range 0..{k}")
-    if N ** (2 * k) > MAX_TENSOR_DIM:
-        raise ResourceError("V^(tensor 2k) exceeds the tensor bound")
-    wb, pairs, index_of, basis_mat, cols = _pair_basis(k, N, q)
+    _check_tensor_dim(N, 2 * k)
+    wb = w_basis(k, N, q)
+    keys = [ta + tb for ta in wb.indices for tb in wb.indices]
+    basis = [
+        {kx + ky: vx * vy for kx, vx in x.items() for ky, vy in y.items()}
+        for x in wb.columns
+        for y in wb.columns
+    ]
     word = braiding_word(k, k, p)
     sym1 = symmetriser_sum(1, k, 2 * k, q)
     sym2 = symmetriser_sum(k + 1, 2 * k, 2 * k, q)
-    images = linalg.zeros(N ** (2 * k), len(pairs))
-    for c, vec in enumerate(cols):
-        img = _apply_element(_apply_element(vec, sym1), sym2)
-        img = _apply_word(img, word, q)
-        img = _apply_element(_apply_element(img, sym1), sym2)
-        for key, val in img.items():
-            images[index_of[key], c] = val
-    mat = linalg.solve_exact(basis_mat, images)
+    mat = linalg.zeros(len(basis), len(basis))
+    for c, vec in enumerate(basis):
+        img = _apply_element(_apply_element(_apply_word(vec, word, q), sym1), sym2)
+        for r, (key, w) in enumerate(zip(keys, basis)):
+            mat[r, c] = coord = img.get(key, Fraction(0)) / w[key]
+            if coord:
+                _accumulate(img, ((t, -coord * v) for t, v in w.items()))
+        if img:
+            raise InternalConsistencyError(
+                f"sigma_matrix image leaves W tensor W for k={k}, p={p}, N={N}, q={q}"
+            )
     mat.setflags(write=False)
     return mat
 

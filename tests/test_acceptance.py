@@ -16,7 +16,6 @@ from fusedhecke import (
     classical_baxter_R,
     classical_coefficients,
     classical_fused_R_matrix,
-    fused_product_example_check,
     generator,
     linalg,
     minimal_polynomial_check,
@@ -24,15 +23,14 @@ from fusedhecke import (
     partial_braiding_mixed,
     sigma_matrix,
     symmetriser_product,
-    symmetriser_recursion_check,
     symmetriser_sum,
     verify_braided_ybe,
     verify_classical_ybe,
     verify_matrix_ybe,
     verify_mixed_ybe,
 )
-from fusedhecke.fused import classical_baxter_R_factorized
-from fusedhecke.hecke import zero
+from fusedhecke.fused import classical_baxter_R_factorized, fused_product_example_check
+from fusedhecke.hecke import symmetriser_recursion_check, zero
 from fusedhecke.reference_data import (
     reference_coefficients_k1,
     reference_coefficients_k2,

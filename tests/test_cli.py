@@ -146,6 +146,21 @@ def test_qnum_missing_or_negative_L_exits_2(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+def test_qnum_negative_pochhammer_p_exits_2(capsys):
+    code, out, err = run(capsys, "qnum", "--fn", "pochhammer", "--a", "1/2",
+                         "--p", "-2", "--q", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "p >= 0" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_verify_algebra_negative_trials_exits_2(capsys):
+    code, out, err = run(capsys, "verify-algebra", "--trials", "-3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--trials" in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2"])
 def test_bad_max_strands_exits_2(capsys, monkeypatch, value):
     monkeypatch.setenv("FUSED_HECKE_MAX_STRANDS", value)

@@ -10,22 +10,17 @@ from fusedhecke import (
     PoleError,
     baxter_R_expansion,
     baxter_R_factorized,
-    baxter_R_one_sided,
     baxter_coefficients,
     classical_baxter_R,
     classical_baxter_R_factorized,
     classical_coefficients,
     element_diff,
-    fused_element_to_obj,
-    fused_product_example_check,
     generator,
     minimal_polynomial_check,
     multiply,
     partial_braiding,
     partial_braiding_mixed,
     projector_P,
-    projector_mixed,
-    r_check_generator,
     symmetriser_sum,
     unit,
     verify_braided_ybe,
@@ -34,8 +29,14 @@ from fusedhecke import (
     verify_mixed_ybe,
 )
 from fusedhecke import fused
-from fusedhecke.fused import braiding_word
-from fusedhecke.hecke import zero
+from fusedhecke.fused import (
+    baxter_R_one_sided,
+    braiding_word,
+    fused_element_to_obj,
+    fused_product_example_check,
+    projector_mixed,
+)
+from fusedhecke.hecke import r_check_generator, zero
 
 QS = [F(2), F(3, 2), F(5, 3)]
 

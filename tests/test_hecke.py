@@ -9,26 +9,31 @@ from fusedhecke import (
     DomainError,
     HeckeElement,
     PoleError,
-    all_permutations,
-    basis_element,
-    compose,
     element_from_obj,
     element_to_obj,
     generator,
     identity,
     left_mul_generator,
-    length,
     multiply,
     q_int,
-    r_check_generator,
     reduced_word,
     symmetriser_product,
-    symmetriser_recursion_check,
     symmetriser_sum,
     unit,
 )
-from fusedhecke.hecke import right_mul_generator, zero
-from fusedhecke.permutations import simple_transposition
+from fusedhecke.hecke import (
+    basis_element,
+    r_check_generator,
+    right_mul_generator,
+    symmetriser_recursion_check,
+    zero,
+)
+from fusedhecke.permutations import (
+    all_permutations,
+    compose,
+    length,
+    simple_transposition,
+)
 
 QS = [F(2), F(3, 2), F(5, 3)]
 

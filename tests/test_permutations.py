@@ -2,17 +2,13 @@ import itertools
 
 import pytest
 
-from fusedhecke import (
-    DomainError,
-    all_permutations,
-    compose,
-    identity,
-    inverse,
-    length,
-    reduced_word,
-)
+from fusedhecke import DomainError, identity, reduced_word
 from fusedhecke.errors import ResourceError
 from fusedhecke.permutations import (
+    all_permutations,
+    compose,
+    inverse,
+    length,
     perm_from_str,
     perm_to_str,
     simple_transposition,

@@ -7,12 +7,12 @@ from fusedhecke import (
     ParameterError,
     brace_int,
     format_rational,
-    parse_rational,
     q_binomial,
     q_factorial,
     q_int,
     q_pochhammer,
 )
+from fusedhecke.qnumbers import parse_rational
 
 QS = [F(2), F(3, 2), F(5, 3)]
 
@@ -75,6 +75,8 @@ def test_q_pochhammer():
     assert q_pochhammer(F(7), F(3), 0) == 1
     assert q_pochhammer(F(3), F(7), 1) == -2
     assert q_pochhammer(F(1, 2), F(1, 3), 2) == F(1, 2) * F(5, 6) == F(5, 12)
+    with pytest.raises(ParameterError):
+        q_pochhammer(F(1, 2), F(2), -2)
 
 
 def test_brace_int():

@@ -8,25 +8,30 @@ import pytest
 from fusedhecke import (
     FusedContext,
     HeckeElement,
-    all_permutations,
     classical_fused_R_matrix,
     fused_R_matrix,
     generator,
-    hecke_rmatrix,
     multiply,
     partial_braiding,
-    represent,
     sigma_matrix,
     symmetriser_sum,
     unit,
     verify_matrix_ybe,
     w_basis,
 )
-from fusedhecke import linalg
-from fusedhecke.errors import ResourceError
+from fusedhecke import linalg, tensorrep
+from fusedhecke.errors import InternalConsistencyError, ResourceError
 from fusedhecke.fused import baxter_coefficients, classical_coefficients
-from fusedhecke.tensorrep import matrix_from_obj, matrix_to_csv, matrix_to_obj
-from oracles import classical_sigma_direct
+from fusedhecke.hecke import zero
+from fusedhecke.permutations import all_permutations
+from fusedhecke.tensorrep import (
+    hecke_rmatrix,
+    matrix_from_obj,
+    matrix_to_csv,
+    matrix_to_obj,
+    represent,
+)
+from oracles import classical_sigma_direct, pair_basis, rank, solve_exact
 
 
 def test_hecke_rmatrix_diagonal_action():
@@ -96,7 +101,7 @@ def test_represented_symmetriser_idempotent_of_expected_rank(k, N):
     q = F(2)
     s = represent(symmetriser_sum(1, k, k, q), N)
     assert linalg.mat_equal(linalg.matmul(s, s), s)
-    assert linalg.rank(s) == comb(k + N - 1, k)
+    assert rank(s) == comb(k + N - 1, k)
 
 
 def test_represent_resource_bound():
@@ -110,7 +115,7 @@ def test_represent_resource_bound():
 def test_w_basis_k1_is_standard_basis():
     wb = w_basis(1, 3, F(2))
     assert wb.dim == 3
-    assert linalg.mat_equal(wb.matrix(), linalg.identity(3))
+    assert wb.columns == ({(1,): 1}, {(2,): 1}, {(3,): 1})
 
 
 def test_w_basis_k2_N2_middle_vector():
@@ -127,6 +132,27 @@ def test_w_basis_dimension(k, N):
     assert w_basis(k, N, F(2)).dim == comb(k + N - 1, k)
 
 
+def test_w_basis_columns_are_read_only():
+    with pytest.raises(TypeError):
+        w_basis(2, 2, F(2)).columns[1][(1, 2)] = 99
+    assert w_basis(2, 2, F(2)).columns[1][(1, 2)] == F(2) / (F(2) + F(1, 2))
+
+
+def test_w_basis_degenerate_raises(monkeypatch):
+    # a vanishing symmetriser leaves every column empty; q = 11/5 is used by
+    # no other test, so the cache cannot hand back an earlier basis
+    monkeypatch.setattr(tensorrep, "symmetriser_sum", lambda i, j, m, q: zero(m, q))
+    with pytest.raises(InternalConsistencyError):
+        w_basis(2, 2, F(11, 5))
+
+
+def test_tensor_bound_messages_give_dimension():
+    with pytest.raises(ResourceError, match=r"tensor 9\) has dimension 19683 > 6561"):
+        w_basis(9, 3, F(2))
+    with pytest.raises(ResourceError, match=r"tensor 6\) has dimension 15625 > 6561"):
+        sigma_matrix(3, 1, 5, F(2))
+
+
 # -- braiding matrices ----------------------------------------------------------
 
 
@@ -139,20 +165,28 @@ def test_sigma_matrix_k1_is_hecke_rmatrix():
         assert linalg.mat_equal(sigma_matrix(1, 1, N, F(2)), hecke_rmatrix(N, F(2)))
 
 
-def test_sigma_matrix_consistent_with_algebra_element():
+@pytest.mark.parametrize("q", [F(2), F(3, 2)], ids=str)
+@pytest.mark.parametrize("k,N", [(2, 2), (2, 3), (3, 2)])
+def test_sigma_matrix_consistent_with_algebra_element(k, N, q):
     # the represented sandwiched element must act on W x W exactly as the
-    # extracted matrix does
-    q, k, N = F(2), 2, 2
+    # matrix read off the weight-graded basis does; the dense solve is the
+    # independent reference
     ctx = FusedContext(k, 2, q)
-    from fusedhecke.tensorrep import _pair_basis
-
-    wb, pairs, index_of, basis_mat, cols = _pair_basis(k, N, q)
+    basis_mat = pair_basis(k, N, q)[2]
     for p in range(k + 1):
-        elem = partial_braiding(ctx, 1, p)
-        big = represent(elem, N)
-        images = linalg.matmul(big, basis_mat)
-        coords = linalg.solve_exact(basis_mat, images)
+        big = represent(partial_braiding(ctx, 1, p), N)
+        coords = solve_exact(basis_mat, linalg.matmul(big, basis_mat))
         assert linalg.mat_equal(coords, sigma_matrix(k, p, N, q))
+
+
+def test_sigma_matrix_image_outside_span_raises(monkeypatch):
+    # without the trailing symmetrisers the braided images leave W x W;
+    # q = 7/3 is used by no other test, so no cached matrix masks the patch
+    q = F(7, 3)
+    w_basis(2, 2, q)
+    monkeypatch.setattr(tensorrep, "symmetriser_sum", lambda i, j, m, q: unit(m, q))
+    with pytest.raises(InternalConsistencyError):
+        sigma_matrix(2, 1, 2, q)
 
 
 @pytest.mark.parametrize("k,N", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
