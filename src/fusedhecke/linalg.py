@@ -1,9 +1,11 @@
 """Exact dense linear algebra over the rationals.
 
 Matrices are numpy arrays with dtype=object holding `fractions.Fraction`
-(or int) entries; the constructors, products and comparisons here are exact.
-The matrix product skips zero entries, which matters because the R-matrices
-are very sparse.
+(or int) entries; the constructors, product and comparisons here are exact.
+The library only builds and compares matrices: the R-matrices act on
+W^(tensor 3) through their sparse columns (see tensorrep), so the dense
+product, which skips zero entries of its left factor, serves the checks
+that multiply whole matrices.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ def zeros(r: int, c: int) -> np.ndarray:
     return np.zeros((r, c), dtype=object)
 
 
-def identity(n: int) -> np.ndarray:
-    return np.identity(n, dtype=object)
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product, row oriented, skipping zero entries of the left factor."""
     n, m = a.shape
@@ -46,10 +44,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 acc += v * b[j]
         out[i] = acc
     return out
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
 
 
 def mat_equal(a: np.ndarray, b: np.ndarray) -> bool:

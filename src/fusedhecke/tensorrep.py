@@ -7,7 +7,11 @@ of the nondecreasing basis tensors.  That action only rearranges letters, so
 each basis vector w_a of W lives on the rearrangements of its own tensor t_a,
 and w_a tensor w_b is the one basis vector of W tensor W with a term at
 t_a + t_b: the braiding operators on W tensor W are read off at those keys.
-All matrices are numpy object arrays over exact rationals.
+They keep the weight (letter multiset) of a basis tensor, so they are sparse:
+the R-matrices are assembled only on their joint support, and the matrix
+Yang-Baxter equation applies R to W^(tensor 3) one basis vector at a time
+through R's sparse columns.  All matrices are numpy object arrays over exact
+rationals.
 """
 
 from __future__ import annotations
@@ -203,12 +207,37 @@ def sigma_matrix(k: int, p: int, N: int, q) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=None)
+def _sigma_entries(k: int, N: int, q) -> tuple:
+    """(r, c, (sigma_0[r, c], ..., sigma_k[r, c])) for every entry (r, c),
+    in row-major order, at which some sigma_matrix(k, p, N, q) is nonzero."""
+    sigmas = [sigma_matrix(k, p, N, q) for p in range(k + 1)]
+    rows, cols = np.any([s != 0 for s in sigmas], axis=0).nonzero()
+    return tuple(
+        (int(r), int(c), tuple(s[r, c] for s in sigmas)) for r, c in zip(rows, cols)
+    )
+
+
+def _R_columns(k: int, N: int, arg, bax: _Baxterisation) -> list:
+    """The nonzero entries of sum_p coefficient_p(arg) * sigma_matrix(p) on
+    W tensor W, as one list of (row, value) pairs per column."""
+    coeffs = bax.coefficients(k, arg)
+    cols = [[] for _ in range(comb(k + N - 1, k) ** 2)]
+    for r, c, sig in _sigma_entries(k, N, bax.q):
+        val = sum(a * s for a, s in zip(coeffs, sig))
+        if val:
+            cols[c].append((r, val))
+    return cols
+
+
 def _R_matrix(k: int, N: int, arg, bax: _Baxterisation) -> np.ndarray:
-    """sum_p coefficient_p(arg) * sigma_matrix(p) on W tensor W."""
-    d = comb(k + N - 1, k) ** 2
-    out = linalg.zeros(d, d)
-    for p, a in enumerate(bax.coefficients(k, arg)):
-        out = out + sigma_matrix(k, p, N, bax.q) * a
+    """sum_p coefficient_p(arg) * sigma_matrix(p) on W tensor W, as a dense
+    matrix filled at its sparse columns."""
+    cols = _R_columns(k, N, arg, bax)
+    out = np.full((len(cols), len(cols)), Fraction(0), dtype=object)
+    for c, col in enumerate(cols):
+        for r, val in col:
+            out[r, c] = val
     return out
 
 
@@ -223,31 +252,52 @@ def classical_fused_R_matrix(k: int, N: int, mu) -> np.ndarray:
     return _R_matrix(k, N, mu, _ADDITIVE)
 
 
+def _apply_pair(vec: dict, cols: list, inner: int) -> dict:
+    """Apply a matrix on W tensor W, given by its sparse columns, to two
+    adjacent factors of a sparse vector on W^(tensor 3) keyed by row-major
+    index: the first two factors for inner = d (R x I), the last two for
+    inner = 1 (I x R)."""
+    outer = len(cols) * inner
+    out = {}
+    for i, v in vec.items():
+        high, rest = divmod(i, outer)
+        c, low = divmod(rest, inner)
+        base = high * outer + low
+        _accumulate(out, ((base + r * inner, a * v) for r, a in cols[c]))
+    return out
+
+
+def _verify_matrix_ybe(k: int, N: int, x, y, bax: _Baxterisation) -> VerifyResult:
+    """The braided relation on W^(tensor 3) with middle argument
+    w = bax.middle(x, y), checked on one basis vector e_j at a time:
+
+        (R(x) x I)(I x R(w))(R(y) x I) = (I x R(y))(R(w) x I)(I x R(x)).
+
+    The diff is the row-major-first differing entry (i, j, lhs, rhs) of the
+    two products."""
+    d = comb(k + N - 1, k)
+    if d**3 > MAX_YBE_DIM:
+        raise ResourceError(f"W^(tensor 3) has dimension {d**3} > {MAX_YBE_DIM}")
+    r_x, r_w, r_y = (_R_columns(k, N, a, bax) for a in (x, bax.middle(x, y), y))
+    diff = None
+    for j in range(d**3):
+        e = {j: Fraction(1)}
+        lhs = _apply_pair(_apply_pair(_apply_pair(e, r_y, d), r_w, 1), r_x, d)
+        rhs = _apply_pair(_apply_pair(_apply_pair(e, r_x, 1), r_w, d), r_y, 1)
+        if lhs == rhs:
+            continue
+        i = min(i for i in lhs.keys() | rhs.keys() if lhs.get(i) != rhs.get(i))
+        if diff is None or i < diff[0]:
+            diff = (i, j, lhs.get(i, Fraction(0)), rhs.get(i, Fraction(0)))
+    return VerifyResult(diff is None, diff)
+
+
 def verify_matrix_ybe(k: int, N: int, u, v, q) -> VerifyResult:
     """Exact check of the braided relation on W^(tensor 3):
 
         (R(u) x I)(I x R(uv))(R(v) x I) = (I x R(v))(R(uv) x I)(I x R(u)).
     """
-    q = as_fraction(q)
-    u, v = as_fraction(u), as_fraction(v)
-    d = comb(k + N - 1, k)
-    if d**3 > MAX_YBE_DIM:
-        raise ResourceError(f"W^(tensor 3) has dimension {d**3} > {MAX_YBE_DIM}")
-    eye = linalg.identity(d)
-    uv = u * v
-    r_u = fused_R_matrix(k, N, u, q)
-    r_uv = fused_R_matrix(k, N, uv, q)
-    r_v = fused_R_matrix(k, N, v, q)
-    lhs = linalg.matmul(
-        linalg.matmul(linalg.kron(r_u, eye), linalg.kron(eye, r_uv)),
-        linalg.kron(r_v, eye),
-    )
-    rhs = linalg.matmul(
-        linalg.matmul(linalg.kron(eye, r_v), linalg.kron(r_uv, eye)),
-        linalg.kron(eye, r_u),
-    )
-    diff = linalg.first_matrix_diff(lhs, rhs)
-    return VerifyResult(diff is None, diff)
+    return _verify_matrix_ybe(k, N, as_fraction(u), as_fraction(v), _multiplicative(q))
 
 
 # -- serialization ---------------------------------------------------------------

@@ -1,14 +1,22 @@
 """Independent reference computations that the tests compare the library
-against: a dense exact Gauss-Jordan solver and the q = 1 partial braiding
-matrices obtained with it."""
+against: a dense exact Gauss-Jordan solver, the q = 1 partial braiding
+matrices obtained with it, and the matrix Yang-Baxter equation as dense
+Kronecker factors and dense products."""
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
 from fusedhecke import linalg, symmetriser_sum, w_basis
 from fusedhecke.errors import InternalConsistencyError
-from fusedhecke.tensorrep import _apply_element, _multi_indices
+from fusedhecke.fused import VerifyResult
+from fusedhecke.tensorrep import _apply_element, _multi_indices, _R_matrix
+
+
+def eye(n: int) -> np.ndarray:
+    """The exact n x n identity matrix."""
+    return np.identity(n, dtype=object)
 
 
 def _echelonize(aug: list, left_cols: int):
@@ -109,3 +117,19 @@ def classical_sigma_direct(k: int, p: int, N: int):
         for key, val in img.items():
             images[index_of[key], c] = val
     return solve_exact(basis_mat, images)
+
+
+def dense_matrix_ybe(k: int, N: int, x, y, bax) -> VerifyResult:
+    """The braided relation on W^(tensor 3) with middle argument
+    bax.middle(x, y), as products of dense Kronecker factors, with the
+    row-major-first differing entry as the diff."""
+    d = comb(k + N - 1, k)
+    r_x, r_w, r_y = (_R_matrix(k, N, a, bax) for a in (x, bax.middle(x, y), y))
+    lhs = linalg.matmul(
+        linalg.matmul(np.kron(r_x, eye(d)), np.kron(eye(d), r_w)), np.kron(r_y, eye(d))
+    )
+    rhs = linalg.matmul(
+        linalg.matmul(np.kron(eye(d), r_y), np.kron(r_w, eye(d))), np.kron(eye(d), r_x)
+    )
+    diff = linalg.first_matrix_diff(lhs, rhs)
+    return VerifyResult(diff is None, diff)

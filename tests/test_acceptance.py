@@ -122,12 +122,12 @@ def test_criterion_06_minimal_polynomial():
 
 def test_criterion_07_matrix_ybe():
     t0 = time.time()
-    pairs = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]
+    pairs = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2)]
     points = [(F(2), F(3, 5), F(7, 11)), (F(3, 2), F(2, 7), F(3, 8))]
     for (k, N) in pairs:
         for q, u, v in points:
             assert verify_matrix_ybe(k, N, u, v, q), (k, N, q)
-    _report(7, "matrix YBE on W^3 for five (k,N) pairs", t0)
+    _report(7, "matrix YBE on W^3 for eight (k,N) pairs", t0)
 
 
 def test_criterion_08_classical_limit():

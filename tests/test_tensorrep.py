@@ -1,8 +1,10 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import comb
 
+import numpy as np
 import pytest
 
 from fusedhecke import (
@@ -21,7 +23,12 @@ from fusedhecke import (
 )
 from fusedhecke import linalg, tensorrep
 from fusedhecke.errors import InternalConsistencyError, ResourceError
-from fusedhecke.fused import baxter_coefficients, classical_coefficients
+from fusedhecke.fused import (
+    _ADDITIVE,
+    _multiplicative,
+    baxter_coefficients,
+    classical_coefficients,
+)
 from fusedhecke.hecke import zero
 from fusedhecke.permutations import all_permutations
 from fusedhecke.tensorrep import (
@@ -31,7 +38,14 @@ from fusedhecke.tensorrep import (
     matrix_to_obj,
     represent,
 )
-from oracles import classical_sigma_direct, pair_basis, rank, solve_exact
+from oracles import (
+    classical_sigma_direct,
+    dense_matrix_ybe,
+    eye,
+    pair_basis,
+    rank,
+    solve_exact,
+)
 
 
 def test_hecke_rmatrix_diagonal_action():
@@ -48,16 +62,15 @@ def test_hecke_rmatrix_quadratic(N):
     q = F(2)
     r = hecke_rmatrix(N, q)
     lhs = linalg.matmul(r, r)
-    rhs = r * (q - 1 / q) + linalg.identity(N * N)
+    rhs = r * (q - 1 / q) + eye(N * N)
     assert linalg.mat_equal(lhs, rhs)
 
 
 def test_hecke_rmatrix_braid_relation():
     q = F(3, 2)
     r = hecke_rmatrix(2, q)
-    eye = linalg.identity(2)
-    r12 = linalg.kron(r, eye)
-    r23 = linalg.kron(eye, r)
+    r12 = np.kron(r, eye(2))
+    r23 = np.kron(eye(2), r)
     lhs = linalg.matmul(linalg.matmul(r12, r23), r12)
     rhs = linalg.matmul(linalg.matmul(r23, r12), r23)
     assert linalg.mat_equal(lhs, rhs)
@@ -65,7 +78,7 @@ def test_hecke_rmatrix_braid_relation():
 
 def test_represent_unit_and_braid():
     q = F(2)
-    assert linalg.mat_equal(represent(unit(3, q), 2), linalg.identity(8))
+    assert linalg.mat_equal(represent(unit(3, q), 2), eye(8))
     lhs = multiply(multiply(generator(1, 3, q), generator(2, 3, q)), generator(1, 3, q))
     rhs = multiply(multiply(generator(2, 3, q), generator(1, 3, q)), generator(2, 3, q))
     assert linalg.mat_equal(represent(lhs, 2), represent(rhs, 2))
@@ -74,9 +87,8 @@ def test_represent_unit_and_braid():
 def test_represent_generator_is_local_rmatrix():
     q = F(2)
     r = hecke_rmatrix(2, q)
-    eye = linalg.identity(2)
-    assert linalg.mat_equal(represent(generator(1, 3, q), 2), linalg.kron(r, eye))
-    assert linalg.mat_equal(represent(generator(2, 3, q), 2), linalg.kron(eye, r))
+    assert linalg.mat_equal(represent(generator(1, 3, q), 2), np.kron(r, eye(2)))
+    assert linalg.mat_equal(represent(generator(2, 3, q), 2), np.kron(eye(2), r))
 
 
 def test_represent_is_homomorphism_random():
@@ -157,7 +169,7 @@ def test_tensor_bound_messages_give_dimension():
 
 
 def test_sigma_matrix_p0_is_identity():
-    assert linalg.mat_equal(sigma_matrix(2, 0, 2, F(2)), linalg.identity(9))
+    assert linalg.mat_equal(sigma_matrix(2, 0, 2, F(2)), eye(9))
 
 
 def test_sigma_matrix_k1_is_hecke_rmatrix():
@@ -194,10 +206,10 @@ def test_sigma_matrix_minimal_polynomial(k, N):
     q = F(2)
     s = sigma_matrix(k, k, N, q)
     d = s.shape[0]
-    prod = linalg.identity(d)
+    prod = eye(d)
     for l in range(k + 1):
         c = (-1) ** (k + l) * q ** (-k + l * (l + 1))
-        prod = linalg.matmul(prod, s - linalg.identity(d) * c)
+        prod = linalg.matmul(prod, s - eye(d) * c)
     assert linalg.mat_equal(prod, linalg.zeros(d, d))
 
 
@@ -206,10 +218,10 @@ def test_sigma_matrix_minimal_polynomial_k3_N3():
     q = F(2)
     s = sigma_matrix(3, 3, 3, q)
     d = s.shape[0]
-    prod = linalg.identity(d)
+    prod = eye(d)
     for l in range(4):
         c = (-1) ** (3 + l) * q ** (-3 + l * (l + 1))
-        prod = linalg.matmul(prod, s - linalg.identity(d) * c)
+        prod = linalg.matmul(prod, s - eye(d) * c)
     assert linalg.mat_equal(prod, linalg.zeros(d, d))
 
 
@@ -219,7 +231,7 @@ def test_sigma_matrix_minimal_polynomial_k3_N3():
 def test_fused_R_matrix_k1():
     q, u = F(2), F(3, 5)
     got = fused_R_matrix(1, 2, u, q)
-    want = hecke_rmatrix(2, q) - linalg.identity(4) * ((q - 1 / q) / (1 - u))
+    want = hecke_rmatrix(2, q) - eye(4) * ((q - 1 / q) / (1 - u))
     assert linalg.mat_equal(got, want)
 
 
@@ -249,19 +261,53 @@ def test_classical_fused_R_matrix_coefficients():
 
 
 def test_classical_matrix_additive_ybe():
-    mu, nu = F(7, 2), F(9, 4)
-    d = 3
-    eye = linalg.identity(d)
-    r = lambda m: classical_fused_R_matrix(2, 2, m)
-    lhs = linalg.matmul(
-        linalg.matmul(linalg.kron(r(mu), eye), linalg.kron(eye, r(mu + nu))),
-        linalg.kron(r(nu), eye),
-    )
-    rhs = linalg.matmul(
-        linalg.matmul(linalg.kron(eye, r(nu)), linalg.kron(r(mu + nu), eye)),
-        linalg.kron(eye, r(mu)),
-    )
-    assert linalg.mat_equal(lhs, rhs)
+    assert tensorrep._verify_matrix_ybe(2, 2, F(7, 2), F(9, 4), _ADDITIVE)
+
+
+# the two q-generic points of acceptance criterion 07 and one additive point
+MATRIX_YBE_POINTS = {
+    "q2": (_multiplicative(F(2)), F(3, 5), F(7, 11)),
+    "q3/2": (_multiplicative(F(3, 2)), F(2, 7), F(3, 8)),
+    "additive": (_ADDITIVE, F(7, 2), F(9, 4)),
+}
+
+
+@pytest.mark.parametrize("point", MATRIX_YBE_POINTS)
+@pytest.mark.parametrize("k,N", [(1, 2), (2, 2), (1, 3), (3, 2), (2, 3)])
+def test_matrix_ybe_agrees_with_dense_reference(k, N, point):
+    bax, x, y = MATRIX_YBE_POINTS[point]
+    got = tensorrep._verify_matrix_ybe(k, N, x, y, bax)
+    assert got.ok
+    assert got == dense_matrix_ybe(k, N, x, y, bax)
+
+
+def _letters(k, N, q, index, factors):
+    """The letter multiset of basis vector `index` of W^(tensor factors)."""
+    wb = w_basis(k, N, q)
+    letters = Counter()
+    for _ in range(factors):
+        index, a = divmod(index, wb.dim)
+        letters.update(wb.indices[a])
+    return letters
+
+
+def test_verify_matrix_ybe_perturbed_sigma_fails(monkeypatch):
+    # sigma_1 raised by one at an entry inside the support; the dense
+    # reference multiplies the same perturbed R-matrices
+    k, N, q, u, v = 2, 2, F(2), F(3, 5), F(7, 11)
+    entries = list(tensorrep._sigma_entries(k, N, q))
+    n = len(entries) // 2
+    r, c, sig = entries[n]
+    entries[n] = (r, c, (sig[0], sig[1] + 1) + sig[2:])
+    monkeypatch.setattr(tensorrep, "_sigma_entries", lambda k, N, q: tuple(entries))
+    got = verify_matrix_ybe(k, N, u, v, q)
+    assert not got.ok
+    assert got == dense_matrix_ybe(k, N, u, v, _multiplicative(q))
+    # the diff stays in one weight block, which holds the perturbed column
+    i, j, lhs, rhs = got.diff
+    assert lhs != rhs
+    assert _letters(k, N, q, i, 3) == _letters(k, N, q, j, 3)
+    assert not _letters(k, N, q, c, 2) - _letters(k, N, q, j, 3)
 
 
 def test_verify_matrix_ybe_small():
