@@ -8,12 +8,22 @@ verifiers for the braided Yang-Baxter equations and the other structural
 identities.  Everything is computed over exact rationals; verifiers return
 a result that is truthy on success and carries the first differing basis
 element on failure.
+
+Every chain of right multiplications that starts at a projector P lives in
+the module P*H_m, and runs there in block-word coordinates (see hecke): it
+starts at the sorted word of P's blocks with coefficient 1, and a vector
+has at most m!/(k!)^n terms, for n blocks of k strands, instead of up to m!.  Equality in P*H_m
+is equality in H_m, so verdicts compare words.  Public elements are
+expanded to the standard basis only on the way out: the word beta with
+coefficient c becomes sum_b P_b c sigma_{b o d_beta}, where d_beta numbers
+the strands of each block from left to right.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,8 +32,10 @@ from typing import Callable, NamedTuple
 from .errors import DomainError, InternalConsistencyError, ParameterError, PoleError
 from .hecke import (
     HeckeElement,
+    _accumulate,
     _frozen,
     _mul_affine_right,
+    _raw,
     _r_check_constant,
     element_to_obj,
     mul_r_check_right,
@@ -31,7 +43,6 @@ from .hecke import (
     multiply,
     right_mul_generator,
     symmetriser_sum,
-    unit,
     zero,
 )
 from .permutations import identity
@@ -154,6 +165,81 @@ def _mul_projector_right(x: HeckeElement, intervals) -> HeckeElement:
     return x
 
 
+# -- block-word coordinates in P*H_m -------------------------------------------
+
+
+def _start(m: int, q, intervals) -> HeckeElement:
+    """P = prod of the symmetrisers on the intervals, in word coordinates:
+    its sorted word, each strand of [lo, hi] carrying the letter lo and every
+    other strand its own position, with coefficient 1."""
+    word = list(range(1, m + 1))
+    for (lo, hi) in intervals:
+        word[lo - 1 : hi] = [lo] * (hi - lo + 1)
+    return _raw(m, q, {tuple(word): Fraction(1)})
+
+
+def _distinguished(word) -> tuple:
+    """d_beta: the strands of each block numbered from left to right, the
+    shortest and lexicographically least permutation with this word."""
+    seen = Counter()
+    d = []
+    for a in word:
+        d.append(a + seen[a])
+        seen[a] += 1
+    return tuple(d)
+
+
+def _left_projector(x: HeckeElement) -> HeckeElement:
+    """The P that the words of x are taken over: the letter lo occurs once
+    for each strand of its block [lo, hi]."""
+    counts = Counter(next(iter(x.terms), ()))
+    intervals = [(lo, lo + c - 1) for lo, c in sorted(counts.items()) if c > 1]
+    return _blocks_product(x.m, x.q, intervals)
+
+
+def _expand(x: HeckeElement) -> HeckeElement:
+    """The standard-basis form of x in P*H_m: the word beta with coefficient
+    c becomes sum_b P_b c sigma_{b o d_beta}, and no two of these keys
+    collide.  P_b depends on the length of b only, so the products P_b c are
+    taken once per value of P_b."""
+    by_value: dict = {}
+    for b, pb in _left_projector(x).terms.items():
+        by_value.setdefault(pb, []).append(b)
+    out = {}
+    for word, c in x.terms.items():
+        idx = [t - 1 for t in _distinguished(word)]
+        for pb, bs in by_value.items():
+            val = pb * c
+            for b in bs:
+                out[tuple(map(b.__getitem__, idx))] = val
+    return _raw(x.m, x.q, out)
+
+
+def _word_verdict(a: HeckeElement, b: HeckeElement) -> VerifyResult:
+    """a == b for two elements of one P*H_m in word coordinates, with the
+    Diff that element_diff gives on their expansions: the lexicographically
+    first differing permutation is the least d_beta over the differing
+    words beta, with the coefficients c_beta P_id."""
+    if a == b:
+        return VerifyResult(True, None)
+    d, word = min(
+        (_distinguished(w), w)
+        for w in a.terms.keys() | b.terms.keys()
+        if a.coefficient(w) != b.coefficient(w)
+    )
+    p_id = _left_projector(a if a.terms else b).coefficient(identity(a.m))
+    return VerifyResult(
+        False, Diff(d, a.coefficient(word) * p_id, b.coefficient(word) * p_id)
+    )
+
+
+def _projector_idempotent(ctx: FusedContext) -> bool:
+    """P * P == P, taken in P*H_m: the block symmetrisers applied to P's
+    word give it back with coefficient 1."""
+    p = _start(ctx.strands, ctx.q, ctx.blocks())
+    return _mul_projector_right(p, ctx.blocks()) == p
+
+
 # -- partial elementary braidings ---------------------------------------------
 
 
@@ -171,22 +257,28 @@ def braiding_word(k: int, ell: int, p: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def partial_braiding(ctx: FusedContext, i: int, p: int) -> HeckeElement:
-    """The partial elementary braiding at ellipse position i: the p rightmost
-    strands of ellipse i cross over the p leftmost strands of ellipse i+1,
-    sandwiched between the projector on both sides.  p = 0 gives P itself.
-    """
+def _partial_braiding_words(ctx: FusedContext, i: int, p: int) -> HeckeElement:
+    """partial_braiding in word coordinates, read-only."""
     if ctx.ell != ctx.k:
         raise DomainError("use partial_braiding_mixed for ell != k")
     if not 0 <= p <= ctx.k:
         raise DomainError(f"braiding order p={p} out of range 0..{ctx.k}")
     if not 1 <= i <= ctx.n - 1:
         raise DomainError(f"ellipse index i={i} out of range 1..{ctx.n - 1}")
-    x = projector_P(ctx)
+    x = _start(ctx.strands, ctx.q, ctx.blocks())
     off = (i - 1) * ctx.k
     for a in braiding_word(ctx.k, ctx.k, p):
         x = right_mul_generator(x, off + a)
     return _frozen(_mul_projector_right(x, ctx.blocks()))
+
+
+@lru_cache(maxsize=None)
+def partial_braiding(ctx: FusedContext, i: int, p: int) -> HeckeElement:
+    """The partial elementary braiding at ellipse position i: the p rightmost
+    strands of ellipse i cross over the p leftmost strands of ellipse i+1,
+    sandwiched between the projector on both sides.  p = 0 gives P itself.
+    """
+    return _frozen(_expand(_partial_braiding_words(ctx, i, p)))
 
 
 @lru_cache(maxsize=None)
@@ -201,10 +293,10 @@ def partial_braiding_mixed(k: int, ell: int, p: int, q) -> HeckeElement:
     if not 0 <= p <= k:
         raise DomainError(f"braiding order p={p} out of range 0..{k}")
     m = k + ell
-    x = _blocks_product(m, q, [(1, k), (k + 1, m)])
+    x = _start(m, q, [(1, k), (k + 1, m)])
     for a in braiding_word(k, ell, p):
         x = right_mul_generator(x, a)
-    return _frozen(_mul_projector_right(x, [(1, ell), (ell + 1, m)]))
+    return _frozen(_expand(_mul_projector_right(x, [(1, ell), (ell + 1, m)])))
 
 
 # -- baxterisation coefficients ------------------------------------------------
@@ -312,16 +404,18 @@ _ADDITIVE = _Baxterisation(
 
 
 def _expansion(ctx: FusedContext, i: int, arg, bax: _Baxterisation) -> HeckeElement:
-    """sum_p coefficient_p(arg) * (partial braiding p) at ellipse i."""
-    out = zero(ctx.strands, ctx.q)
+    """sum_p coefficient_p(arg) * (partial braiding p) at ellipse i, in word
+    coordinates."""
+    out: dict = {}
     for p, a in enumerate(bax.coefficients(ctx.k, arg)):
-        out = out + partial_braiding(ctx, i, p).scale(a)
-    return out
+        words = _partial_braiding_words(ctx, i, p).terms
+        _accumulate(out, ((w, a * c) for w, c in words.items()))
+    return _raw(ctx.strands, ctx.q, out)
 
 
 def baxter_R_expansion(ctx: FusedContext, i: int, u) -> HeckeElement:
     """The baxterised element at ellipse i: sum_p a_p(u) * (partial braiding p)."""
-    return _expansion(ctx, i, u, _multiplicative(ctx.q))
+    return _expand(_expansion(ctx, i, u, _multiplicative(ctx.q)))
 
 
 def _mul_grid_right(x: HeckeElement, k: int, ell: int, arg, offset: int,
@@ -340,9 +434,10 @@ def _mul_grid_right(x: HeckeElement, k: int, ell: int, arg, offset: int,
 
 
 def _factorised(k: int, ell: int, arg, bax: _Baxterisation) -> HeckeElement:
-    """P^(k,ell) * (grid of k*ell baxterised generators) * P^(ell,k)."""
+    """P^(k,ell) * (grid of k*ell baxterised generators) * P^(ell,k), in word
+    coordinates."""
     m = k + ell
-    x = _blocks_product(m, bax.q, [(1, k), (k + 1, m)])
+    x = _start(m, bax.q, [(1, k), (k + 1, m)])
     x = _mul_grid_right(x, k, ell, arg, 0, bax)
     return _mul_projector_right(x, [(1, ell), (ell + 1, m)])
 
@@ -350,7 +445,7 @@ def _factorised(k: int, ell: int, arg, bax: _Baxterisation) -> HeckeElement:
 def baxter_R_factorized(k: int, ell: int, u, q) -> HeckeElement:
     """The fused product P^(k,ell) * (grid of kl baxterised generators) *
     P^(ell,k) in H_{k+ell}(q)."""
-    return _factorised(k, ell, as_fraction(u), _multiplicative(q))
+    return _expand(_factorised(k, ell, as_fraction(u), _multiplicative(q)))
 
 
 def baxter_R_one_sided(k: int, u, q) -> HeckeElement:
@@ -378,12 +473,6 @@ def _mul_mixed_R_right(x: HeckeElement, k: int, ell: int, u, offset: int):
 # -- Yang-Baxter verification ----------------------------------------------------
 
 
-def _assert_projector_idempotent(ctx: FusedContext):
-    p = projector_P(ctx)
-    if multiply(p, p) != p:
-        raise InternalConsistencyError(f"projector not idempotent for {ctx}")
-
-
 def _assert_lemma_equivalence(k: int, args, bax: _Baxterisation):
     """Exact check that the factorised and expanded forms agree at the given
     spectral arguments; the fast verification chains rely on it."""
@@ -405,14 +494,15 @@ def _verify_ybe(ctx: FusedContext, u, v, i: int, method: str, bax: _Baxterisatio
     w = bax.middle(u, v)
     if method == "auto":
         method = "direct" if ctx.strands <= 6 else "fast"
-    r = lambda j, arg: _expansion(ctx, j, arg, bax)
     if method == "direct":
+        r = lambda j, arg: _expand(_expansion(ctx, j, arg, bax))
         lhs = multiply(multiply(r(i, u), r(i + 1, w)), r(i, v))
         rhs = multiply(multiply(r(i + 1, v), r(i, w)), r(i + 1, u))
         return _verdict(lhs, rhs)
     k = ctx.k
     _assert_lemma_equivalence(k, (u, w, v), bax)
-    _assert_projector_idempotent(ctx)
+    if not _projector_idempotent(ctx):
+        raise InternalConsistencyError(f"projector not idempotent for {ctx}")
     blocks = ctx.blocks()
 
     # each factor is P (grid) P; the expansion elements and the chain tails
@@ -422,9 +512,10 @@ def _verify_ybe(ctx: FusedContext, u, v, i: int, method: str, bax: _Baxterisatio
         x = _mul_grid_right(x, k, k, arg, (j - 1) * k, bax)
         return _mul_projector_right(x, blocks)
 
+    r = lambda j, arg: _expansion(ctx, j, arg, bax)
     lhs = times_R(times_R(r(i, u), i + 1, w), i, v)
     rhs = times_R(times_R(r(i + 1, v), i, w), i + 1, u)
-    return _verdict(lhs, rhs)
+    return _word_verdict(lhs, rhs)
 
 
 def verify_braided_ybe(ctx: FusedContext, u, v, i: int = 1, method: str = "auto"):
@@ -450,24 +541,25 @@ def verify_mixed_ybe(k: int, l: int, m: int, u, v, q) -> VerifyResult:
     n = k + l + m
     uv = u * v
 
-    lhs = unit(n, q)
+    lhs = _start(n, q, [(1, k), (k + 1, k + l)])
     lhs = _mul_mixed_R_right(lhs, k, l, u, 0)
     lhs = _mul_mixed_R_right(lhs, k, m, uv, l)
     lhs = _mul_mixed_R_right(lhs, l, m, v, 0)
 
-    rhs = unit(n, q)
+    rhs = _start(n, q, [(k + 1, k + l), (k + l + 1, n)])
     rhs = _mul_mixed_R_right(rhs, l, m, v, k)
     rhs = _mul_mixed_R_right(rhs, k, m, uv, 0)
     rhs = _mul_mixed_R_right(rhs, k, l, u, m)
-    return _verdict(lhs, rhs)
+    # the two sides are taken over different projectors
+    return _verdict(_expand(lhs), _expand(rhs))
 
 
 def verify_commPR(k: int, ell: int, u, q) -> VerifyResult:
     """Exact check of P^(k,ell) R^(k,ell)(u) = R^(k,ell)(u) P^(ell,k)."""
-    r = baxter_R_factorized(k, ell, u, q)
+    x = _factorised(k, ell, as_fraction(u), _multiplicative(q))
     p_kl, _ = projector_mixed(k, ell, q)
-    lhs = multiply(p_kl, r)
-    rhs = _mul_projector_right(r, [(1, ell), (ell + 1, k + ell)])
+    lhs = multiply(p_kl, _expand(x))
+    rhs = _expand(_mul_projector_right(x, [(1, ell), (ell + 1, k + ell)]))
     return _verdict(lhs, rhs)
 
 
@@ -481,8 +573,7 @@ def minimal_polynomial_check(ctx: FusedContext, check_minimality: bool = True) -
     if ctx.n < 2:
         raise DomainError("full braidings need n >= 2")
     k, q = ctx.k, ctx.q
-    p = projector_P(ctx)
-    if multiply(p, p) != p:
+    if not _projector_idempotent(ctx):
         return False
     word = braiding_word(k, k, k)
     blocks = ctx.blocks()
@@ -492,7 +583,7 @@ def minimal_polynomial_check(ctx: FusedContext, check_minimality: bool = True) -
             x = right_mul_generator(x, a)
         return _mul_projector_right(x, blocks)
 
-    powers = [p]
+    powers = [_start(ctx.strands, q, blocks)]
     for _ in range(k + 1):
         powers.append(rmul_sigma(powers[-1]))
     eigen = [(-1) ** (k + l) * q ** (-k + l * (l + 1)) for l in range(k + 1)]
@@ -527,13 +618,13 @@ def minimal_polynomial_check(ctx: FusedContext, check_minimality: bool = True) -
 def classical_baxter_R(k: int, n: int, i: int, mu) -> HeckeElement:
     """The additive-parameter solution in the q = 1 fused algebra:
     sum_p c_p(mu) * (partial braiding p) with the classical coefficients."""
-    return _expansion(FusedContext(k, n, Fraction(1)), i, mu, _ADDITIVE)
+    return _expand(_expansion(FusedContext(k, n, Fraction(1)), i, mu, _ADDITIVE))
 
 
 def classical_baxter_R_factorized(k: int, mu) -> HeckeElement:
     """Fused product form at q = 1 in H_{2k}(1): projector, grid of Yang
     factors (sigma_a + 1/(mu + shift)), projector."""
-    return _factorised(k, k, as_fraction(mu), _ADDITIVE)
+    return _expand(_factorised(k, k, as_fraction(mu), _ADDITIVE))
 
 
 def verify_classical_ybe(k: int, n: int, mu, nu, i: int = 1, method: str = "auto"):

@@ -9,11 +9,24 @@ canonical reduced words and applies the straightening rule
 
 term by term, so no multiplication table is ever stored.  Zero coefficients
 are pruned eagerly and equality of elements is structural.
+
+Right multiplication by a generator or a q-symmetriser also acts on block
+words, keys with repeated letters.  Let P be the product of the
+q-symmetrisers on disjoint blocks of strands, where the block [lo, hi]
+carries the letter lo and every other strand its own position.  Then P*H_m
+has the basis P*sigma_d, d running over the distinguished (shortest) coset
+representatives (Dipper-James), and P*sigma_d is keyed by the word of d:
+its one-line notation with every value replaced by the letter of its block.
+d is recovered from the word by numbering the strands of each block from
+left to right.  Right multiplication by sigma_i swaps positions i, i+1 of the
+word; an equal pair of letters means that sigma_i is absorbed by P, which
+multiplies the term by q, and an unequal pair follows the permutation rule
+with its (q - 1/q) term.  A permutation is a word of P = 1, whose letters are
+all distinct.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -192,16 +205,21 @@ def left_mul_generator(i: int, x: HeckeElement) -> HeckeElement:
 
 
 def right_mul_generator(x: HeckeElement, i: int) -> HeckeElement:
-    """x * sigma_i expanded in the standard basis: w * s_i swaps the entries
-    at positions i, i+1 of w, and where the length goes down (a descent at
-    i) the term also stays put with weight q - 1/q."""
+    """x * sigma_i: w * s_i swaps the entries at positions i, i+1 of w, and
+    where the length goes down (a descent at i) the term also stays put
+    with weight q - 1/q.  On a block word an equal pair of letters is
+    absorbed by the projector: the term stays put with weight q."""
     if not 1 <= i <= x.m - 1:
         raise DomainError(f"generator index {i} out of range for m={x.m}")
     i0 = i - 1
+    q = x.q
     # w -> w * s_i is a bijection of the support, so the first pass has no
     # collisions
-    out = {w[:i0] + (w[i0 + 1], w[i0]) + w[i0 + 2 :]: c for w, c in x.terms.items()}
-    lam = x.q - 1 / x.q
+    out = {
+        w[:i0] + (w[i0 + 1], w[i0]) + w[i0 + 2 :]: (q * c if w[i0] == w[i0 + 1] else c)
+        for w, c in x.terms.items()
+    }
+    lam = q - 1 / q
     if lam:
         _accumulate(
             out, ((w, lam * c) for w, c in x.terms.items() if w[i0] > w[i0 + 1])
@@ -224,29 +242,6 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
                 y = left_mul_generator(idx, y)
         _accumulate(total, ((wy, c * cy) for wy, cy in y.terms.items()))
     return _raw(a.m, a.q, total)
-
-
-def mul_basis_right(x: HeckeElement, w: Perm) -> HeckeElement:
-    """x * sigma_w via the reduced word of w."""
-    w = tuple(w)
-    if x.q == 1 or x.q == -1:
-        # basis products are group multiplications when q**2 == 1
-        return _raw(
-            x.m, x.q, {tuple(v[t - 1] for t in w): c for v, c in x.terms.items()}
-        )
-    for idx in reduced_word(w):
-        x = right_mul_generator(x, idx)
-    return x
-
-
-def mul_element_right(x: HeckeElement, y: HeckeElement) -> HeckeElement:
-    """x * y decomposing the right factor; used on structured right factors."""
-    x._compat(y)
-    total: dict = {}
-    for w, c in y.terms.items():
-        z = mul_basis_right(x, w)
-        _accumulate(total, ((wz, c * cz) for wz, cz in z.terms.items()))
-    return _raw(x.m, x.q, total)
 
 
 # -- baxterised generators ------------------------------------------------------
@@ -308,28 +303,27 @@ def symmetriser_sum(i: int, j: int, m: int, q) -> HeckeElement:
 
 
 def mul_symmetriser_right(x: HeckeElement, i: int, j: int) -> HeckeElement:
-    """x * S_[i,j], applied term by term from the sum formula.
+    """x * S_[i,j], grown one strand at a time by the recursion
 
-    Total wherever the algebra is defined (works at q**2 == 1, where the
-    factorised formula has poles).
+        S_[i,b+1] = S_[i,b] * 1/[b-i+2]_q * sum_{a=i..b+1} q^{i-a} sigma_b ... sigma_a,
+
+    the word empty for a = b+1: the mirror image of the left recursion of
+    symmetriser_recursion_check under sigma_w -> sigma_{w^-1}, which fixes
+    every S_[i,j].  Total wherever the algebra is defined: no factor has a
+    pole at q**2 == 1.
     """
-    s = symmetriser_sum(i, j, x.m, x.q)
-    if i == j:
-        return x
-    if x.q != 1:
-        return mul_element_right(x, s)
-    # at q = 1 every block permutation carries the weight 1/r!, so sum the
-    # r! re-keyings of x and scale once
-    r, o = j - i + 1, i - 1
-    total: dict = {}
-    for wp in all_permutations(r):
-        sel = [o + t - 1 for t in wp]
-        for v, c in x.terms.items():
-            key = v[:o] + tuple(v[t] for t in sel) + v[j:]
-            cur = total.get(key)
-            total[key] = c if cur is None else cur + c
-    inv = Fraction(1, math.factorial(r))
-    return _raw(x.m, x.q, {w: c * inv for w, c in total.items() if c})
+    symmetriser_sum(i, j, x.m, x.q)  # rejects a bad interval or a vanishing [r]_q!
+    q = x.q
+    for b in range(i, j):
+        norm = 1 / q_int(b - i + 2, q)
+        total = x.scale(norm * q ** (i - b - 1)).terms
+        y = x
+        for a in range(b, i - 1, -1):
+            y = right_mul_generator(y, a)
+            c = norm * q ** (i - a)
+            _accumulate(total, ((w, c * v) for w, v in y.terms.items()))
+        x = _raw(x.m, q, total)
+    return x
 
 
 def symmetriser_product(i: int, j: int, m: int, q) -> HeckeElement:

@@ -87,6 +87,14 @@ def _multi_indices(N: int, m: int):
     return list(itertools.product(range(1, N + 1), repeat=m))
 
 
+def _check_fusion_args(k: int, N: int) -> None:
+    """Reject a fusion level k or a dimension N of V below 1."""
+    if k < 1:
+        raise ParameterError(f"k must be a positive integer, got {k}")
+    if N < 1:
+        raise ParameterError(f"N must be a positive integer, got {N}")
+
+
 def _check_tensor_dim(N: int, m: int) -> None:
     dim = N**m
     if dim > MAX_TENSOR_DIM:
@@ -151,6 +159,7 @@ def w_basis(k: int, N: int, q) -> WBasis:
     own tensor t_a or vanishes there, which would make the columns (whose
     supports are then disjoint) dependent."""
     q = as_fraction(q)
+    _check_fusion_args(k, N)
     _check_tensor_dim(N, k)
     indices = tuple(
         t for t in _multi_indices(N, k) if all(t[a] <= t[a + 1] for a in range(k - 1))
@@ -179,6 +188,7 @@ def sigma_matrix(k: int, p: int, N: int, q) -> np.ndarray:
     admissible parameter can trigger.
     """
     q = as_fraction(q)
+    _check_fusion_args(k, N)
     if not 0 <= p <= k:
         raise DomainError(f"braiding order p={p} out of range 0..{k}")
     _check_tensor_dim(N, 2 * k)
@@ -221,6 +231,7 @@ def _sigma_entries(k: int, N: int, q) -> tuple:
 def _R_columns(k: int, N: int, arg, bax: _Baxterisation) -> list:
     """The nonzero entries of sum_p coefficient_p(arg) * sigma_matrix(p) on
     W tensor W, as one list of (row, value) pairs per column."""
+    _check_fusion_args(k, N)
     coeffs = bax.coefficients(k, arg)
     cols = [[] for _ in range(comb(k + N - 1, k) ** 2)]
     for r, c, sig in _sigma_entries(k, N, bax.q):
@@ -275,6 +286,7 @@ def _verify_matrix_ybe(k: int, N: int, x, y, bax: _Baxterisation) -> VerifyResul
 
     The diff is the row-major-first differing entry (i, j, lhs, rhs) of the
     two products."""
+    _check_fusion_args(k, N)
     d = comb(k + N - 1, k)
     if d**3 > MAX_YBE_DIM:
         raise ResourceError(f"W^(tensor 3) has dimension {d**3} > {MAX_YBE_DIM}")

@@ -1,16 +1,21 @@
 """Independent reference computations that the tests compare the library
 against: a dense exact Gauss-Jordan solver, the q = 1 partial braiding
-matrices obtained with it, and the matrix Yang-Baxter equation as dense
-Kronecker factors and dense products."""
+matrices obtained with it, the matrix Yang-Baxter equation as dense
+Kronecker factors and dense products, and the fused chains of right
+multiplications (projectors, partial braidings, factorised R-elements, the
+fast braided and the mixed Yang-Baxter chains) run in the standard basis of
+H_m, each symmetriser applied term by term from its sum formula."""
 
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
-from fusedhecke import linalg, symmetriser_sum, w_basis
+from fusedhecke import fused, linalg, symmetriser_sum, w_basis
 from fusedhecke.errors import InternalConsistencyError
-from fusedhecke.fused import VerifyResult
+from fusedhecke.fused import VerifyResult, braiding_word, element_diff
+from fusedhecke.hecke import HeckeElement, _accumulate, right_mul_generator, unit, zero
+from fusedhecke.permutations import reduced_word
 from fusedhecke.tensorrep import _apply_element, _multi_indices, _R_matrix
 
 
@@ -133,3 +138,98 @@ def dense_matrix_ybe(k: int, N: int, x, y, bax) -> VerifyResult:
     )
     diff = linalg.first_matrix_diff(lhs, rhs)
     return VerifyResult(diff is None, diff)
+
+
+# -- fused chains in the standard basis -------------------------------------------
+
+
+def mul_element_right(x: HeckeElement, y: HeckeElement) -> HeckeElement:
+    """x * y, each x * sigma_w taken along the canonical reduced word of w."""
+    total: dict = {}
+    for w, c in y.terms.items():
+        z = x
+        for idx in reduced_word(w):
+            z = right_mul_generator(z, idx)
+        _accumulate(total, ((wz, c * cz) for wz, cz in z.terms.items()))
+    return HeckeElement(x.m, x.q, total)
+
+
+def mul_projector_right(x: HeckeElement, intervals) -> HeckeElement:
+    for lo, hi in intervals:
+        x = mul_element_right(x, symmetriser_sum(lo, hi, x.m, x.q))
+    return x
+
+
+def projector(m: int, q, intervals) -> HeckeElement:
+    return mul_projector_right(unit(m, q), intervals)
+
+
+def partial_braiding(ctx, i: int, p: int) -> HeckeElement:
+    x = projector(ctx.strands, ctx.q, ctx.blocks())
+    for a in braiding_word(ctx.k, ctx.k, p):
+        x = right_mul_generator(x, (i - 1) * ctx.k + a)
+    return mul_projector_right(x, ctx.blocks())
+
+
+def partial_braiding_mixed(k: int, ell: int, p: int, q) -> HeckeElement:
+    m = k + ell
+    x = projector(m, q, [(1, k), (k + 1, m)])
+    for a in braiding_word(k, ell, p):
+        x = right_mul_generator(x, a)
+    return mul_projector_right(x, [(1, ell), (ell + 1, m)])
+
+
+def grid(x: HeckeElement, k: int, ell: int, arg, offset: int, bax) -> HeckeElement:
+    """x times the k x ell grid of factors sigma_j + c(arg, shift)."""
+    for a in range(k, 0, -1):
+        for t in range(ell):
+            c = bax.constant(arg, t + 1 - a)
+            x = right_mul_generator(x, offset + a + t) + x.scale(c)
+    return x
+
+
+def factorised(k: int, ell: int, arg, bax) -> HeckeElement:
+    m = k + ell
+    x = grid(projector(m, bax.q, [(1, k), (k + 1, m)]), k, ell, arg, 0, bax)
+    return mul_projector_right(x, [(1, ell), (ell + 1, m)])
+
+
+def expansion(ctx, i: int, arg, bax) -> HeckeElement:
+    out = zero(ctx.strands, ctx.q)
+    for p, a in enumerate(bax.coefficients(ctx.k, arg)):
+        out = out + partial_braiding(ctx, i, p).scale(a)
+    return out
+
+
+def _verdict(lhs, rhs) -> VerifyResult:
+    d = element_diff(lhs, rhs)
+    return VerifyResult(d is None, d)
+
+
+def fast_ybe(ctx, u, v, i: int, bax) -> VerifyResult:
+    """The fast braided Yang-Baxter chain, without its factorised/expanded
+    and idempotence checks."""
+    k, blocks, w = ctx.k, ctx.blocks(), bax.middle(u, v)
+
+    def times_R(x, j, arg):
+        return mul_projector_right(grid(x, k, k, arg, (j - 1) * k, bax), blocks)
+
+    lhs = times_R(times_R(expansion(ctx, i, u, bax), i + 1, w), i, v)
+    rhs = times_R(times_R(expansion(ctx, i + 1, v, bax), i, w), i + 1, u)
+    return _verdict(lhs, rhs)
+
+
+def mixed_ybe(k: int, l: int, m: int, u, v, q) -> VerifyResult:
+    """The mixed braided relation, both sides from the unit, with the grid
+    constants of fused._multiplicative looked up at call time."""
+    n = k + l + m
+
+    def times_R(x, a, b, arg, off):
+        end = off + a + b
+        x = mul_projector_right(x, [(off + 1, off + a), (off + a + 1, end)])
+        x = grid(x, a, b, arg, off, fused._multiplicative(q))
+        return mul_projector_right(x, [(off + 1, off + b), (off + b + 1, end)])
+
+    lhs = times_R(times_R(times_R(unit(n, q), k, l, u, 0), k, m, u * v, l), l, m, v, 0)
+    rhs = times_R(times_R(times_R(unit(n, q), l, m, v, k), k, m, u * v, 0), k, l, u, m)
+    return _verdict(lhs, rhs)

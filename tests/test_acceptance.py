@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, every check exact (tolerance 0).
 
 Each test prints a PASS line with its runtime; run with `pytest tests/test_acceptance.py -v -s`.
-The H_9 stretch check is marked slow and excluded by default.
+The H_12 stretch checks are marked slow and excluded by default.
 """
 
 import time
@@ -81,13 +81,26 @@ def test_criterion_03_algebra_ybe():
     _report(3, "braided YBE in the algebra for (k,n)=(1,3),(2,3)", t0)
 
 
-@pytest.mark.slow
 def test_criterion_03_stretch_k3():
     t0 = time.time()
     q, u, v = TRIPLES[0]
     ctx = FusedContext(3, 3, q)
     assert verify_braided_ybe(ctx, u, v, method="fast")
     _report(3, "stretch: braided YBE for (k,n)=(3,3) in H_9", t0)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("form", ["generic", "classical"])
+def test_criterion_03_stretch_k4(monkeypatch, form):
+    monkeypatch.setenv("FUSED_HECKE_MAX_STRANDS", "12")
+    t0 = time.time()
+    if form == "generic":
+        q, u, v = TRIPLES[0]
+        assert verify_braided_ybe(FusedContext(4, 3, q), u, v, method="fast")
+    else:
+        mu, nu = CLASSICAL_POINTS[0]
+        assert verify_classical_ybe(4, 3, mu, nu, method="fast")
+    _report(3, f"stretch: {form} braided YBE for (k,n)=(4,3) in H_12", t0)
 
 
 def test_criterion_04_factorised_vs_expanded():

@@ -168,3 +168,12 @@ def test_bad_max_strands_exits_2(capsys, monkeypatch, value):
     assert code == 2
     assert err.startswith("error:") and "FUSED_HECKE_MAX_STRANDS" in err
     assert repr(value) in err
+
+
+@pytest.mark.parametrize("argv", [("--k", "-1", "--N", "2"), ("--k", "2", "--N", "0")],
+                         ids=["k=-1", "N=0"])
+def test_compute_r_nonpositive_k_or_N_exits_2(capsys, argv):
+    code, out, err = run(capsys, "compute-r", *argv, "--q", "2", "--u", "3/5")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "must be a positive integer" in err
+    assert len(err.splitlines()) == 1

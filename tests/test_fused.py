@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -30,13 +31,19 @@ from fusedhecke import (
 )
 from fusedhecke import fused
 from fusedhecke.fused import (
+    _ADDITIVE,
+    _expand,
+    _multiplicative,
+    _partial_braiding_words,
     baxter_R_one_sided,
     braiding_word,
     fused_element_to_obj,
     fused_product_example_check,
     projector_mixed,
 )
-from fusedhecke.hecke import r_check_generator, zero
+from fusedhecke.hecke import _raw, r_check_generator, right_mul_generator, zero
+
+import oracles
 
 QS = [F(2), F(3, 2), F(5, 3)]
 
@@ -433,6 +440,88 @@ def test_ybe_fast_rejects_wrong_coefficient(monkeypatch, case):
     assert f"argument {first}," in str(err.value)
 
 
+# the fast chains of PERTURBED_CHAINS, run in the standard basis
+STANDARD_FAST_CHAINS = {
+    "multiplicative": lambda: oracles.fast_ybe(
+        FusedContext(2, 3, F(2)), F(3, 7), F(5, 9), 1, _multiplicative(F(2))
+    ),
+    "additive": lambda: oracles.fast_ybe(
+        FusedContext(2, 3, F(1)), F(7, 2), F(9, 4), 1, _ADDITIVE
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PERTURBED_CHAINS)
+def test_ybe_fast_chain_gives_the_standard_basis_diff(monkeypatch, case):
+    # with the factorised/expanded check off, the wrong coefficient reaches
+    # the word chain, which must fail with the standard-basis chain's Diff
+    bump, verify, _ = PERTURBED_CHAINS[case]
+    bump(monkeypatch)
+    monkeypatch.setattr(fused, "_assert_lemma_equivalence", lambda *args: None)
+    res = verify("fast")
+    assert not res.ok
+    assert res == STANDARD_FAST_CHAINS[case]()
+
+
+def test_mixed_ybe_wrong_constant_gives_the_standard_basis_diff(monkeypatch):
+    # the grid constant at shift 0 of R(u) raised by one, on both sides
+    k, l, m, q, u, v = 1, 2, 2, F(3, 2), F(2, 7), F(3, 8)
+    orig = fused._r_check_constant
+    monkeypatch.setattr(
+        fused, "_r_check_constant", lambda arg, q: orig(arg, q) + (1 if arg == u else 0)
+    )
+    res = verify_mixed_ybe(k, l, m, u, v, q)
+    assert not res.ok
+    assert res.diff.left != res.diff.right
+    assert res == oracles.mixed_ybe(k, l, m, u, v, q)
+
+
+# -- the word path against the standard-basis chains ----------------------------------------------
+
+
+@pytest.mark.parametrize("q", [F(2), F(1), F(-1)], ids=str)
+def test_word_kernel_is_the_action_on_the_module(q):
+    # P * sigma_d * sigma_i for every word of the blocks [1, 2], [3, 4]
+    for word in sorted(set(itertools.permutations((1, 1, 3, 3)))):
+        x = _raw(4, q, {word: F(1)})
+        for i in (1, 2, 3):
+            want = multiply(_expand(x), generator(i, 4, q))
+            assert _expand(right_mul_generator(x, i)) == want
+
+
+@pytest.mark.parametrize("q", [F(2), F(3, 2), F(1)], ids=str)
+@pytest.mark.parametrize("k,ell", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)])
+def test_word_path_matches_standard_chain(k, ell, q):
+    for p in range(k + 1):
+        assert partial_braiding_mixed(k, ell, p, q) == oracles.partial_braiding_mixed(
+            k, ell, p, q
+        )
+    u = F(3, 7)
+    assert baxter_R_factorized(k, ell, u, q) == oracles.factorised(
+        k, ell, u, _multiplicative(q)
+    )
+    if k != ell:
+        return
+    for n in (2, 3) if k < 3 else (2,):
+        ctx = FusedContext(k, n, q)
+        assert projector_P(ctx) == oracles.projector(ctx.strands, q, ctx.blocks())
+        for i in range(1, n):
+            for p in range(k + 1):
+                assert partial_braiding(ctx, i, p) == oracles.partial_braiding(ctx, i, p)
+    if q == 1:
+        mu = F(7, 2)
+        assert classical_baxter_R_factorized(k, mu) == oracles.factorised(k, k, mu, _ADDITIVE)
+
+
+@pytest.mark.parametrize("k,ell", [(2, 2), (2, 3), (3, 3)])
+def test_word_path_at_q_minus_one(k, ell):
+    # an equal-letter swap picks up q = -1, which a pure re-keying would drop
+    q, u = F(-1), F(3, 5)
+    assert baxter_R_factorized(k, ell, u, q) == oracles.factorised(
+        k, ell, u, _multiplicative(q)
+    )
+
+
 # -- cached results are read-only --------------------------------------------------------------
 
 
@@ -441,6 +530,7 @@ CACHED_ELEMENTS = {
     "projector_P": lambda: projector_P(FusedContext(2, 2, F(2))),
     "partial_braiding": lambda: partial_braiding(FusedContext(2, 2, F(2)), 1, 1),
     "partial_braiding_mixed": lambda: partial_braiding_mixed(1, 2, 1, F(2)),
+    "_partial_braiding_words": lambda: _partial_braiding_words(FusedContext(2, 2, F(2)), 1, 1),
 }
 
 

@@ -22,7 +22,7 @@ from fusedhecke import (
     w_basis,
 )
 from fusedhecke import linalg, tensorrep
-from fusedhecke.errors import InternalConsistencyError, ResourceError
+from fusedhecke.errors import InternalConsistencyError, ParameterError, ResourceError
 from fusedhecke.fused import (
     _ADDITIVE,
     _multiplicative,
@@ -166,6 +166,20 @@ def test_tensor_bound_messages_give_dimension():
 
 
 # -- braiding matrices ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("k,N", [(2, 0), (0, 2), (-1, 2)])
+def test_nonpositive_k_or_N_raises(k, N):
+    q, u, v = F(2), F(3, 5), F(7, 11)
+    calls = [
+        lambda: w_basis(k, N, q),
+        lambda: sigma_matrix(k, 1, N, q),
+        lambda: fused_R_matrix(k, N, u, q),
+        lambda: verify_matrix_ybe(k, N, u, v, q),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="must be a positive integer"):
+            call()
 
 
 def test_sigma_matrix_p0_is_identity():
