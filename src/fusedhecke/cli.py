@@ -202,6 +202,8 @@ def _cmd_verify_algebra(args) -> int:
     if args.trials < 0:
         raise FusedHeckeError("verify-algebra needs --trials >= 0")
     k, n = args.k, args.n
+    if k < 1 or n < 2:
+        raise FusedHeckeError(f"verify-algebra needs --k >= 1 and --n >= 2, got k={k}, n={n}")
     m = k * n
     rng = random.Random(args.seed)
     failures = 0

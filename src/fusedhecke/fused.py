@@ -488,6 +488,8 @@ def _assert_lemma_equivalence(k: int, args, bax: _Baxterisation):
 def _verify_ybe(ctx: FusedContext, u, v, i: int, method: str, bax: _Baxterisation):
     """R_i(u) R_{i+1}(w) R_i(v) = R_{i+1}(v) R_i(w) R_{i+1}(u) with the
     middle argument w = bax.middle(u, v); see verify_braided_ybe."""
+    if method not in ("auto", "direct", "fast"):
+        raise ParameterError(f"unknown method {method!r}: use 'auto', 'direct' or 'fast'")
     u, v = as_fraction(u), as_fraction(v)
     if not 1 <= i <= ctx.n - 2:
         raise DomainError("need 1 <= i <= n-2 for the braided relation")

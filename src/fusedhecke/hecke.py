@@ -22,13 +22,26 @@ left to right.  Right multiplication by sigma_i swaps positions i, i+1 of the
 word; an equal pair of letters means that sigma_i is absorbed by P, which
 multiplies the term by q, and an unequal pair follows the permutation rule
 with its (q - 1/q) term.  A permutation is a word of P = 1, whose letters are
-all distinct.
+all distinct.  The same words key the weight spaces of V^(tensor m) (Dipper-
+James), which is how tensorrep applies this kernel to tensors.
+
+The generator rule is written once, with three factors: a key whose letters
+at i, i+1 are equal stays put times the equal-pair factor, every other key
+has them swapped times the swap factor, and a descent (w[i] > w[i+1]) also
+stays put times the descent factor.  On Fraction coefficients the factors
+are q, 1 and q - 1/q.  The symmetriser passes run on a scaled-integer form:
+with q = a/b, a vector is a map of integer numerators over one common
+denominator, the factors become a^2, ab and a^2 - b^2, and each generator
+pass multiplies the denominator by ab.  Coefficients are converted into
+that form once, reduced by their gcd once per grown strand, and converted
+back to Fraction once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .errors import DomainError, ParameterError, PoleError, ResourceError
@@ -204,6 +217,26 @@ def left_mul_generator(i: int, x: HeckeElement) -> HeckeElement:
     return _raw(x.m, x.q, out)
 
 
+def _generator_rule(terms: dict, i0: int, equal, swap, descent) -> dict:
+    """terms * sigma_{i0+1} on keyed coefficients, with the three factors of
+    the generator rule (see the module docstring).  A swap factor of 1 is
+    not multiplied out."""
+    keep = swap == 1
+    # w -> w * s_i is a bijection of the support, so the first pass has no
+    # collisions
+    out = {
+        w[:i0] + (w[i0 + 1], w[i0]) + w[i0 + 2 :]: (
+            equal * c if w[i0] == w[i0 + 1] else c if keep else swap * c
+        )
+        for w, c in terms.items()
+    }
+    if descent:
+        _accumulate(
+            out, ((w, descent * c) for w, c in terms.items() if w[i0] > w[i0 + 1])
+        )
+    return out
+
+
 def right_mul_generator(x: HeckeElement, i: int) -> HeckeElement:
     """x * sigma_i: w * s_i swaps the entries at positions i, i+1 of w, and
     where the length goes down (a descent at i) the term also stays put
@@ -211,20 +244,59 @@ def right_mul_generator(x: HeckeElement, i: int) -> HeckeElement:
     absorbed by the projector: the term stays put with weight q."""
     if not 1 <= i <= x.m - 1:
         raise DomainError(f"generator index {i} out of range for m={x.m}")
-    i0 = i - 1
     q = x.q
-    # w -> w * s_i is a bijection of the support, so the first pass has no
-    # collisions
-    out = {
-        w[:i0] + (w[i0 + 1], w[i0]) + w[i0 + 2 :]: (q * c if w[i0] == w[i0 + 1] else c)
-        for w, c in x.terms.items()
-    }
-    lam = q - 1 / q
-    if lam:
-        _accumulate(
-            out, ((w, lam * c) for w, c in x.terms.items() if w[i0] > w[i0 + 1])
-        )
-    return _raw(x.m, x.q, out)
+    return _raw(x.m, q, _generator_rule(x.terms, i - 1, q, 1, q - 1 / q))
+
+
+# -- the scaled-integer form: (numerators, denominator) at q = a/b -------------
+
+
+def _scaled(terms) -> tuple:
+    """Fraction coefficients as integer numerators over their least common
+    denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {w: c.numerator * (den // c.denominator) for w, c in terms.items()}, den
+
+
+def _unscaled(nums: dict, den: int) -> dict:
+    return {w: Fraction(n, den) for w, n in nums.items()}
+
+
+def _scaled_factors(q: Fraction) -> tuple:
+    """The equal-pair, swap and descent factors a^2, ab, a^2 - b^2 at q = a/b."""
+    a, b = q.numerator, q.denominator
+    return a * a, a * b, a * a - b * b
+
+
+def _scaled_generator(nums: dict, den: int, i: int, q: Fraction) -> tuple:
+    """(nums / den) * sigma_i in scaled-integer form."""
+    equal, swap, descent = _scaled_factors(q)
+    return _generator_rule(nums, i - 1, equal, swap, descent), den * swap
+
+
+def _scaled_symmetriser(nums: dict, den: int, i: int, j: int, q: Fraction) -> tuple:
+    """(nums / den) * S_[i,j] in scaled-integer form, by the recursion of
+    mul_symmetriser_right.  At q = a/b, growing the interval to s + 1
+    strands takes the prefactor 1/[s+1]_q = (ab)^s / Q with
+    Q = sum_{t=0..s} a^(2(s-t)) b^(2t), which is positive, and the summand
+    after t generator passes, q^(t-s) times numerators over den (ab)^t, is
+    b^(2(s-t)) times those numerators over den Q."""
+    a, b = q.numerator, q.denominator
+    equal, swap, descent = _scaled_factors(q)
+    bb = b * b
+    for top in range(i, j):
+        s = top - i + 1
+        f = bb**s
+        total = {w: f * n for w, n in nums.items()}
+        y = nums
+        for t, g in enumerate(range(top, i - 1, -1), 1):
+            y = _generator_rule(y, g - 1, equal, swap, descent)
+            f = bb ** (s - t)
+            _accumulate(total, ((w, f * n) for w, n in y.items()))
+        den *= sum(a ** (2 * (s - t)) * b ** (2 * t) for t in range(s + 1))
+        g = gcd(den, *total.values())
+        nums, den = {w: n // g for w, n in total.items()}, den // g
+    return nums, den
 
 
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
@@ -310,20 +382,11 @@ def mul_symmetriser_right(x: HeckeElement, i: int, j: int) -> HeckeElement:
     the word empty for a = b+1: the mirror image of the left recursion of
     symmetriser_recursion_check under sigma_w -> sigma_{w^-1}, which fixes
     every S_[i,j].  Total wherever the algebra is defined: no factor has a
-    pole at q**2 == 1.
+    pole at q**2 == 1.  Runs in the scaled-integer form.
     """
     symmetriser_sum(i, j, x.m, x.q)  # rejects a bad interval or a vanishing [r]_q!
-    q = x.q
-    for b in range(i, j):
-        norm = 1 / q_int(b - i + 2, q)
-        total = x.scale(norm * q ** (i - b - 1)).terms
-        y = x
-        for a in range(b, i - 1, -1):
-            y = right_mul_generator(y, a)
-            c = norm * q ** (i - a)
-            _accumulate(total, ((w, c * v) for w, v in y.terms.items()))
-        x = _raw(x.m, q, total)
-    return x
+    nums, den = _scaled_symmetriser(*_scaled(x.terms), i, j, x.q)
+    return _raw(x.m, x.q, _unscaled(nums, den))
 
 
 def symmetriser_product(i: int, j: int, m: int, q) -> HeckeElement:

@@ -1,11 +1,18 @@
-"""Matrix representations on tensor powers of V and on quantum symmetric
-powers W = S_q^k(V).
+"""Matrix representations on quantum symmetric powers W = S_q^k(V) and on
+their tensor products.
 
 The Hecke algebra acts on V^(tensor m) through the standard R-matrix at each
-pair of adjacent slots; W is carried by the (unnormalised) symmetriser images
-of the nondecreasing basis tensors.  That action only rearranges letters, so
-each basis vector w_a of W lives on the rearrangements of its own tensor t_a,
-and w_a tensor w_b is the one basis vector of W tensor W with a term at
+pair of adjacent slots: e_a e_b goes to q e_a e_b if a = b, else to e_b e_a,
+plus (q - 1/q) e_a e_b if a < b.  Under the letter reversal a -> N+1-a that
+is hecke's generator rule on words with repeated letters (a weight space of
+V^(tensor m) is a parabolic module, Dipper-James), so this module owns no
+kernel of its own.  It reverses the letters of a tensor on the way into the
+hecke kernel, runs the kernel in its scaled-integer form, and keeps the
+letter order of its public multi-indices.  W is carried by the
+(unnormalised) symmetriser images of the nondecreasing basis tensors.  The
+action only rearranges letters, so each basis vector w_a of W lives on the
+rearrangements of its own tensor t_a, and w_a tensor w_b is the one basis
+vector of W tensor W with a term at
 t_a + t_b: the braiding operators on W tensor W are read off at those keys.
 They keep the weight (letter multiset) of a basis tensor, so they are sparse:
 the R-matrices are assembled only on their joint support, and the matrix
@@ -34,57 +41,28 @@ from .fused import (
     _multiplicative,
     braiding_word,
 )
-from .hecke import HeckeElement, _accumulate, symmetriser_sum
-from .permutations import reduced_word
+from .hecke import (
+    _accumulate,
+    _scaled,
+    _scaled_generator,
+    _scaled_symmetriser,
+    _unscaled,
+)
 from .qnumbers import as_fraction, format_rational
 
 MAX_TENSOR_DIM = 6561
 MAX_YBE_DIM = 4096
 
 
-# -- sparse vectors on V^(tensor m) -------------------------------------------
-
-# a vector is a dict {multi-index tuple: Fraction}; letters run 1..N
-
-
-def _apply_gen(vec: dict, pos: int, q) -> dict:
-    """Apply the standard R-matrix at tensor slots (pos, pos+1): e_a e_b goes
-    to q e_a e_b if a = b, else to e_b e_a, plus (q - 1/q) e_a e_b if a < b."""
-    p0 = pos - 1
-    # swapping the two slots is a bijection of the support, so the first
-    # pass has no collisions
-    out = {
-        idx[:p0] + (idx[p0 + 1], idx[p0]) + idx[p0 + 2 :]: (
-            q * c if idx[p0] == idx[p0 + 1] else c
-        )
-        for idx, c in vec.items()
-    }
-    lam = q - 1 / q
-    if lam:
-        _accumulate(
-            out, ((idx, lam * c) for idx, c in vec.items() if idx[p0] < idx[p0 + 1])
-        )
-    return out
+def _flip(key: tuple, N: int) -> tuple:
+    """The multi-index key with every letter a replaced by N+1-a: the
+    R-matrix's ascent a < b becomes the hecke kernel's descent."""
+    return tuple(N + 1 - a for a in key)
 
 
-def _apply_word(vec: dict, word, q) -> dict:
-    """Apply the operator sigma_{word} (word read left to right)."""
-    for a in reversed(word):
-        vec = _apply_gen(vec, a, q)
-    return vec
-
-
-def _apply_element(vec: dict, x: HeckeElement) -> dict:
-    """Apply a Hecke algebra element (acting on m = x.m tensor slots)."""
-    out = {}
-    for w, c in x.terms.items():
-        img = _apply_word(vec, reduced_word(w), x.q)
-        _accumulate(out, ((key, c * val) for key, val in img.items()))
-    return out
-
-
-def _multi_indices(N: int, m: int):
-    return list(itertools.product(range(1, N + 1), repeat=m))
+def _reversed(vec: dict, N: int) -> dict:
+    """A sparse map over multi-indices with every key flipped."""
+    return {_flip(key, N): c for key, c in vec.items()}
 
 
 def _check_fusion_args(k: int, N: int) -> None:
@@ -102,38 +80,6 @@ def _check_tensor_dim(N: int, m: int) -> None:
 
 
 # -- representations -----------------------------------------------------------
-
-
-def hecke_rmatrix(N: int, q) -> np.ndarray:
-    """The standard R-matrix on V tensor V, basis e_i tensor e_j ordered
-    lexicographically, acting on column vectors."""
-    q = as_fraction(q)
-    if N < 2:
-        raise ParameterError("need N >= 2")
-    if q == 0:
-        raise ParameterError("q must be nonzero")
-    idxs = _multi_indices(N, 2)
-    index_of = {t: r for r, t in enumerate(idxs)}
-    mat = linalg.zeros(N * N, N * N)
-    for c, idx in enumerate(idxs):
-        img = _apply_gen({idx: Fraction(1)}, 1, q)
-        for key, val in img.items():
-            mat[index_of[key], c] = val
-    return mat
-
-
-def represent(x: HeckeElement, N: int) -> np.ndarray:
-    """Matrix of x on V^(tensor m) with the local R-matrix action."""
-    _check_tensor_dim(N, x.m)
-    dim = N**x.m
-    idxs = _multi_indices(N, x.m)
-    index_of = {t: r for r, t in enumerate(idxs)}
-    mat = linalg.zeros(dim, dim)
-    for c, idx in enumerate(idxs):
-        img = _apply_element({idx: Fraction(1)}, x)
-        for key, val in img.items():
-            mat[index_of[key], c] = val
-    return mat
 
 
 @dataclass(frozen=True)
@@ -161,11 +107,13 @@ def w_basis(k: int, N: int, q) -> WBasis:
     q = as_fraction(q)
     _check_fusion_args(k, N)
     _check_tensor_dim(N, k)
-    indices = tuple(
-        t for t in _multi_indices(N, k) if all(t[a] <= t[a + 1] for a in range(k - 1))
+    if q == 0:
+        raise ParameterError("q must be nonzero")
+    indices = tuple(itertools.combinations_with_replacement(range(1, N + 1), k))
+    columns = tuple(
+        _reversed(_unscaled(*_scaled_symmetriser({_flip(t, N): 1}, 1, 1, k, q)), N)
+        for t in indices
     )
-    sym = symmetriser_sum(1, k, k, q)
-    columns = tuple(_apply_element({t: Fraction(1)}, sym) for t in indices)
     if len(indices) != comb(k + N - 1, k) or not all(
         col.get(t) and all(tuple(sorted(key)) == t for key in col)
         for t, col in zip(indices, columns)
@@ -182,10 +130,11 @@ def sigma_matrix(k: int, p: int, N: int, q) -> np.ndarray:
     w_a tensor w_b ordered lexicographically.
 
     Computed by applying the braiding word and then the symmetrisers to each
-    w_a tensor w_b on V^(tensor 2k) (the leading symmetrisers fix it) and
-    reading the coordinate of w_a' tensor w_b' off the image at t_a' + t_b';
-    raises if the image minus that combination is not zero, which no
-    admissible parameter can trigger.
+    w_a tensor w_b on V^(tensor 2k) (the leading symmetrisers fix it), in
+    the scaled-integer form of the hecke kernel, and reading the coordinate
+    of w_a' tensor w_b' off the image at t_a' + t_b', for the keys t_a' + t_b'
+    that the image holds; raises if the image minus that combination is not
+    zero, which no admissible parameter can trigger.
     """
     q = as_fraction(q)
     _check_fusion_args(k, N)
@@ -193,22 +142,27 @@ def sigma_matrix(k: int, p: int, N: int, q) -> np.ndarray:
         raise DomainError(f"braiding order p={p} out of range 0..{k}")
     _check_tensor_dim(N, 2 * k)
     wb = w_basis(k, N, q)
-    keys = [ta + tb for ta in wb.indices for tb in wb.indices]
+    # the pair basis and its keys in the kernel's letters
+    cols = [_reversed(c, N) for c in wb.columns]
     basis = [
         {kx + ky: vx * vy for kx, vx in x.items() for ky, vy in y.items()}
-        for x in wb.columns
-        for y in wb.columns
+        for x in cols
+        for y in cols
     ]
+    tensors = [_flip(t, N) for t in wb.indices]
+    index_of = {ta + tb: r for r, (ta, tb) in enumerate(itertools.product(tensors, repeat=2))}
     word = braiding_word(k, k, p)
-    sym1 = symmetriser_sum(1, k, 2 * k, q)
-    sym2 = symmetriser_sum(k + 1, 2 * k, 2 * k, q)
-    mat = linalg.zeros(len(basis), len(basis))
+    mat = np.full((len(basis), len(basis)), Fraction(0), dtype=object)
     for c, vec in enumerate(basis):
-        img = _apply_element(_apply_element(_apply_word(vec, word, q), sym1), sym2)
-        for r, (key, w) in enumerate(zip(keys, basis)):
-            mat[r, c] = coord = img.get(key, Fraction(0)) / w[key]
-            if coord:
-                _accumulate(img, ((t, -coord * v) for t, v in w.items()))
+        nums, den = _scaled(vec)
+        for a in reversed(word):  # the operator sigma_word applies its last letter first
+            nums, den = _scaled_generator(nums, den, a, q)
+        nums, den = _scaled_symmetriser(nums, den, 1, k, q)
+        img = _unscaled(*_scaled_symmetriser(nums, den, k + 1, 2 * k, q))
+        for key, r in [(key, index_of[key]) for key in img if key in index_of]:
+            w = basis[r]
+            mat[r, c] = coord = img[key] / w[key]
+            _accumulate(img, ((t, -coord * v) for t, v in w.items()))
         if img:
             raise InternalConsistencyError(
                 f"sigma_matrix image leaves W tensor W for k={k}, p={p}, N={N}, q={q}"

@@ -1,22 +1,99 @@
 """Independent reference computations that the tests compare the library
-against: a dense exact Gauss-Jordan solver, the q = 1 partial braiding
-matrices obtained with it, the matrix Yang-Baxter equation as dense
-Kronecker factors and dense products, and the fused chains of right
+against: the action on V^(tensor m) applied term by term over Fraction (the
+standard R-matrix at adjacent slots, each Hecke element applied along the
+reduced words of its terms), a dense exact Gauss-Jordan solver, the q = 1
+partial braiding matrices obtained with it, the matrix Yang-Baxter equation
+as dense Kronecker factors and dense products, and the fused chains of right
 multiplications (projectors, partial braidings, factorised R-elements, the
 fast braided and the mixed Yang-Baxter chains) run in the standard basis of
 H_m, each symmetriser applied term by term from its sum formula."""
 
+import itertools
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
 from fusedhecke import fused, linalg, symmetriser_sum, w_basis
-from fusedhecke.errors import InternalConsistencyError
+from fusedhecke.errors import InternalConsistencyError, ParameterError
 from fusedhecke.fused import VerifyResult, braiding_word, element_diff
 from fusedhecke.hecke import HeckeElement, _accumulate, right_mul_generator, unit, zero
 from fusedhecke.permutations import reduced_word
-from fusedhecke.tensorrep import _apply_element, _multi_indices, _R_matrix
+from fusedhecke.qnumbers import as_fraction
+from fusedhecke.tensorrep import _check_tensor_dim, _R_matrix
+
+
+# -- the action on V^(tensor m), term by term ----------------------------------
+
+# a vector is a dict {multi-index tuple: Fraction}; letters run 1..N
+
+
+def _apply_gen(vec: dict, pos: int, q) -> dict:
+    """Apply the standard R-matrix at tensor slots (pos, pos+1): e_a e_b goes
+    to q e_a e_b if a = b, else to e_b e_a, plus (q - 1/q) e_a e_b if a < b."""
+    out = {}
+    for idx, c in vec.items():
+        a, b = idx[pos - 1], idx[pos]
+        terms = [(idx[: pos - 1] + (b, a) + idx[pos + 1 :], q * c if a == b else c)]
+        if a < b:
+            terms.append((idx, (q - 1 / q) * c))
+        _accumulate(out, terms)
+    return out
+
+
+def _apply_word(vec: dict, word, q) -> dict:
+    """Apply the operator sigma_{word} (word read left to right)."""
+    for a in reversed(word):
+        vec = _apply_gen(vec, a, q)
+    return vec
+
+
+def _apply_element(vec: dict, x: HeckeElement) -> dict:
+    """Apply a Hecke algebra element (acting on m = x.m tensor slots)."""
+    out = {}
+    for w, c in x.terms.items():
+        img = _apply_word(vec, reduced_word(w), x.q)
+        _accumulate(out, ((key, c * val) for key, val in img.items()))
+    return out
+
+
+def _multi_indices(N: int, m: int):
+    return list(itertools.product(range(1, N + 1), repeat=m))
+
+
+def hecke_rmatrix(N: int, q) -> np.ndarray:
+    """The standard R-matrix on V tensor V, basis e_i tensor e_j ordered
+    lexicographically, acting on column vectors."""
+    q = as_fraction(q)
+    if N < 2:
+        raise ParameterError("need N >= 2")
+    if q == 0:
+        raise ParameterError("q must be nonzero")
+    idxs = _multi_indices(N, 2)
+    index_of = {t: r for r, t in enumerate(idxs)}
+    mat = linalg.zeros(N * N, N * N)
+    for c, idx in enumerate(idxs):
+        img = _apply_gen({idx: Fraction(1)}, 1, q)
+        for key, val in img.items():
+            mat[index_of[key], c] = val
+    return mat
+
+
+def represent(x: HeckeElement, N: int) -> np.ndarray:
+    """Matrix of x on V^(tensor m) with the local R-matrix action."""
+    _check_tensor_dim(N, x.m)
+    dim = N**x.m
+    idxs = _multi_indices(N, x.m)
+    index_of = {t: r for r, t in enumerate(idxs)}
+    mat = linalg.zeros(dim, dim)
+    for c, idx in enumerate(idxs):
+        img = _apply_element({idx: Fraction(1)}, x)
+        for key, val in img.items():
+            mat[index_of[key], c] = val
+    return mat
+
+
+# -- dense exact linear algebra ----------------------------------------------------
 
 
 def eye(n: int) -> np.ndarray:

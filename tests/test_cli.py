@@ -161,6 +161,16 @@ def test_verify_algebra_negative_trials_exits_2(capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [("--k", "2", "--n", "1"), ("--k", "0", "--n", "2")],
+                         ids=["n=1", "k=0"])
+def test_verify_algebra_bad_k_or_n_exits_2(capsys, argv):
+    # rejected before any check runs, so nothing reaches stdout
+    code, out, err = run(capsys, "verify-algebra", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--k >= 1 and --n >= 2" in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2"])
 def test_bad_max_strands_exits_2(capsys, monkeypatch, value):
     monkeypatch.setenv("FUSED_HECKE_MAX_STRANDS", value)

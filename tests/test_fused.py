@@ -431,6 +431,19 @@ def test_ybe_direct_fails_on_wrong_coefficient(monkeypatch, case):
     assert res.diff is not None and res.diff.left != res.diff.right
 
 
+@pytest.mark.parametrize("method", ["drect", "Fast", ""])
+def test_braided_ybe_unknown_method_raises(method):
+    # a misspelt method must not fall through to the fast chain
+    with pytest.raises(ParameterError, match="unknown method"):
+        verify_braided_ybe(FusedContext(1, 3, F(2)), F(3, 5), F(7, 11), method=method)
+
+
+@pytest.mark.parametrize("method", ["drect", "Fast", ""])
+def test_classical_ybe_unknown_method_raises(method):
+    with pytest.raises(ParameterError, match="unknown method"):
+        verify_classical_ybe(1, 3, F(7, 2), F(9, 4), method=method)
+
+
 @pytest.mark.parametrize("case", PERTURBED_CHAINS)
 def test_ybe_fast_rejects_wrong_coefficient(monkeypatch, case):
     bump, verify, first = PERTURBED_CHAINS[case]

@@ -23,6 +23,7 @@ from fusedhecke import (
 )
 from fusedhecke.hecke import (
     basis_element,
+    mul_symmetriser_right,
     r_check_generator,
     right_mul_generator,
     symmetriser_recursion_check,
@@ -34,6 +35,7 @@ from fusedhecke.permutations import (
     length,
     simple_transposition,
 )
+from oracles import mul_element_right
 
 QS = [F(2), F(3, 2), F(5, 3)]
 
@@ -285,6 +287,30 @@ def test_symmetriser_recursion(q):
     assert symmetriser_recursion_check(2, 3, 4, q)
     # degenerate base: growing the one-letter interval
     assert symmetriser_recursion_check(1, 1, 2, q)
+
+
+# the negative q cover a numerator a < 0 in the scaled-integer form q = a/b
+SCALED_QS = [F(2), F(3, 2), F(1), F(-1), F(-5, 7)]
+
+
+@pytest.mark.parametrize("q", SCALED_QS, ids=str)
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_mul_symmetriser_right_matches_term_by_term(m, q):
+    # permutations and words with repeated letters, against the symmetriser
+    # applied term by term from its sum formula
+    rng = random.Random(7100 + m)
+    pool = all_permutations(m)
+    for trial in range(6):
+        if trial % 2:
+            keys = [tuple(rng.randint(1, m - 1) for _ in range(m)) for _ in range(4)]
+        else:
+            keys = [rng.choice(pool) for _ in range(4)]
+        x = HeckeElement(m, q, {w: F(rng.randint(-9, 9), rng.randint(1, 9)) for w in keys})
+        for i in range(1, m):
+            for j in range(i + 1, m + 1):
+                got = mul_symmetriser_right(x, i, j)
+                assert got == mul_element_right(x, symmetriser_sum(i, j, m, q))
+                assert all(type(c) is F for c in got.terms.values())
 
 
 # -- serialization -----------------------------------------------------------------

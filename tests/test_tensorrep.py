@@ -21,7 +21,7 @@ from fusedhecke import (
     verify_matrix_ybe,
     w_basis,
 )
-from fusedhecke import linalg, tensorrep
+from fusedhecke import hecke, linalg, tensorrep
 from fusedhecke.errors import InternalConsistencyError, ParameterError, ResourceError
 from fusedhecke.fused import (
     _ADDITIVE,
@@ -29,21 +29,18 @@ from fusedhecke.fused import (
     baxter_coefficients,
     classical_coefficients,
 )
-from fusedhecke.hecke import zero
 from fusedhecke.permutations import all_permutations
-from fusedhecke.tensorrep import (
-    hecke_rmatrix,
-    matrix_from_obj,
-    matrix_to_csv,
-    matrix_to_obj,
-    represent,
-)
+from fusedhecke.tensorrep import matrix_from_obj, matrix_to_csv, matrix_to_obj
 from oracles import (
+    _apply_element,
+    _apply_gen,
     classical_sigma_direct,
     dense_matrix_ybe,
     eye,
+    hecke_rmatrix,
     pair_basis,
     rank,
+    represent,
     solve_exact,
 )
 
@@ -121,6 +118,51 @@ def test_represent_resource_bound():
         represent(unit(9, F(2)), 3)  # 3^9 > 6561
 
 
+# -- the hecke kernel on tensors -------------------------------------------------
+
+# the negative q cover a numerator a < 0 in the scaled-integer form q = a/b
+KERNEL_QS = [F(2), F(3, 2), F(1), F(-1), F(-5, 7)]
+
+
+def _random_tensors(rng, N, m, count):
+    """Sparse vectors on V^(tensor m), every key with a repeated letter."""
+    vecs = []
+    for _ in range(count):
+        vec = {}
+        for _ in range(rng.randint(1, 5)):
+            letters = [rng.randint(1, N) for _ in range(m - 1)]
+            letters.append(rng.choice(letters))
+            rng.shuffle(letters)
+            vec[tuple(letters)] = F(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+        vecs.append(vec)
+    return vecs
+
+
+def _through_kernel(vec, N, step):
+    """Apply step, a map of scaled-integer forms, to vec in the kernel's
+    letters, and read the image back as Fractions in the tensor's letters."""
+    nums, den = step(*hecke._scaled(tensorrep._reversed(vec, N)))
+    return tensorrep._reversed(hecke._unscaled(nums, den), N)
+
+
+@pytest.mark.parametrize("q", KERNEL_QS, ids=str)
+@pytest.mark.parametrize("N,m", [(2, 3), (3, 4), (4, 3)])
+def test_scaled_kernel_matches_term_by_term_action(N, m, q):
+    # 10 vectors for each of 15 (N, m, q): 150 in all
+    rng = random.Random(100 * N + m)
+    for vec in _random_tensors(rng, N, m, 10):
+        for pos in range(1, m):
+            got = _through_kernel(vec, N, lambda n, d: hecke._scaled_generator(n, d, pos, q))
+            assert got == _apply_gen(vec, pos, q)
+            assert all(type(c) is F for c in got.values())
+        for i in range(1, m):
+            for j in range(i + 1, m + 1):
+                got = _through_kernel(
+                    vec, N, lambda n, d: hecke._scaled_symmetriser(n, d, i, j, q)
+                )
+                assert got == _apply_element(vec, symmetriser_sum(i, j, m, q))
+
+
 # -- the symmetric power basis ------------------------------------------------
 
 
@@ -151,9 +193,9 @@ def test_w_basis_columns_are_read_only():
 
 
 def test_w_basis_degenerate_raises(monkeypatch):
-    # a vanishing symmetriser leaves every column empty; q = 11/5 is used by
-    # no other test, so the cache cannot hand back an earlier basis
-    monkeypatch.setattr(tensorrep, "symmetriser_sum", lambda i, j, m, q: zero(m, q))
+    # a vanishing symmetriser pass leaves every column empty; q = 11/5 is
+    # used by no other test, so the cache cannot hand back an earlier basis
+    monkeypatch.setattr(tensorrep, "_scaled_symmetriser", lambda nums, den, i, j, q: ({}, den))
     with pytest.raises(InternalConsistencyError):
         w_basis(2, 2, F(11, 5))
 
@@ -206,16 +248,17 @@ def test_sigma_matrix_consistent_with_algebra_element(k, N, q):
 
 
 def test_sigma_matrix_image_outside_span_raises(monkeypatch):
-    # without the trailing symmetrisers the braided images leave W x W;
-    # q = 7/3 is used by no other test, so no cached matrix masks the patch
+    # without the trailing symmetriser passes the braided images leave
+    # W x W; q = 7/3 is used by no other test, so no cached matrix masks the
+    # patch, and the basis is built before it
     q = F(7, 3)
     w_basis(2, 2, q)
-    monkeypatch.setattr(tensorrep, "symmetriser_sum", lambda i, j, m, q: unit(m, q))
+    monkeypatch.setattr(tensorrep, "_scaled_symmetriser", lambda nums, den, i, j, q: (nums, den))
     with pytest.raises(InternalConsistencyError):
         sigma_matrix(2, 1, 2, q)
 
 
-@pytest.mark.parametrize("k,N", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("k,N", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_sigma_matrix_minimal_polynomial(k, N):
     q = F(2)
     s = sigma_matrix(k, k, N, q)
@@ -223,18 +266,6 @@ def test_sigma_matrix_minimal_polynomial(k, N):
     prod = eye(d)
     for l in range(k + 1):
         c = (-1) ** (k + l) * q ** (-k + l * (l + 1))
-        prod = linalg.matmul(prod, s - eye(d) * c)
-    assert linalg.mat_equal(prod, linalg.zeros(d, d))
-
-
-@pytest.mark.slow
-def test_sigma_matrix_minimal_polynomial_k3_N3():
-    q = F(2)
-    s = sigma_matrix(3, 3, 3, q)
-    d = s.shape[0]
-    prod = eye(d)
-    for l in range(4):
-        c = (-1) ** (3 + l) * q ** (-3 + l * (l + 1))
         prod = linalg.matmul(prod, s - eye(d) * c)
     assert linalg.mat_equal(prod, linalg.zeros(d, d))
 
