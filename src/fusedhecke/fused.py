@@ -33,6 +33,7 @@ from .errors import DomainError, InternalConsistencyError, ParameterError, PoleE
 from .hecke import (
     HeckeElement,
     _accumulate,
+    _check_strands,
     _frozen,
     _mul_affine_right,
     _raw,
@@ -171,7 +172,9 @@ def _mul_projector_right(x: HeckeElement, intervals) -> HeckeElement:
 def _start(m: int, q, intervals) -> HeckeElement:
     """P = prod of the symmetrisers on the intervals, in word coordinates:
     its sorted word, each strand of [lo, hi] carrying the letter lo and every
-    other strand its own position, with coefficient 1."""
+    other strand its own position, with coefficient 1.  Every chain in word
+    coordinates starts here, so this is where the strand bound is checked."""
+    _check_strands(m)
     word = list(range(1, m + 1))
     for (lo, hi) in intervals:
         word[lo - 1 : hi] = [lo] * (hi - lo + 1)
@@ -319,6 +322,8 @@ def baxter_coefficients(k: int, ell: int, u, q) -> BaxterCoefficients:
     * [k, p]_q [ell, k-p]_q for p = 0..k (requires k <= ell)."""
     q = as_fraction(q)
     u = as_fraction(u)
+    if q == 0:
+        raise ParameterError("q must be nonzero")
     if ell < k:
         raise DomainError("coefficients need k <= ell")
     qi2 = q**-2

@@ -1,14 +1,19 @@
 """The Hecke algebra H_m(q) at a specialised rational q.
 
 Elements are finitely supported maps from permutations (standard basis
-indices) to exact rationals.  Multiplication decomposes the left factor into
-canonical reduced words and applies the straightening rule
+indices) to exact rationals.  Zero coefficients are pruned eagerly and
+equality of elements is structural.  The product a * b takes each term of a
+along its canonical reduced word over b, one application of the straightening
+rule
 
     sigma_i * sigma_w = sigma_{s_i w}                     if the length goes up,
-    sigma_i * sigma_w = sigma_{s_i w} + (q - 1/q) sigma_w otherwise,
+    sigma_i * sigma_w = sigma_{s_i w} + (q - 1/q) sigma_w otherwise
 
-term by term, so no multiplication table is ever stored.  Zero coefficients
-are pruned eagerly and equality of elements is structural.
+per letter, so no multiplication table is ever stored.  The words of a,
+read from their right ends, form a trie, and the terms whose words end
+alike share the passes over their common suffix; the products are summed as
+integers over one common denominator (see multiply).  At q**2 == 1 the rule
+has no second term and the product composes keys directly.
 
 Right multiplication by a generator or a q-symmetriser also acts on block
 words, keys with repeated letters.  Let P be the product of the
@@ -300,20 +305,64 @@ def _scaled_symmetriser(nums: dict, den: int, i: int, j: int, q: Fraction) -> tu
 
 
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Product a * b: fold the canonical reduced words of a over b."""
+    """Product a * b: sum_w c_w (sigma_w b) over the terms c_w sigma_w of a.
+
+    At q**2 == 1 the generators square to 1, so sigma_w b is b with w
+    composed into each key.  Otherwise sigma_w b takes one left_mul_generator
+    pass per letter of the canonical reduced word of w, applied from the
+    right end.  The words, read in that order, go into a trie, so a depth-first
+    walk takes one pass per trie edge, each on its parent's product, and
+    words with a common suffix share the passes over it.
+
+    The sum runs in the scaled-integer form.  Write q = r/s in lowest terms
+    and den_a, den_b for the common denominators of the coefficients of a
+    and b.  A pass multiplies coefficients by 1 or by q - 1/q =
+    (r^2 - s^2)/(rs) and adds them, so every coefficient of sigma_w b has a
+    denominator dividing den_b (rs)^l(w).  With l the length of the longest
+    word of a, each c_w (sigma_w b) is therefore an integer over
+    den_a den_b (rs)^l, and so is the total; one Fraction is built per term
+    of the product.
+    """
     a._compat(b)
-    total: dict = {}
-    classical = a.q == 1 or a.q == -1
-    for w, c in a.terms.items():
-        if classical:
-            y = _raw(b.m, b.q, {tuple(w[t - 1] for t in v): cv
-                                for v, cv in b.terms.items()})
-        else:
-            y = b
-            for idx in reversed(reduced_word(w)):
-                y = left_mul_generator(idx, y)
-        _accumulate(total, ((wy, c * cy) for wy, cy in y.terms.items()))
-    return _raw(a.m, a.q, total)
+    q = a.q
+    nums_a, den_a = _scaled(a.terms)
+    if q == 1 or q == -1:
+        nums_b, den_b = _scaled(b.terms)
+        total: dict = {}
+        for w, n in nums_a.items():
+            _accumulate(
+                total,
+                ((tuple(w[t - 1] for t in v), n * nv) for v, nv in nums_b.items()),
+            )
+        return _raw(a.m, q, _unscaled(total, den_a * den_b))
+    # a trie node is [children by letter, scaled coefficient of a or 0]
+    root: list = [{}, 0]
+    longest = 0
+    for w, n in nums_a.items():
+        word = reduced_word(w)
+        longest = max(longest, len(word))
+        node = root
+        for i in reversed(word):
+            node = node[0].setdefault(i, [{}, 0])
+        node[1] = n
+    den_b = lcm(*(c.denominator for c in b.terms.values()))
+    den = den_b * (q.numerator * q.denominator) ** longest
+    total = {}
+    # each entry is a node and its parent's product; the pass into the node
+    # is taken when it is popped, so only products on the current path and
+    # the parents of pending siblings are alive
+    stack = [(root, 0, b)]
+    while stack:
+        (children, n), i, y = stack.pop()
+        if i:
+            y = left_mul_generator(i, y)
+        if n:
+            _accumulate(
+                total,
+                ((w, n * c.numerator * (den // c.denominator)) for w, c in y.terms.items()),
+            )
+        stack.extend((child, j, y) for j, child in children.items())
+    return _raw(a.m, q, _unscaled(total, den_a * den))
 
 
 # -- baxterised generators ------------------------------------------------------

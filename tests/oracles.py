@@ -1,7 +1,8 @@
 """Independent reference computations that the tests compare the library
 against: the action on V^(tensor m) applied term by term over Fraction (the
 standard R-matrix at adjacent slots, each Hecke element applied along the
-reduced words of its terms), a dense exact Gauss-Jordan solver, the q = 1
+reduced words of its terms), the product of H_m one left term at a time
+over Fraction, a dense exact Gauss-Jordan solver, the q = 1
 partial braiding matrices obtained with it, the matrix Yang-Baxter equation
 as dense Kronecker factors and dense products, and the fused chains of right
 multiplications (projectors, partial braidings, factorised R-elements, the
@@ -17,7 +18,15 @@ import numpy as np
 from fusedhecke import fused, linalg, symmetriser_sum, w_basis
 from fusedhecke.errors import InternalConsistencyError, ParameterError
 from fusedhecke.fused import VerifyResult, braiding_word, element_diff
-from fusedhecke.hecke import HeckeElement, _accumulate, right_mul_generator, unit, zero
+from fusedhecke.hecke import (
+    HeckeElement,
+    _accumulate,
+    _raw,
+    left_mul_generator,
+    right_mul_generator,
+    unit,
+    zero,
+)
 from fusedhecke.permutations import reduced_word
 from fusedhecke.qnumbers import as_fraction
 from fusedhecke.tensorrep import _check_tensor_dim, _R_matrix
@@ -218,6 +227,25 @@ def dense_matrix_ybe(k: int, N: int, x, y, bax) -> VerifyResult:
 
 
 # -- fused chains in the standard basis -------------------------------------------
+
+
+def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
+    """a * b over Fraction, one left term at a time: sigma_w b is b with w
+    composed into each key at q**2 == 1, and otherwise b taken through the
+    whole canonical reduced word of w, one left_mul_generator pass per
+    letter."""
+    total: dict = {}
+    classical = a.q == 1 or a.q == -1
+    for w, c in a.terms.items():
+        if classical:
+            y = _raw(b.m, b.q, {tuple(w[t - 1] for t in v): cv
+                                for v, cv in b.terms.items()})
+        else:
+            y = b
+            for idx in reversed(reduced_word(w)):
+                y = left_mul_generator(idx, y)
+        _accumulate(total, ((wy, c * cy) for wy, cy in y.terms.items()))
+    return _raw(a.m, a.q, total)
 
 
 def mul_element_right(x: HeckeElement, y: HeckeElement) -> HeckeElement:

@@ -187,3 +187,36 @@ def test_compute_r_nonpositive_k_or_N_exits_2(capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "must be a positive integer" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("q", ["1", "-1"])
+def test_verify_algebra_at_q_squared_one_marks_minimality_degenerate(capsys, q):
+    # the degree-(k+1) product vanishes, but the roots for l and l + 2
+    # coincide, so no drop-one subproduct can be nonzero for k >= 2
+    code, out, _ = run(capsys, "verify-algebra", "--k", "2", "--n", "2",
+                       "--q", q, "--u", "3/5", "--trials", "2")
+    assert code == 0 and "FAILED" not in out
+    assert "minimal polynomial (minimality degenerate at q^2 = 1): ok" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute-r", "--k", "2", "--N", "2"),
+    ("reproduce-paper", "--example", "k2N2"),
+    ("reproduce-paper", "--example", "k2N2-matrices"),
+    ("reproduce-paper", "--example", "k2-coefficients"),
+    ("reproduce-paper", "--example", "k1-hecke"),
+], ids=["compute-r", "k2N2", "k2N2-matrices", "k2-coefficients", "k1-hecke"])
+def test_q_zero_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--q", "0")
+    assert code == 2 and out == ""
+    assert err == "error: q must be nonzero\n"
+
+
+def test_verify_ybe_over_strand_bound_exits_2(capsys, monkeypatch):
+    # the word chains start above the default bound of 9 strands
+    monkeypatch.delenv("FUSED_HECKE_MAX_STRANDS", raising=False)
+    code, out, err = run(capsys, "verify-ybe", "--k", "4", "--n", "3", "--q", "2",
+                         "--u", "3/5", "--v", "2/7")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exceeds the bound 9" in err
+    assert len(err.splitlines()) == 1

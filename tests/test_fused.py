@@ -9,6 +9,7 @@ from fusedhecke import (
     FusedContext,
     ParameterError,
     PoleError,
+    ResourceError,
     baxter_R_expansion,
     baxter_R_factorized,
     baxter_coefficients,
@@ -190,6 +191,21 @@ def test_coefficient_pole_names_factor():
     with pytest.raises(PoleError) as err:
         baxter_coefficients(2, 2, F(4), F(2))  # u = q^2
     assert "q^(-2*" in str(err.value)
+
+
+def test_baxter_coefficients_reject_q_zero():
+    with pytest.raises(ParameterError, match="nonzero"):
+        baxter_coefficients(2, 2, F(3, 5), 0)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_word_chains_check_the_strand_bound(monkeypatch, k):
+    # the chains start in word coordinates, not through HeckeElement
+    monkeypatch.delenv("FUSED_HECKE_MAX_STRANDS", raising=False)
+    with pytest.raises(ResourceError, match="exceeds the bound 9"):
+        verify_braided_ybe(FusedContext(k, 3, F(2)), F(3, 5), F(2, 7), method="fast")
+    with pytest.raises(ResourceError, match="exceeds the bound 9"):
+        verify_classical_ybe(k, 3, F(7, 2), F(9, 4), method="fast")
 
 
 def test_classical_coefficients():

@@ -21,6 +21,7 @@ from fusedhecke import (
     symmetriser_sum,
     unit,
 )
+from fusedhecke import hecke
 from fusedhecke.hecke import (
     basis_element,
     mul_symmetriser_right,
@@ -35,6 +36,7 @@ from fusedhecke.permutations import (
     length,
     simple_transposition,
 )
+import oracles
 from oracles import mul_element_right
 
 QS = [F(2), F(3, 2), F(5, 3)]
@@ -159,6 +161,65 @@ def test_multiply_random_associativity():
             elems.append(HeckeElement(4, q, terms))
         a, b, c = elems
         assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
+ORACLE_QS = [F(2), F(3, 2), F(7, 5), F(-5, 7), F(1), F(-1)]
+
+
+def _random_element(rng, m, q, keys):
+    return HeckeElement(m, q, {w: F(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+                               for w in keys})
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_multiply_matches_oracle(m):
+    """The suffix-sharing, scaled-integer product against the one-term-at-a-
+    time Fraction fold: sparse, zero, single-term and full-support factors."""
+    rng = random.Random(100 + m)
+    perms = all_permutations(m)
+    few = min(len(perms), 12)
+    for q in ORACLE_QS:
+        def sample(n):
+            return _random_element(rng, m, q, rng.sample(perms, n))
+
+        pairs = [(zero(m, q), sample(few)), (sample(few), zero(m, q)),
+                 (sample(1), sample(few)), (sample(few), sample(1)),
+                 (sample(1), sample(1)), (sample(few), sample(few)),
+                 (sample(rng.randint(1, few)), sample(rng.randint(1, few)))]
+        if m <= 5:
+            full = _random_element(rng, m, q, perms)
+            pairs += [(full, sample(few)), (sample(few), full)]
+        if m <= 4:
+            pairs.append((full, _random_element(rng, m, q, perms)))
+        for a, b in pairs:
+            got, want = multiply(a, b), oracles.multiply(a, b)
+            assert type(got.terms) is dict
+            assert got.terms == want.terms, (m, q)
+            assert all(type(c) is F for c in got.terms.values())
+
+
+def test_multiply_takes_one_pass_per_distinct_suffix(monkeypatch):
+    """The full element of S_4 takes one left_mul_generator pass per distinct
+    suffix of the canonical reduced words, not one per letter."""
+    q = F(3, 2)
+    perms = all_permutations(4)
+    full = HeckeElement(4, q, {w: F(1) for w in perms})
+    calls = {"left": 0, "word": 0}
+    left, word = hecke.left_mul_generator, hecke.reduced_word
+
+    def counted(name, f):
+        def g(*args):
+            calls[name] += 1
+            return f(*args)
+        return g
+
+    monkeypatch.setattr(hecke, "left_mul_generator", counted("left", left))
+    monkeypatch.setattr(hecke, "reduced_word", counted("word", word))
+    got = multiply(full, generator(2, 4, q))
+    suffixes = {reduced_word(w)[t:] for w in perms for t in range(length(w))}
+    assert calls == {"left": len(suffixes), "word": len(perms)}
+    assert len(suffixes) < sum(length(w) for w in perms)
+    assert got == oracles.multiply(full, generator(2, 4, q))
 
 
 def test_multiply_mismatch_errors():

@@ -192,6 +192,13 @@ def test_w_basis_columns_are_read_only():
     assert w_basis(2, 2, F(2)).columns[1][(1, 2)] == F(2) / (F(2) + F(1, 2))
 
 
+def test_q_zero_raises():
+    with pytest.raises(ParameterError, match="nonzero"):
+        fused_R_matrix(2, 2, F(3, 5), 0)
+    with pytest.raises(ParameterError, match="nonzero"):
+        verify_matrix_ybe(1, 2, F(3, 5), F(7, 11), 0)
+
+
 def test_w_basis_degenerate_raises(monkeypatch):
     # a vanishing symmetriser pass leaves every column empty; q = 11/5 is
     # used by no other test, so the cache cannot hand back an earlier basis
