@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -30,13 +31,32 @@ DEFAULT_Q = "2"
 DEFAULT_U = "3/7"
 DEFAULT_V = "5/9"
 
+# argparse reads a value such as -5/7 as an option string (it takes only
+# -5 and -1.5 for negative numbers), so main() glues it to the option before
+_RATIONAL_OPTIONS = ("--q", "--u", "--v", "--mu", "--nu", "--a")
+_NEGATIVE_RATIONAL = re.compile(r"-\d+/\d+")
+
+
+def _join_negative_rationals(argv: list[str]) -> list[str]:
+    """["--q", "-5/7"] -> ["--q=-5/7"] for the rational options."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and _NEGATIVE_RATIONAL.fullmatch(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
 
 def _emit(text: str, output: str | None):
     if output in (None, "-"):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise FusedHeckeError(f"cannot write --output {output}: {exc.strerror or exc}") from None
 
 
 def _fail_diff(diff):
@@ -330,7 +350,9 @@ def _cmd_reproduce(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser().parse_args(_join_negative_rationals(argv))
     handlers = {
         "qnum": _cmd_qnum,
         "compute-r": _cmd_compute_r,

@@ -498,9 +498,9 @@ def _verify_ybe(ctx: FusedContext, u, v, i: int, method: str, bax: _Baxterisatio
     u, v = as_fraction(u), as_fraction(v)
     if not 1 <= i <= ctx.n - 2:
         raise DomainError("need 1 <= i <= n-2 for the braided relation")
+    # the relation lives in H_{nk}: bound that, not the first chain's H_{2k}
+    _check_strands(ctx.strands)
     w = bax.middle(u, v)
-    if method == "auto":
-        method = "direct" if ctx.strands <= 6 else "fast"
     if method == "direct":
         r = lambda j, arg: _expand(_expansion(ctx, j, arg, bax))
         lhs = multiply(multiply(r(i, u), r(i + 1, w)), r(i, v))
@@ -529,10 +529,15 @@ def verify_braided_ybe(ctx: FusedContext, u, v, i: int = 1, method: str = "auto"
     """Exact check of R_i(u) R_{i+1}(uv) R_i(v) = R_{i+1}(v) R_i(uv) R_{i+1}(u)
     for the baxterised elements in the context's algebra.
 
-    method "direct" multiplies the three expanded elements; "fast" applies
-    the factorised chains for the second and third factor (after asserting
-    the factorised/expanded equivalence at the three spectral arguments);
-    "auto" picks "direct" up to 6 strands.
+    method "fast" (also what "auto" means, at every size) applies the
+    factorised chains for the second and third factor to the expanded first
+    one in block-word coordinates, after asserting the factorised/expanded
+    equivalence at the three spectral arguments; "direct" multiplies the
+    three expanded elements in the standard basis of H_{nk}, an independent
+    oracle for "fast".  The strand count nk is checked against the bound
+    before any chain starts.  Where a grid factor has a pole that the
+    projectors cancel (u, v or uv = q^(-2s) with 0 < s < k), "fast" raises
+    PoleError and only "direct" decides the relation.
     """
     return _verify_ybe(ctx, u, v, i, method, _multiplicative(ctx.q))
 
@@ -638,6 +643,9 @@ def verify_classical_ybe(k: int, n: int, mu, nu, i: int = 1, method: str = "auto
     """Exact check of the additive braided relation at q = 1:
 
         R_i(mu) R_{i+1}(mu+nu) R_i(nu) = R_{i+1}(nu) R_i(mu+nu) R_{i+1}(mu).
+
+    The methods are those of verify_braided_ybe: "auto" is "fast", the word
+    chain, and "direct" the standard-basis product.
     """
     return _verify_ybe(FusedContext(k, n, Fraction(1)), mu, nu, i, method, _ADDITIVE)
 

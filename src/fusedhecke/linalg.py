@@ -6,17 +6,21 @@ The library only builds and compares matrices: the R-matrices act on
 W^(tensor 3) through their sparse columns (see tensorrep), so the dense
 product, which skips zero entries of its left factor, serves the checks
 that multiply whole matrices.
+
+numpy is imported inside the functions that build an array (fmat, zeros,
+matmul), so a process that builds no matrix never loads it; the comparisons
+only call methods of the arrays they are given.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 
 def fmat(rows) -> np.ndarray:
     """Build an exact matrix from nested sequences."""
+    import numpy as np
+
     a = np.empty((len(rows), len(rows[0])), dtype=object)
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
@@ -25,11 +29,15 @@ def fmat(rows) -> np.ndarray:
 
 
 def zeros(r: int, c: int) -> np.ndarray:
+    import numpy as np
+
     return np.zeros((r, c), dtype=object)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product, row oriented, skipping zero entries of the left factor."""
+    import numpy as np
+
     n, m = a.shape
     m2, p = b.shape
     if m != m2:

@@ -18,7 +18,9 @@ They keep the weight (letter multiset) of a basis tensor, so they are sparse:
 the R-matrices are assembled only on their joint support, and the matrix
 Yang-Baxter equation applies R to W^(tensor 3) one basis vector at a time
 through R's sparse columns.  All matrices are numpy object arrays over exact
-rationals.
+rationals; numpy is imported only by the functions that build or read one
+(sigma_matrix, _sigma_entries, _R_matrix), so importing this module does not
+load it.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from types import MappingProxyType
-
-import numpy as np
 
 from . import linalg
 from .errors import DomainError, InternalConsistencyError, ParameterError, ResourceError
@@ -136,6 +136,8 @@ def sigma_matrix(k: int, p: int, N: int, q) -> np.ndarray:
     that the image holds; raises if the image minus that combination is not
     zero, which no admissible parameter can trigger.
     """
+    import numpy as np
+
     q = as_fraction(q)
     _check_fusion_args(k, N)
     if not 0 <= p <= k:
@@ -175,6 +177,8 @@ def sigma_matrix(k: int, p: int, N: int, q) -> np.ndarray:
 def _sigma_entries(k: int, N: int, q) -> tuple:
     """(r, c, (sigma_0[r, c], ..., sigma_k[r, c])) for every entry (r, c),
     in row-major order, at which some sigma_matrix(k, p, N, q) is nonzero."""
+    import numpy as np
+
     sigmas = [sigma_matrix(k, p, N, q) for p in range(k + 1)]
     rows, cols = np.any([s != 0 for s in sigmas], axis=0).nonzero()
     return tuple(
@@ -198,6 +202,8 @@ def _R_columns(k: int, N: int, arg, bax: _Baxterisation) -> list:
 def _R_matrix(k: int, N: int, arg, bax: _Baxterisation) -> np.ndarray:
     """sum_p coefficient_p(arg) * sigma_matrix(p) on W tensor W, as a dense
     matrix filled at its sparse columns."""
+    import numpy as np
+
     cols = _R_columns(k, N, arg, bax)
     out = np.full((len(cols), len(cols)), Fraction(0), dtype=object)
     for c, col in enumerate(cols):

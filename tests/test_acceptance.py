@@ -78,6 +78,8 @@ def test_criterion_03_algebra_ybe():
         for q, u, v in TRIPLES:
             ctx = FusedContext(k, 3, q)
             assert verify_braided_ybe(ctx, u, v), (k, q, u, v)
+            # the standard-basis product stays an independent oracle
+            assert verify_braided_ybe(ctx, u, v, method="direct"), (k, q, u, v)
     _report(3, "braided YBE in the algebra for (k,n)=(1,3),(2,3)", t0)
 
 
@@ -148,6 +150,8 @@ def test_criterion_08_classical_limit():
     for k in (1, 2, 3):
         for mu, nu in CLASSICAL_POINTS:
             assert verify_classical_ybe(k, 3, mu, nu), (k, mu, nu)
+            if k <= 2:
+                assert verify_classical_ybe(k, 3, mu, nu, method="direct"), (k, mu, nu)
     # expansion and fused-product forms agree at q = 1
     for k in (1, 2, 3):
         for mu, _ in CLASSICAL_POINTS:

@@ -213,10 +213,44 @@ def test_q_zero_exits_2(capsys, argv):
 
 
 def test_verify_ybe_over_strand_bound_exits_2(capsys, monkeypatch):
-    # the word chains start above the default bound of 9 strands
+    # the relation lives in H_{3k}, above the default bound of 9 strands; the
+    # error names it, not the H_{2k} of the first chain
     monkeypatch.delenv("FUSED_HECKE_MAX_STRANDS", raising=False)
-    code, out, err = run(capsys, "verify-ybe", "--k", "4", "--n", "3", "--q", "2",
-                         "--u", "3/5", "--v", "2/7")
+    for k in (4, 5):
+        for form in ((), ("--classical",)):
+            code, out, err = run(capsys, "verify-ybe", "--k", str(k), "--n", "3", *form)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: {3 * k} strands exceeds the bound 9")
+            assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute-r", "--k", "2", "--N", "2", "--output", "{missing}/x.json"),
+    ("compute-sigma", "--k", "2", "--p", "1", "--output", "{dir}"),
+], ids=["missing-directory", "is-a-directory"])
+def test_unwritable_output_exits_2(capsys, tmp_path, argv):
+    argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "exceeds the bound 9" in err
+    assert err.startswith("error: cannot write --output")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-algebra", "--k", "2", "--n", "3", "--trials", "2", "--q", "-5/7"),
+    ("verify-ybe", "--k", "1", "--n", "3", "--q", "-5/7", "--u", "-2/3", "--v", "2/7"),
+    ("verify-ybe", "--k", "1", "--classical", "--mu", "-5/7", "--nu", "-2/3"),
+    ("compute-r", "--k", "1", "--N", "2", "--q", "3", "--u", "-5/7"),
+    ("qnum", "--fn", "pochhammer", "--a", "-5/7", "--p", "2", "--q", "-2/3"),
+], ids=["q", "u", "mu-nu", "compute-r-u", "a"])
+def test_negative_rational_after_an_option(capsys, argv):
+    # argparse alone reads a separate -5/7 as an option string
+    joined = []
+    for a in argv:
+        if a.startswith("-") and "/" in a:
+            joined[-1] += "=" + a
+        else:
+            joined.append(a)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and err == ""
+    assert run(capsys, *joined) == (code, out, err)

@@ -200,12 +200,15 @@ def test_baxter_coefficients_reject_q_zero():
 
 @pytest.mark.parametrize("k", [4, 5])
 def test_word_chains_check_the_strand_bound(monkeypatch, k):
-    # the chains start in word coordinates, not through HeckeElement
+    # the chains start in word coordinates, not through HeckeElement; the
+    # error names H_{3k}, where the relation lives, not the H_{2k} of the
+    # first chain
     monkeypatch.delenv("FUSED_HECKE_MAX_STRANDS", raising=False)
-    with pytest.raises(ResourceError, match="exceeds the bound 9"):
-        verify_braided_ybe(FusedContext(k, 3, F(2)), F(3, 5), F(2, 7), method="fast")
-    with pytest.raises(ResourceError, match="exceeds the bound 9"):
-        verify_classical_ybe(k, 3, F(7, 2), F(9, 4), method="fast")
+    for method in ("auto", "fast", "direct"):
+        with pytest.raises(ResourceError, match=f"^{3 * k} strands exceeds the bound 9"):
+            verify_braided_ybe(FusedContext(k, 3, F(2)), F(3, 5), F(2, 7), method=method)
+        with pytest.raises(ResourceError, match=f"^{3 * k} strands exceeds the bound 9"):
+            verify_classical_ybe(k, 3, F(7, 2), F(9, 4), method=method)
 
 
 def test_classical_coefficients():
@@ -278,6 +281,22 @@ def test_braided_ybe_k2_direct_and_fast_agree():
     u, v = F(3, 7), F(5, 9)
     assert verify_braided_ybe(ctx, u, v, method="direct")
     assert verify_braided_ybe(ctx, u, v, method="fast")
+
+
+@pytest.mark.parametrize("form", ["braided", "classical"])
+def test_ybe_at_a_pole_the_projectors_cancel(form):
+    # v = q^-2 (or nu = -1) is a pole of one grid factor sigma + c(v, 1) of the
+    # factorised R(v), but not of its expansion over the partial braidings:
+    # the word chain, which multiplies by the grid, refuses the point and the
+    # standard-basis product decides it
+    if form == "braided":
+        check = lambda method: verify_braided_ybe(
+            FusedContext(2, 3, F(2)), F(3, 5), F(1, 4), method=method)
+    else:
+        check = lambda method: verify_classical_ybe(2, 3, F(1, 2), F(-1), method=method)
+    assert check("direct")
+    with pytest.raises(PoleError, match="pole"):
+        check("auto")
 
 
 def test_braided_ybe_printed_variant_fails():
