@@ -32,16 +32,16 @@ DEFAULT_U = "3/7"
 DEFAULT_V = "5/9"
 
 # argparse reads a value such as -5/7 as an option string (it takes only
-# -5 and -1.5 for negative numbers), so main() glues it to the option before
-_RATIONAL_OPTIONS = ("--q", "--u", "--v", "--mu", "--nu", "--a")
+# -5 and -1.5 for negative numbers), so main() glues it to the option before;
+# no option is named like it, and none but the rational ones takes it as value
 _NEGATIVE_RATIONAL = re.compile(r"-\d+/\d+")
 
 
 def _join_negative_rationals(argv: list[str]) -> list[str]:
-    """["--q", "-5/7"] -> ["--q=-5/7"] for the rational options."""
+    """["--q", "-5/7"] -> ["--q=-5/7"]."""
     out = []
     for arg in argv:
-        if out and out[-1] in _RATIONAL_OPTIONS and _NEGATIVE_RATIONAL.fullmatch(arg):
+        if out and out[-1].startswith("--") and _NEGATIVE_RATIONAL.fullmatch(arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -283,20 +283,32 @@ def test_braided_ybe_k2_direct_and_fast_agree():
     assert verify_braided_ybe(ctx, u, v, method="fast")
 
 
-@pytest.mark.parametrize("form", ["braided", "classical"])
-def test_ybe_at_a_pole_the_projectors_cancel(form):
+@pytest.mark.parametrize("form,n,i", [("braided", 3, 1), ("braided", 4, 2), ("classical", 3, 1)])
+def test_ybe_at_a_pole_the_projectors_cancel(form, n, i):
     # v = q^-2 (or nu = -1) is a pole of one grid factor sigma + c(v, 1) of the
     # factorised R(v), but not of its expansion over the partial braidings:
-    # the word chain, which multiplies by the grid, refuses the point and the
-    # standard-basis product decides it
+    # the word chain multiplies by the expansion there and agrees with the
+    # standard-basis product
     if form == "braided":
         check = lambda method: verify_braided_ybe(
-            FusedContext(2, 3, F(2)), F(3, 5), F(1, 4), method=method)
+            FusedContext(2, n, F(2)), F(3, 5), F(1, 4), i, method=method)
     else:
-        check = lambda method: verify_classical_ybe(2, 3, F(1, 2), F(-1), method=method)
+        check = lambda method: verify_classical_ybe(2, n, F(1, 2), F(-1), i, method=method)
     assert check("direct")
-    with pytest.raises(PoleError, match="pole"):
-        check("auto")
+    assert check("auto") == check("fast") == check("direct")
+
+
+@pytest.mark.parametrize("form", ["braided", "classical"])
+def test_ybe_at_a_coefficient_pole_names_the_coefficient(form):
+    # u = q^2 (mu = 1) is a pole of R itself: every method reports the
+    # coefficient, not a grid factor
+    for method in ("auto", "fast", "direct"):
+        if form == "braided":
+            with pytest.raises(PoleError, match="^coefficient a_0"):
+                verify_braided_ybe(FusedContext(2, 3, F(2)), F(4), F(3, 5), method=method)
+        else:
+            with pytest.raises(ParameterError, match="^classical coefficient pole at mu = 1"):
+                verify_classical_ybe(2, 3, F(1), F(3, 5), method=method)
 
 
 def test_braided_ybe_printed_variant_fails():

@@ -1,6 +1,7 @@
 """numpy carries the dense matrices only: a process that builds none, the
 algebra side of the CLI included, never imports it."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -25,8 +26,9 @@ print(code, "numpy" in sys.modules)
 
 def _probe(*argv) -> str:
     """Exit code and whether numpy got loaded, in a fresh interpreter."""
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True,
-                          text=True, env={"PYTHONPATH": str(SRC)}, check=True, timeout=120)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True, timeout=120)
     return proc.stdout.strip()
 
 
