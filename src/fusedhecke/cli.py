@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -167,11 +168,12 @@ def _cmd_compute_r(args) -> int:
         obj["u"] = format_rational(u)
         _emit(json.dumps(obj, indent=2), args.output)
         return 0
-    mat = tensorrep.fused_R_matrix(args.k, args.N, u, q)
+    # the rows of fused_R_matrix(k, N, u, q), built without numpy
+    rows = tensorrep._rows(tensorrep._R_columns(args.k, args.N, u, fused._multiplicative(q)))
     if args.fmt == "csv":
-        _emit(tensorrep.matrix_to_csv(mat), args.output)
+        _emit(tensorrep.matrix_to_csv(rows), args.output)
     else:
-        _emit(json.dumps(tensorrep.matrix_to_obj(mat, args.k, args.N, q, u),
+        _emit(json.dumps(tensorrep.matrix_to_obj(rows, args.k, args.N, q, u),
                          indent=2), args.output)
     return 0
 
@@ -179,6 +181,8 @@ def _cmd_compute_r(args) -> int:
 def _cmd_compute_sigma(args) -> int:
     q = parse_rational(args.q)
     if args.N is None:
+        if args.n < 2:
+            raise FusedHeckeError(f"compute-sigma needs --n >= 2, got n={args.n}")
         ctx = FusedContext(args.k, args.n, q)
         x = fused.partial_braiding(ctx, args.i, args.p)
         if args.fmt != "json":
@@ -186,11 +190,12 @@ def _cmd_compute_sigma(args) -> int:
         _emit(json.dumps(fused.fused_element_to_obj(x, args.k, args.n), indent=2),
               args.output)
         return 0
-    mat = tensorrep.sigma_matrix(args.k, args.p, args.N, q)
+    # the rows of sigma_matrix(k, p, N, q), built without numpy
+    rows = tensorrep._rows(tensorrep._sigma_columns(args.k, args.p, args.N, q))
     if args.fmt == "csv":
-        _emit(tensorrep.matrix_to_csv(mat), args.output)
+        _emit(tensorrep.matrix_to_csv(rows), args.output)
     else:
-        _emit(json.dumps(tensorrep.matrix_to_obj(mat, args.k, args.N, q), indent=2),
+        _emit(json.dumps(tensorrep.matrix_to_obj(rows, args.k, args.N, q), indent=2),
               args.output)
     return 0
 
@@ -326,9 +331,8 @@ def _cmd_reproduce(args) -> int:
         return 0 if got == want else 1
     if example == "k2N2-matrices":
         # the library call goes first: it rejects a bad q with a message
-        got1 = tensorrep.sigma_matrix(2, 1, 2, q)
-        got2 = tensorrep.sigma_matrix(2, 2, 2, q)
-        want1, want2 = reference_data.reference_sigma_k2N2(q)
+        got1, got2 = (tensorrep._rows(tensorrep._sigma_columns(2, p, 2, q)) for p in (1, 2))
+        want1, want2 = reference_data._reference_sigma_k2N2_rows(q)
         ok = True
         for label, got, want in (("partial", got1, want1), ("full", got2, want2)):
             diff = linalg.first_matrix_diff(got, want)
@@ -369,7 +373,16 @@ def main(argv=None) -> int:
 
 
 def app():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so that the interpreter's last flush at exit reports nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write("error: standard output closed before all of it was written\n")
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,8 +8,9 @@ product, which skips zero entries of its left factor, serves the checks
 that multiply whole matrices.
 
 numpy is imported inside the functions that build an array (fmat, zeros,
-matmul), so a process that builds no matrix never loads it; the comparisons
-only call methods of the arrays they are given.
+matmul), so a process that builds no matrix never loads it; mat_equal only
+calls methods of the arrays it is given, and first_matrix_diff walks any two
+sequences of rows, so the CLI compares plain lists of Fractions with it.
 """
 
 from __future__ import annotations
@@ -58,13 +59,19 @@ def mat_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and bool((a == b).all())
 
 
-def first_matrix_diff(a: np.ndarray, b: np.ndarray):
-    """First differing entry (i, j, a[i,j], b[i,j]) in row-major order."""
-    if a.shape != b.shape:
-        return (-1, -1, a.shape, b.shape)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            if a[i, j] != b[i, j]:
-                return (i, j, a[i, j], b[i, j])
+def first_matrix_diff(a, b):
+    """First differing entry (i, j, a[i][j], b[i][j]) in row-major order of
+    two matrices given as sequences of rows (numpy arrays among them), or
+    (-1, -1, shape of a, shape of b) if their shapes differ."""
+    shape_a, shape_b = _shape(a), _shape(b)
+    if shape_a != shape_b:
+        return (-1, -1, shape_a, shape_b)
+    for i, (row_a, row_b) in enumerate(zip(a, b)):
+        for j, (x, y) in enumerate(zip(row_a, row_b)):
+            if x != y:
+                return (i, j, x, y)
     return None
 
+
+def _shape(rows) -> tuple:
+    return (len(rows), len(rows[0]) if len(rows) else 0)

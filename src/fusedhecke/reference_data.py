@@ -4,7 +4,9 @@ acceptance suite: the two 9x9 partial-braiding matrices for k = 2, N = 2
 coefficients, and the coefficients of the two-ellipse worked product.
 
 These are transcriptions entered by hand, independent of the computation
-paths they certify.
+paths they certify.  The matrices are entered as rows of Fractions, which
+the `reproduce-paper` command compares without numpy; reference_sigma_k2N2
+returns them as numpy object arrays.
 """
 
 from __future__ import annotations
@@ -17,6 +19,11 @@ from .qnumbers import as_fraction
 
 def reference_sigma_k2N2(q):
     """The pair (partial, full) of 9x9 crossing matrices for k=2, N=2."""
+    return tuple(linalg.fmat(rows) for rows in _reference_sigma_k2N2_rows(q))
+
+
+def _reference_sigma_k2N2_rows(q):
+    """reference_sigma_k2N2 as two lists of rows of Fractions."""
     q = as_fraction(q)
     lam = q - 1 / q
     tq = q + 1 / q
@@ -43,7 +50,7 @@ def reference_sigma_k2N2(q):
         [o, o, o, o, o, q**2, o, o, o],
         [o, o, o, o, o, o, o, o, q**4],
     ]
-    return linalg.fmat(m1), linalg.fmat(m2)
+    return tuple([[Fraction(v) for v in row] for row in m] for m in (m1, m2))
 
 
 def reference_coefficients_k1(u, q):

@@ -15,11 +15,12 @@ rearrangements of its own tensor t_a, and w_a tensor w_b is the one basis
 vector of W tensor W with a term at
 t_a + t_b: the braiding operators on W tensor W are read off at those keys.
 They keep the weight (letter multiset) of a basis tensor, so they are sparse:
-the R-matrices are assembled only on their joint support, and the matrix
-Yang-Baxter equation applies R to W^(tensor 3) one basis vector at a time
-through R's sparse columns.  All matrices are numpy object arrays over exact
-rationals; numpy is imported only by the functions that build or read one
-(sigma_matrix, _sigma_entries, _R_matrix), so importing this module does not
+each sigma_p is built once as sparse columns, the R-matrices are assembled
+only on their joint support, and the matrix Yang-Baxter equation applies R
+to W^(tensor 3) one basis vector at a time through R's sparse columns.  The
+public matrices are numpy object arrays over exact rationals, filled from
+those columns; numpy is imported only where one is built (_dense), so
+importing this module, the matrix YBE and the serialisation of rows do not
 load it.
 """
 
@@ -125,9 +126,10 @@ def w_basis(k: int, N: int, q) -> WBasis:
 
 
 @lru_cache(maxsize=None)
-def sigma_matrix(k: int, p: int, N: int, q) -> np.ndarray:
-    """Matrix of the order-p partial braiding on W tensor W, in the basis
-    w_a tensor w_b ordered lexicographically.
+def _sigma_columns(k: int, p: int, N: int, q) -> tuple:
+    """The order-p partial braiding on W tensor W, in the basis w_a tensor
+    w_b ordered lexicographically, as one tuple of (row, value) pairs per
+    column, rows ascending, zeros left out.
 
     Computed by applying the braiding word and then the symmetrisers to each
     w_a tensor w_b on V^(tensor 2k) (the leading symmetrisers fix it), in
@@ -136,8 +138,6 @@ def sigma_matrix(k: int, p: int, N: int, q) -> np.ndarray:
     that the image holds; raises if the image minus that combination is not
     zero, which no admissible parameter can trigger.
     """
-    import numpy as np
-
     q = as_fraction(q)
     _check_fusion_args(k, N)
     if not 0 <= p <= k:
@@ -154,21 +154,55 @@ def sigma_matrix(k: int, p: int, N: int, q) -> np.ndarray:
     tensors = [_flip(t, N) for t in wb.indices]
     index_of = {ta + tb: r for r, (ta, tb) in enumerate(itertools.product(tensors, repeat=2))}
     word = braiding_word(k, k, p)
-    mat = np.full((len(basis), len(basis)), Fraction(0), dtype=object)
-    for c, vec in enumerate(basis):
+    out = []
+    for vec in basis:
         nums, den = _scaled(vec)
         for a in reversed(word):  # the operator sigma_word applies its last letter first
             nums, den = _scaled_generator(nums, den, a, q)
         nums, den = _scaled_symmetriser(nums, den, 1, k, q)
         img = _unscaled(*_scaled_symmetriser(nums, den, k + 1, 2 * k, q))
+        col = []
         for key, r in [(key, index_of[key]) for key in img if key in index_of]:
             w = basis[r]
-            mat[r, c] = coord = img[key] / w[key]
+            coord = img[key] / w[key]
+            col.append((r, coord))
             _accumulate(img, ((t, -coord * v) for t, v in w.items()))
         if img:
             raise InternalConsistencyError(
                 f"sigma_matrix image leaves W tensor W for k={k}, p={p}, N={N}, q={q}"
             )
+        out.append(tuple(sorted(col)))
+    return tuple(out)
+
+
+def _rows(cols) -> list:
+    """The rows, lists of Fractions, of the square matrix with the given
+    sparse columns."""
+    zero = Fraction(0)
+    rows = [[zero] * len(cols) for _ in cols]
+    for c, col in enumerate(cols):
+        for r, val in col:
+            rows[r][c] = val
+    return rows
+
+
+def _dense(cols) -> np.ndarray:
+    """The square numpy object array with the given sparse columns; it
+    holds their Fraction objects."""
+    import numpy as np
+
+    out = np.full((len(cols), len(cols)), Fraction(0), dtype=object)
+    for c, col in enumerate(cols):
+        for r, val in col:
+            out[r, c] = val
+    return out
+
+
+@lru_cache(maxsize=None)
+def sigma_matrix(k: int, p: int, N: int, q) -> np.ndarray:
+    """Matrix of the order-p partial braiding on W tensor W, in the basis
+    w_a tensor w_b ordered lexicographically (read-only)."""
+    mat = _dense(_sigma_columns(k, p, N, as_fraction(q)))
     mat.setflags(write=False)
     return mat
 
@@ -177,13 +211,13 @@ def sigma_matrix(k: int, p: int, N: int, q) -> np.ndarray:
 def _sigma_entries(k: int, N: int, q) -> tuple:
     """(r, c, (sigma_0[r, c], ..., sigma_k[r, c])) for every entry (r, c),
     in row-major order, at which some sigma_matrix(k, p, N, q) is nonzero."""
-    import numpy as np
-
-    sigmas = [sigma_matrix(k, p, N, q) for p in range(k + 1)]
-    rows, cols = np.any([s != 0 for s in sigmas], axis=0).nonzero()
-    return tuple(
-        (int(r), int(c), tuple(s[r, c] for s in sigmas)) for r, c in zip(rows, cols)
-    )
+    zero = Fraction(0)
+    entries = {}
+    for p in range(k + 1):
+        for c, col in enumerate(_sigma_columns(k, p, N, q)):
+            for r, val in col:
+                entries.setdefault((r, c), [zero] * (k + 1))[p] = val
+    return tuple((r, c, tuple(sig)) for (r, c), sig in sorted(entries.items()))
 
 
 def _R_columns(k: int, N: int, arg, bax: _Baxterisation) -> list:
@@ -202,14 +236,7 @@ def _R_columns(k: int, N: int, arg, bax: _Baxterisation) -> list:
 def _R_matrix(k: int, N: int, arg, bax: _Baxterisation) -> np.ndarray:
     """sum_p coefficient_p(arg) * sigma_matrix(p) on W tensor W, as a dense
     matrix filled at its sparse columns."""
-    import numpy as np
-
-    cols = _R_columns(k, N, arg, bax)
-    out = np.full((len(cols), len(cols)), Fraction(0), dtype=object)
-    for c, col in enumerate(cols):
-        for r, val in col:
-            out[r, c] = val
-    return out
+    return _dense(_R_columns(k, N, arg, bax))
 
 
 def fused_R_matrix(k: int, N: int, u, q) -> np.ndarray:
@@ -275,15 +302,14 @@ def verify_matrix_ybe(k: int, N: int, u, v, q) -> VerifyResult:
 # -- serialization ---------------------------------------------------------------
 
 
-def matrix_to_obj(mat: np.ndarray, k: int, N: int, q, u=None) -> dict:
+def matrix_to_obj(mat, k: int, N: int, q, u=None) -> dict:
+    """A square matrix, given as any sequence of rows, in the JSON form."""
     obj = {
         "k": k,
         "N": N,
         "q": format_rational(as_fraction(q)),
-        "dim": int(mat.shape[0]),
-        "matrix": [
-            [format_rational(Fraction(v)) for v in row] for row in mat
-        ],
+        "dim": len(mat),
+        "matrix": [[format_rational(v) for v in row] for row in mat],
     }
     if u is not None:
         obj["u"] = format_rational(as_fraction(u))
@@ -294,6 +320,7 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
     return linalg.fmat([[Fraction(v) for v in row] for row in obj["matrix"]])
 
 
-def matrix_to_csv(mat: np.ndarray) -> str:
-    lines = [",".join(format_rational(Fraction(v)) for v in row) for row in mat]
+def matrix_to_csv(mat) -> str:
+    """A matrix, given as any sequence of rows, one CSV line per row."""
+    lines = [",".join(format_rational(v) for v in row) for row in mat]
     return "\n".join(lines) + "\n"

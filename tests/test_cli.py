@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from fusedhecke import element_from_obj, fused_R_matrix, linalg
+from fusedhecke import element_from_obj, fused_R_matrix, linalg, reference_data, sigma_matrix
 from fusedhecke.cli import main
 from fusedhecke.fused import VerifyResult
 from fusedhecke.tensorrep import matrix_from_obj
@@ -169,6 +173,72 @@ def test_verify_algebra_bad_k_or_n_exits_2(capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "--k >= 1 and --n >= 2" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_compute_sigma_element_bad_n_exits_2(capsys, n):
+    # the element lives on n ellipses; the default --i = 1 needs two of them
+    code, out, err = run(capsys, "compute-sigma", "--k", "2", "--p", "1", "--n", n)
+    assert code == 2 and out == ""
+    assert err == f"error: compute-sigma needs --n >= 2, got n={n}\n"
+
+
+def test_reproduce_k2N2_reports_a_perturbed_reference_entry(capsys, monkeypatch):
+    code, out, _ = run(capsys, "reproduce-paper", "--example", "k2N2", "--q", "2")
+    assert code == 0 and out.count("all 81 entries match") == 2
+    rows = reference_data._reference_sigma_k2N2_rows
+
+    def perturbed(q):
+        partial, full = rows(q)
+        full[2][4] += 1
+        return partial, full
+
+    monkeypatch.setattr(reference_data, "_reference_sigma_k2N2_rows", perturbed)
+    code, out, _ = run(capsys, "reproduce-paper", "--example", "k2N2", "--q", "2")
+    computed = sigma_matrix(2, 2, 2, F(2))[2, 4]
+    assert code == 1
+    assert out.count("all 81 entries match") == 1
+    assert f"full crossing matrix: first mismatch {(2, 4, computed, computed + 1)}\n" in out
+
+
+def _cli_process(*argv, unbuffered=False, **kwargs):
+    """`python -m fusedhecke.cli ARGV` in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "fusedhecke.cli", *argv],
+                            stderr=subprocess.PIPE, env=env, **kwargs)
+
+
+CLOSED_STDOUT = "error: standard output closed before all of it was written\n"
+
+
+def test_stdout_closed_after_the_first_line_exits_2():
+    # 113 kB of JSON: more than the pipe holds, so the writer is still
+    # writing when the reader closes its end
+    proc = _cli_process("compute-r", "--k", "2", "--N", "4", stdout=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 2
+    assert first == b"{\n"
+    assert err == CLOSED_STDOUT
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_closed_before_verify_algebra_prints_exits_2(unbuffered):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_process("verify-algebra", "--k", "2", "--n", "3", "--q", "2", "--trials", "2",
+                            unbuffered=unbuffered, stdout=write)
+    finally:
+        os.close(write)
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 2
+    assert err == CLOSED_STDOUT
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2"])

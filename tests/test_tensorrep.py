@@ -392,3 +392,21 @@ def test_sigma_matrix_is_read_only():
     with pytest.raises(ValueError):
         sigma_matrix(2, 1, 2, F(2))[0, 0] = 99
     assert linalg.mat_equal(sigma_matrix(2, 1, 2, F(2)), want)
+
+
+@pytest.mark.parametrize("q", [F(2), F(3, 2), F(1), F(-1)], ids=["2", "3/2", "1", "-1"])
+@pytest.mark.parametrize("k, N", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
+def test_sparse_columns_agree_with_the_dense_matrices(k, N, q):
+    # the CLI prints the rows of the columns; the public functions fill
+    # numpy arrays from the same columns
+    u = F(3, 7)
+    for p in range(k + 1):
+        rows = tensorrep._rows(tensorrep._sigma_columns(k, p, N, q))
+        assert rows == sigma_matrix(k, p, N, q).tolist()
+    rows = tensorrep._rows(tensorrep._R_columns(k, N, u, _multiplicative(q)))
+    assert rows == fused_R_matrix(k, N, u, q).tolist()
+    sigmas = [sigma_matrix(k, p, N, q) for p in range(k + 1)]
+    scan = np.any([s != 0 for s in sigmas], axis=0).nonzero()
+    assert tensorrep._sigma_entries(k, N, q) == tuple(
+        (int(r), int(c), tuple(s[r, c] for s in sigmas)) for r, c in zip(*scan)
+    )
