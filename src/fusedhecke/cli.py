@@ -51,7 +51,18 @@ def _join_negative_rationals(argv: list[str]) -> list[str]:
 
 def _emit(text: str, output: str | None):
     if output in (None, "-"):
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        text = text if text.endswith("\n") else text + "\n"
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:  # a text-only stream, such as io.StringIO
+            sys.stdout.write(text)
+            return
+        # an unbuffered stdout hands the bytes to one raw write, which may
+        # write fewer of them when the reader closes mid-write; write the
+        # rest until done, so that a closed pipe raises BrokenPipeError
+        sys.stdout.flush()
+        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[buffer.write(data):]
         return
     try:
         with open(output, "w", encoding="utf-8") as fh:

@@ -39,7 +39,6 @@ from .hecke import (
     _raw,
     _r_check_constant,
     element_to_obj,
-    mul_r_check_right,
     mul_symmetriser_right,
     multiply,
     right_mul_generator,
@@ -259,6 +258,16 @@ def braiding_word(k: int, ell: int, p: int) -> tuple[int, ...]:
     return tuple(word)
 
 
+def _braid_right(x: HeckeElement, k: int, ell: int, offset: int, p: int) -> HeckeElement:
+    """x * (the (k, ell; p) braiding word at the strand offset) * P^(ell,k) on
+    the two blocks there.  For x = x P^(k,ell) on those blocks this is x times
+    the partial braiding; blocks the word does not touch stay projected."""
+    for a in braiding_word(k, ell, p):
+        x = right_mul_generator(x, offset + a)
+    end = offset + k + ell
+    return _mul_projector_right(x, [(offset + 1, offset + ell), (offset + ell + 1, end)])
+
+
 @lru_cache(maxsize=None)
 def _partial_braiding_words(ctx: FusedContext, i: int, p: int) -> HeckeElement:
     """partial_braiding in word coordinates, read-only."""
@@ -269,10 +278,7 @@ def _partial_braiding_words(ctx: FusedContext, i: int, p: int) -> HeckeElement:
     if not 1 <= i <= ctx.n - 1:
         raise DomainError(f"ellipse index i={i} out of range 1..{ctx.n - 1}")
     x = _start(ctx.strands, ctx.q, ctx.blocks())
-    off = (i - 1) * ctx.k
-    for a in braiding_word(ctx.k, ctx.k, p):
-        x = right_mul_generator(x, off + a)
-    return _frozen(_mul_projector_right(x, ctx.blocks()))
+    return _frozen(_braid_right(x, ctx.k, ctx.k, (i - 1) * ctx.k, p))
 
 
 @lru_cache(maxsize=None)
@@ -295,11 +301,8 @@ def partial_braiding_mixed(k: int, ell: int, p: int, q) -> HeckeElement:
         return partial_braiding(FusedContext(k, 2, q), 1, p)
     if not 0 <= p <= k:
         raise DomainError(f"braiding order p={p} out of range 0..{k}")
-    m = k + ell
-    x = _start(m, q, [(1, k), (k + 1, m)])
-    for a in braiding_word(k, ell, p):
-        x = right_mul_generator(x, a)
-    return _frozen(_expand(_mul_projector_right(x, [(1, ell), (ell + 1, m)])))
+    x = _start(k + ell, q, [(1, k), (k + 1, k + ell)])
+    return _frozen(_expand(_braid_right(x, k, ell, 0, p)))
 
 
 # -- baxterisation coefficients ------------------------------------------------
@@ -430,21 +433,22 @@ def _mul_grid_right(x: HeckeElement, k: int, ell: int, arg, offset: int,
         prod_{a=k..1} prod_{t=0..ell-1} (sigma_{offset+a+t} + c(arg, t+1-a)),
 
     the outer factors ordered right to left as the row index a increases;
-    c(u, s) = -(q - 1/q)/(1 - u q^{2s}), or 1/(mu + s) at q = 1.
+    c(u, s) = -(q - 1/q)/(1 - u q^{2s}), or 1/(mu + s) at q = 1; then by
+    P^(ell,k) on the two blocks at the offset.  For x = x P^(k,ell) there
+    this is x * R^(k,ell)(arg) in its factorised form.
     """
     for a in range(k, 0, -1):
         for t in range(ell):
             x = _mul_affine_right(x, offset + a + t, bax.constant(arg, t + 1 - a))
-    return x
+    end = offset + k + ell
+    return _mul_projector_right(x, [(offset + 1, offset + ell), (offset + ell + 1, end)])
 
 
 def _factorised(k: int, ell: int, arg, bax: _Baxterisation) -> HeckeElement:
     """P^(k,ell) * (grid of k*ell baxterised generators) * P^(ell,k), in word
     coordinates."""
-    m = k + ell
-    x = _start(m, bax.q, [(1, k), (k + 1, m)])
-    x = _mul_grid_right(x, k, ell, arg, 0, bax)
-    return _mul_projector_right(x, [(1, ell), (ell + 1, m)])
+    x = _start(k + ell, bax.q, [(1, k), (k + 1, k + ell)])
+    return _mul_grid_right(x, k, ell, arg, 0, bax)
 
 
 def baxter_R_factorized(k: int, ell: int, u, q) -> HeckeElement:
@@ -453,69 +457,7 @@ def baxter_R_factorized(k: int, ell: int, u, q) -> HeckeElement:
     return _expand(_factorised(k, ell, as_fraction(u), _multiplicative(q)))
 
 
-def baxter_R_one_sided(k: int, u, q) -> HeckeElement:
-    """One-projector form in H_{2k}(q): P^(k) followed by the reversed-argument
-    grid, no trailing projector (the element commutes with P^(k))."""
-    q = as_fraction(q)
-    u = as_fraction(u)
-    ctx = FusedContext(k, 2, q)
-    x = projector_P(ctx)
-    for a in range(k, 0, -1):
-        for t in range(k):
-            x = mul_r_check_right(x, a + t, u * q ** (2 * (a - 1 - t)))
-    return x
-
-
-def _mul_mixed_R_right(x: HeckeElement, k: int, ell: int, u, offset: int):
-    """x * (embedded fused R^(k,ell)(u) at the given strand offset), all four
-    symmetriser blocks applied explicitly."""
-    end = offset + k + ell
-    x = _mul_projector_right(x, [(offset + 1, offset + k), (offset + k + 1, end)])
-    x = _mul_grid_right(x, k, ell, u, offset, _multiplicative(x.q))
-    return _mul_projector_right(x, [(offset + 1, offset + ell), (offset + ell + 1, end)])
-
-
 # -- Yang-Baxter verification ----------------------------------------------------
-
-
-def _assert_lemma_equivalence(k: int, args, bax: _Baxterisation):
-    """Exact check that the factorised and expanded forms agree at the given
-    spectral arguments; the fast verification chains rely on it."""
-    ctx = FusedContext(k, 2, bax.q)
-    for arg in args:
-        if _factorised(k, k, arg, bax) != _expansion(ctx, 1, arg, bax):
-            raise ParameterError(
-                f"factorised/expanded forms disagree at k={k}, argument {arg}, "
-                f"q={bax.q}"
-            )
-
-
-def _grid_finite(k: int, arg, bax: _Baxterisation) -> bool:
-    """False where a factor of the k x k grid has a pole.  Past the
-    coefficient poles these are the arguments q^(-2s), or -s at q = 1, with
-    0 < s < k: the projectors cancel them, so R(arg) is defined and only its
-    factorised form is not."""
-    try:
-        for s in range(1 - k, k):
-            bax.constant(arg, s)
-    except PoleError:
-        return False
-    return True
-
-
-def _mul_expansion_right(x: HeckeElement, ctx: FusedContext, j: int, arg,
-                         bax: _Baxterisation) -> HeckeElement:
-    """x * R_j(arg) = sum_p a_p(arg) x (braiding word p) P for x = x P, in
-    word coordinates."""
-    out: dict = {}
-    off = (j - 1) * ctx.k
-    for p, a in enumerate(bax.coefficients(ctx.k, arg)):
-        y = x
-        for g in braiding_word(ctx.k, ctx.k, p):
-            y = right_mul_generator(y, off + g)
-        y = _mul_projector_right(y, ctx.blocks())
-        _accumulate(out, ((w, a * c) for w, c in y.terms.items()))
-    return _raw(ctx.strands, ctx.q, out)
 
 
 def _verify_ybe(ctx: FusedContext, u, v, i: int, method: str, bax: _Baxterisation):
@@ -529,34 +471,30 @@ def _verify_ybe(ctx: FusedContext, u, v, i: int, method: str, bax: _Baxterisatio
     # the relation lives in H_{nk}: bound that, not the first chain's H_{2k}
     _check_strands(ctx.strands)
     w = bax.middle(u, v)
-    # a coefficient pole is a pole of R itself: report it before any grid's,
+    # a coefficient pole is a pole of R itself: report it before any product,
     # and compute each argument's coefficients once
     coefficients = {arg: bax.coefficients(ctx.k, arg) for arg in (u, w, v)}
-    bax = bax._replace(coefficients=lambda k, arg: coefficients[arg])
     if method == "direct":
+        bax = bax._replace(coefficients=lambda k, arg: coefficients[arg])
         r = lambda j, arg: _expand(_expansion(ctx, j, arg, bax))
         lhs = multiply(multiply(r(i, u), r(i + 1, w)), r(i, v))
         rhs = multiply(multiply(r(i + 1, v), r(i, w)), r(i + 1, u))
         return _verdict(lhs, rhs)
-    k = ctx.k
-    gridded = tuple(arg for arg in (u, w, v) if _grid_finite(k, arg, bax))
-    _assert_lemma_equivalence(k, gridded, bax)
     if not _projector_idempotent(ctx):
         raise InternalConsistencyError(f"projector not idempotent for {ctx}")
-    blocks = ctx.blocks()
+    k = ctx.k
 
-    # each factor is P (grid) P; the expansion elements and the chain tails
-    # end in a projector pass, so the leading P of the next factor is
-    # absorbed by the idempotence asserted above
+    # x * R_j(arg) = sum_p a_p(arg) x (braiding word p) P for x = x P
     def times_R(x, j, arg):
-        if arg not in gridded:
-            return _mul_expansion_right(x, ctx, j, arg, bax)
-        x = _mul_grid_right(x, k, k, arg, (j - 1) * k, bax)
-        return _mul_projector_right(x, blocks)
+        out: dict = {}
+        for p, a in enumerate(coefficients[arg]):
+            y = _braid_right(x, k, k, (j - 1) * k, p)
+            _accumulate(out, ((word, a * c) for word, c in y.terms.items()))
+        return _raw(ctx.strands, ctx.q, out)
 
-    r = lambda j, arg: _expansion(ctx, j, arg, bax)
-    lhs = times_R(times_R(r(i, u), i + 1, w), i, v)
-    rhs = times_R(times_R(r(i + 1, v), i, w), i + 1, u)
+    start = _start(ctx.strands, ctx.q, ctx.blocks())
+    lhs = times_R(times_R(times_R(start, i, u), i + 1, w), i, v)
+    rhs = times_R(times_R(times_R(start, i + 1, v), i, w), i + 1, u)
     return _word_verdict(lhs, rhs)
 
 
@@ -564,15 +502,18 @@ def verify_braided_ybe(ctx: FusedContext, u, v, i: int = 1, method: str = "auto"
     """Exact check of R_i(u) R_{i+1}(uv) R_i(v) = R_{i+1}(v) R_i(uv) R_{i+1}(u)
     for the baxterised elements in the context's algebra.
 
-    method "fast" (also what "auto" means, at every size) applies the
-    factorised chains for the second and third factor to the expanded first
-    one in block-word coordinates, after asserting the factorised/expanded
-    equivalence at the three spectral arguments; "direct" multiplies the
-    three expanded elements in the standard basis of H_{nk}, an independent
-    oracle for "fast".  The strand count nk is checked against the bound
-    before any chain starts.  Where a grid factor has a pole that the
-    projectors cancel (u, v or uv = q^(-2s) with 0 < s < k), "fast"
-    multiplies by the expansion at that argument instead of the grid.
+    Both methods multiply the expansions R_j(arg) = sum_p a_p(arg) (partial
+    braiding p at ellipse j).  Method "fast" (also what "auto" means, at
+    every size) runs each side in block-word coordinates from the projector
+    P, one braiding word and one projector pass on the two touched blocks
+    per term, and compares the words; "direct" multiplies the three
+    expanded elements in the standard basis of H_{nk}, an independent
+    oracle for "fast".  Both decide the same identity and report the same
+    Diff.  The strand count nk is checked against the bound before any
+    chain starts, and a pole of a coefficient a_p is reported before any
+    product is taken.  The factorised grid form of R is not used, so its
+    poles that the projectors cancel (u, v or uv = q^(-2s), 0 < s < k) are
+    ordinary points.
     """
     return _verify_ybe(ctx, u, v, i, method, _multiplicative(ctx.q))
 
@@ -581,24 +522,26 @@ def verify_mixed_ybe(k: int, l: int, m: int, u, v, q) -> VerifyResult:
     """Exact check of the mixed braided relation in H_{k+l+m}(q):
 
         R^(k,l)(u) R^(k,m)_[l+1..](uv) R^(l,m)(v)
-            = R^(l,m)_[k+1..](v) R^(k,m)(uv) R^(k,l)_[m+1..](u).
+            = R^(l,m)_[k+1..](v) R^(k,m)(uv) R^(k,l)_[m+1..](u),
+
+    each R^(a,b) the factorised P^(a,b) (grid) P^(b,a), the only form
+    defined for any order of the block sizes.  Both sides run in block-word
+    coordinates from the projector on blocks of k, l and m strands, which
+    already holds the leading P^(a,b) of every factor, and both end over the
+    projector on blocks of m, l and k strands, so their words are compared.
     """
-    q = as_fraction(q)
-    u, v = as_fraction(u), as_fraction(v)
+    if min(k, l, m) < 1:
+        raise ParameterError(f"mixed blocks need sizes of at least 1, got k={k}, l={l}, m={m}")
+    q, u, v = as_fraction(q), as_fraction(u), as_fraction(v)
     n = k + l + m
-    uv = u * v
-
-    lhs = _start(n, q, [(1, k), (k + 1, k + l)])
-    lhs = _mul_mixed_R_right(lhs, k, l, u, 0)
-    lhs = _mul_mixed_R_right(lhs, k, m, uv, l)
-    lhs = _mul_mixed_R_right(lhs, l, m, v, 0)
-
-    rhs = _start(n, q, [(k + 1, k + l), (k + l + 1, n)])
-    rhs = _mul_mixed_R_right(rhs, l, m, v, k)
-    rhs = _mul_mixed_R_right(rhs, k, m, uv, 0)
-    rhs = _mul_mixed_R_right(rhs, k, l, u, m)
-    # the two sides are taken over different projectors
-    return _verdict(_expand(lhs), _expand(rhs))
+    start = _start(n, q, [(1, k), (k + 1, k + l), (k + l + 1, n)])  # the strand bound first
+    if q == 0:
+        raise ParameterError("q must be nonzero")
+    bax = _multiplicative(q)
+    times_R = lambda x, a, b, arg, offset: _mul_grid_right(x, a, b, arg, offset, bax)
+    lhs = times_R(times_R(times_R(start, k, l, u, 0), k, m, u * v, l), l, m, v, 0)
+    rhs = times_R(times_R(times_R(start, l, m, v, k), k, m, u * v, 0), k, l, u, m)
+    return _word_verdict(lhs, rhs)
 
 
 def verify_commPR(k: int, ell: int, u, q) -> VerifyResult:
@@ -622,17 +565,9 @@ def minimal_polynomial_check(ctx: FusedContext, check_minimality: bool = True) -
     k, q = ctx.k, ctx.q
     if not _projector_idempotent(ctx):
         return False
-    word = braiding_word(k, k, k)
-    blocks = ctx.blocks()
-
-    def rmul_sigma(x):
-        for a in word:
-            x = right_mul_generator(x, a)
-        return _mul_projector_right(x, blocks)
-
-    powers = [_start(ctx.strands, q, blocks)]
+    powers = [_start(ctx.strands, q, ctx.blocks())]
     for _ in range(k + 1):
-        powers.append(rmul_sigma(powers[-1]))
+        powers.append(_braid_right(powers[-1], k, k, 0, k))
     eigen = [(-1) ** (k + l) * q ** (-k + l * (l + 1)) for l in range(k + 1)]
 
     def subset_product(values):
@@ -680,7 +615,7 @@ def verify_classical_ybe(k: int, n: int, mu, nu, i: int = 1, method: str = "auto
         R_i(mu) R_{i+1}(mu+nu) R_i(nu) = R_{i+1}(nu) R_i(mu+nu) R_{i+1}(mu).
 
     The methods are those of verify_braided_ybe: "auto" is "fast", the word
-    chain, and "direct" the standard-basis product.
+    chain over the expansions, and "direct" their standard-basis product.
     """
     return _verify_ybe(FusedContext(k, n, Fraction(1)), mu, nu, i, method, _ADDITIVE)
 

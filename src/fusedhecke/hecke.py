@@ -60,7 +60,7 @@ from .permutations import (
     reduced_word,
     simple_transposition,
 )
-from .qnumbers import as_fraction, format_rational, q_factorial, q_int
+from .qnumbers import as_fraction, format_rational, q_factorial
 
 
 def _check_strands(m: int):
@@ -382,11 +382,6 @@ def _mul_affine_right(x: HeckeElement, i: int, c: Fraction) -> HeckeElement:
     return y + x.scale(c) if c else y
 
 
-def r_check_generator(i: int, u, m: int, q) -> HeckeElement:
-    """The baxterised generator sigma_i - (q - 1/q)/(1 - u)."""
-    return mul_r_check_right(unit(m, q), i, u)
-
-
 def mul_r_check_right(x: HeckeElement, i: int, u) -> HeckeElement:
     """x * (sigma_i - (q - 1/q)/(1 - u)); the workhorse of fusion products."""
     return _mul_affine_right(x, i, _r_check_constant(as_fraction(u), x.q))
@@ -428,10 +423,13 @@ def mul_symmetriser_right(x: HeckeElement, i: int, j: int) -> HeckeElement:
 
         S_[i,b+1] = S_[i,b] * 1/[b-i+2]_q * sum_{a=i..b+1} q^{i-a} sigma_b ... sigma_a,
 
-    the word empty for a = b+1: the mirror image of the left recursion of
-    symmetriser_recursion_check under sigma_w -> sigma_{w^-1}, which fixes
-    every S_[i,j].  Total wherever the algebra is defined: no factor has a
-    pole at q**2 == 1.  Runs in the scaled-integer form.
+    the word empty for a = b+1: the mirror image of the left recursion
+
+        S_[i,b+1] = 1/[b-i+2]_q * sum_{a=i..b+1} q^{i-a} sigma_a ... sigma_b S_[i,b]
+
+    under sigma_w -> sigma_{w^-1}, which fixes every S_[i,j].  Total wherever
+    the algebra is defined: no factor has a pole at q**2 == 1.  Runs in the
+    scaled-integer form.
     """
     symmetriser_sum(i, j, x.m, x.q)  # rejects a bad interval or a vanishing [r]_q!
     nums, den = _scaled_symmetriser(*_scaled(x.terms), i, j, x.q)
@@ -454,32 +452,6 @@ def symmetriser_product(i: int, j: int, m: int, q) -> HeckeElement:
         for t in range(a - i + 1):
             x = mul_r_check_right(x, a - t, q ** (2 * (a - i + 1 - t)))
     return x / q_factorial(j - i + 1, q)
-
-
-def symmetriser_recursion_check(i: int, j: int, m: int, q) -> bool:
-    """Exact check of the one-step symmetriser recursion
-
-        S_[i,j+1] = 1/[j-i+2]_q * sum_{a=i..j+1} q^{i-a}
-                        sigma_a sigma_{a+1} ... sigma_j S_[i,j],
-
-    where the word is empty for a = j+1.  The denominator is the q-integer
-    of the grown interval size (j - i + 2), and the summand exponents count
-    down from 0; both were pinned down by exact comparison against the sum
-    formula.
-    """
-    q = as_fraction(q)
-    if not 1 <= i <= j < m:
-        raise DomainError(f"recursion needs 1 <= i <= j < m, got [{i},{j}]")
-    lhs = symmetriser_sum(i, j + 1, m, q)
-    s = symmetriser_sum(i, j, m, q)
-    rhs = zero(m, q)
-    for a in range(i, j + 2):
-        y = s
-        for idx in range(j, a - 1, -1):
-            y = left_mul_generator(idx, y)
-        rhs = rhs + y.scale(q ** (i - a))
-    rhs = rhs / q_int(j - i + 2, q)
-    return lhs == rhs
 
 
 # -- serialization -----------------------------------------------------------

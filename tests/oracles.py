@@ -5,9 +5,11 @@ reduced words of its terms), the product of H_m one left term at a time
 over Fraction, a dense exact Gauss-Jordan solver, the q = 1
 partial braiding matrices obtained with it, the matrix Yang-Baxter equation
 as dense Kronecker factors and dense products, and the fused chains of right
-multiplications (projectors, partial braidings, factorised R-elements, the
-fast braided and the mixed Yang-Baxter chains) run in the standard basis of
-H_m, each symmetriser applied term by term from its sum formula."""
+multiplications (projectors, partial braidings, factorised R-elements and
+the mixed Yang-Baxter chain) run in the standard basis of H_m, each
+symmetriser applied term by term from its sum formula; also the baxterised
+generator, the left symmetriser recursion and the one-projector form of the
+factorised R-element, which only the tests use."""
 
 import itertools
 from fractions import Fraction
@@ -16,19 +18,20 @@ from math import comb
 import numpy as np
 
 from fusedhecke import fused, linalg, symmetriser_sum, w_basis
-from fusedhecke.errors import InternalConsistencyError, ParameterError
-from fusedhecke.fused import VerifyResult, braiding_word, element_diff
+from fusedhecke.errors import DomainError, InternalConsistencyError, ParameterError
+from fusedhecke.fused import FusedContext, VerifyResult, braiding_word, element_diff, projector_P
 from fusedhecke.hecke import (
     HeckeElement,
     _accumulate,
     _raw,
     left_mul_generator,
+    mul_r_check_right,
     right_mul_generator,
     unit,
     zero,
 )
 from fusedhecke.permutations import reduced_word
-from fusedhecke.qnumbers import as_fraction
+from fusedhecke.qnumbers import as_fraction, q_int
 from fusedhecke.tensorrep import _check_tensor_dim, _R_matrix
 
 
@@ -299,29 +302,9 @@ def factorised(k: int, ell: int, arg, bax) -> HeckeElement:
     return mul_projector_right(x, [(1, ell), (ell + 1, m)])
 
 
-def expansion(ctx, i: int, arg, bax) -> HeckeElement:
-    out = zero(ctx.strands, ctx.q)
-    for p, a in enumerate(bax.coefficients(ctx.k, arg)):
-        out = out + partial_braiding(ctx, i, p).scale(a)
-    return out
-
-
 def _verdict(lhs, rhs) -> VerifyResult:
     d = element_diff(lhs, rhs)
     return VerifyResult(d is None, d)
-
-
-def fast_ybe(ctx, u, v, i: int, bax) -> VerifyResult:
-    """The fast braided Yang-Baxter chain, without its factorised/expanded
-    and idempotence checks."""
-    k, blocks, w = ctx.k, ctx.blocks(), bax.middle(u, v)
-
-    def times_R(x, j, arg):
-        return mul_projector_right(grid(x, k, k, arg, (j - 1) * k, bax), blocks)
-
-    lhs = times_R(times_R(expansion(ctx, i, u, bax), i + 1, w), i, v)
-    rhs = times_R(times_R(expansion(ctx, i + 1, v, bax), i, w), i + 1, u)
-    return _verdict(lhs, rhs)
 
 
 def mixed_ybe(k: int, l: int, m: int, u, v, q) -> VerifyResult:
@@ -338,3 +321,49 @@ def mixed_ybe(k: int, l: int, m: int, u, v, q) -> VerifyResult:
     lhs = times_R(times_R(times_R(unit(n, q), k, l, u, 0), k, m, u * v, l), l, m, v, 0)
     rhs = times_R(times_R(times_R(unit(n, q), l, m, v, k), k, m, u * v, 0), k, l, u, m)
     return _verdict(lhs, rhs)
+
+
+# -- test-only forms of library elements ---------------------------------------------
+
+
+def r_check_generator(i: int, u, m: int, q) -> HeckeElement:
+    """The baxterised generator sigma_i - (q - 1/q)/(1 - u)."""
+    return mul_r_check_right(unit(m, q), i, u)
+
+
+def symmetriser_recursion_check(i: int, j: int, m: int, q) -> bool:
+    """Exact check of the one-step symmetriser recursion
+
+        S_[i,j+1] = 1/[j-i+2]_q * sum_{a=i..j+1} q^{i-a}
+                        sigma_a sigma_{a+1} ... sigma_j S_[i,j],
+
+    where the word is empty for a = j+1.  The denominator is the q-integer
+    of the grown interval size (j - i + 2), and the summand exponents count
+    down from 0; both were pinned down by exact comparison against the sum
+    formula.
+    """
+    q = as_fraction(q)
+    if not 1 <= i <= j < m:
+        raise DomainError(f"recursion needs 1 <= i <= j < m, got [{i},{j}]")
+    lhs = symmetriser_sum(i, j + 1, m, q)
+    s = symmetriser_sum(i, j, m, q)
+    rhs = zero(m, q)
+    for a in range(i, j + 2):
+        y = s
+        for idx in range(j, a - 1, -1):
+            y = left_mul_generator(idx, y)
+        rhs = rhs + y.scale(q ** (i - a))
+    rhs = rhs / q_int(j - i + 2, q)
+    return lhs == rhs
+
+
+def baxter_R_one_sided(k: int, u, q) -> HeckeElement:
+    """One-projector form in H_{2k}(q): P^(k) followed by the reversed-argument
+    grid, no trailing projector (the element commutes with P^(k))."""
+    q = as_fraction(q)
+    u = as_fraction(u)
+    x = projector_P(FusedContext(k, 2, q))
+    for a in range(k, 0, -1):
+        for t in range(k):
+            x = mul_r_check_right(x, a + t, u * q ** (2 * (a - 1 - t)))
+    return x

@@ -30,13 +30,13 @@ from fusedhecke import (
     verify_mixed_ybe,
 )
 from fusedhecke.fused import classical_baxter_R_factorized, fused_product_example_check
-from fusedhecke.hecke import symmetriser_recursion_check, zero
+from fusedhecke.hecke import zero
 from fusedhecke.reference_data import (
     reference_coefficients_k1,
     reference_coefficients_k2,
     reference_sigma_k2N2,
 )
-from oracles import classical_sigma_direct
+from oracles import classical_sigma_direct, symmetriser_recursion_check
 
 QS = [F(2), F(3, 2), F(5, 3)]
 

@@ -227,6 +227,19 @@ def test_stdout_closed_after_the_first_line_exits_2():
     assert err == CLOSED_STDOUT
 
 
+def test_unbuffered_stdout_closed_after_the_first_line_exits_2():
+    # unbuffered, the JSON goes to one raw write, which returns a short count
+    # when the reader closes mid-write; the rest must still be written
+    proc = _cli_process("compute-r", "--k", "2", "--N", "4", unbuffered=True,
+                        stdout=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 2
+    assert first == b"{\n"
+    assert err == CLOSED_STDOUT
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_stdout_closed_before_verify_algebra_prints_exits_2(unbuffered):
     read, write = os.pipe()

@@ -36,15 +36,15 @@ from fusedhecke.fused import (
     _expand,
     _multiplicative,
     _partial_braiding_words,
-    baxter_R_one_sided,
     braiding_word,
     fused_element_to_obj,
     fused_product_example_check,
     projector_mixed,
 )
-from fusedhecke.hecke import _raw, r_check_generator, right_mul_generator, zero
+from fusedhecke.hecke import _raw, right_mul_generator, zero
 
 import oracles
+from oracles import baxter_R_one_sided, r_check_generator
 
 QS = [F(2), F(3, 2), F(5, 3)]
 
@@ -286,9 +286,8 @@ def test_braided_ybe_k2_direct_and_fast_agree():
 @pytest.mark.parametrize("form,n,i", [("braided", 3, 1), ("braided", 4, 2), ("classical", 3, 1)])
 def test_ybe_at_a_pole_the_projectors_cancel(form, n, i):
     # v = q^-2 (or nu = -1) is a pole of one grid factor sigma + c(v, 1) of the
-    # factorised R(v), but not of its expansion over the partial braidings:
-    # the word chain multiplies by the expansion there and agrees with the
-    # standard-basis product
+    # factorised R(v), but not of its expansion over the partial braidings,
+    # which both methods multiply: an ordinary point for each of them
     if form == "braided":
         check = lambda method: verify_braided_ybe(
             FusedContext(2, n, F(2)), F(3, 5), F(1, 4), i, method=method)
@@ -331,6 +330,26 @@ def test_mixed_ybe_reduces_to_h3_case():
 def test_mixed_ybe_examples():
     assert verify_mixed_ybe(1, 1, 2, F(3, 7), F(5, 11), F(2))
     assert verify_mixed_ybe(1, 2, 2, F(2, 7), F(3, 8), F(3, 2))
+
+
+@pytest.mark.parametrize("k,l,m", [(2, 1, 1), (1, 2, 1), (2, 1, 2), (2, 2, 1)])
+def test_mixed_ybe_with_a_larger_block_first(k, l, m):
+    # R^(a,b) with a > b exists only in the factorised form
+    u, v, q = F(3, 7), F(5, 11), F(2)
+    res = verify_mixed_ybe(k, l, m, u, v, q)
+    assert res.ok
+    assert res == oracles.mixed_ybe(k, l, m, u, v, q)
+
+
+@pytest.mark.parametrize("k,l,m", [(0, 1, 1), (1, 1, -1)])
+def test_mixed_ybe_rejects_an_empty_block(k, l, m):
+    with pytest.raises(ParameterError, match=f"^mixed blocks need sizes of at least 1, got k={k}, l={l}, m={m}$"):
+        verify_mixed_ybe(k, l, m, F(3, 5), F(7, 11), F(2))
+
+
+def test_mixed_ybe_rejects_q_zero():
+    with pytest.raises(ParameterError, match="^q must be nonzero$"):
+        verify_mixed_ybe(1, 2, 1, F(3, 5), F(7, 11), 0)
 
 
 def test_comm_pr():
@@ -432,46 +451,45 @@ def test_fused_serialization_header():
 # -- the shared YBE chain with a wrong coefficient ---------------------------------------------
 
 
-def _bump_baxter(monkeypatch):
+def _raised(values: tuple, p: int) -> tuple:
+    return values[:p] + (values[p] + 1,) + values[p + 1 :]
+
+
+def _bump_baxter(monkeypatch, p=0):
+    # a_p(u) raised by one at every argument
     orig = fused.baxter_coefficients
 
     def bumped(k, ell, u, q):
         c = orig(k, ell, u, q)
-        return dataclasses.replace(c, values=(c.values[0] + 1,) + c.values[1:])
+        return dataclasses.replace(c, values=_raised(c.values, p))
 
     monkeypatch.setattr(fused, "baxter_coefficients", bumped)
 
 
-def _bump_classical(monkeypatch):
+def _bump_classical(monkeypatch, p=0):
     orig = fused.classical_coefficients
-
-    def bumped(k, mu):
-        c = orig(k, mu)
-        return (c[0] + 1,) + c[1:]
-
-    monkeypatch.setattr(fused, "classical_coefficients", bumped)
+    monkeypatch.setattr(fused, "classical_coefficients",
+                        lambda k, mu: _raised(orig(k, mu), p))
 
 
-# (perturbation, verifier taking the method, first spectral argument)
+# (perturbation, verifier taking the method)
 PERTURBED_CHAINS = {
     "multiplicative": (
         _bump_baxter,
         lambda method: verify_braided_ybe(
             FusedContext(2, 3, F(2)), F(3, 7), F(5, 9), method=method
         ),
-        F(3, 7),
     ),
     "additive": (
         _bump_classical,
         lambda method: verify_classical_ybe(2, 3, F(7, 2), F(9, 4), method=method),
-        F(7, 2),
     ),
 }
 
 
 @pytest.mark.parametrize("case", PERTURBED_CHAINS)
 def test_ybe_direct_fails_on_wrong_coefficient(monkeypatch, case):
-    bump, verify, _ = PERTURBED_CHAINS[case]
+    bump, verify = PERTURBED_CHAINS[case]
     bump(monkeypatch)
     res = verify("direct")
     assert not res.ok
@@ -491,36 +509,33 @@ def test_classical_ybe_unknown_method_raises(method):
         verify_classical_ybe(1, 3, F(7, 2), F(9, 4), method=method)
 
 
-@pytest.mark.parametrize("case", PERTURBED_CHAINS)
-def test_ybe_fast_rejects_wrong_coefficient(monkeypatch, case):
-    bump, verify, first = PERTURBED_CHAINS[case]
-    bump(monkeypatch)
-    with pytest.raises(ParameterError, match="factorised/expanded") as err:
-        verify("fast")
-    assert f"argument {first}," in str(err.value)
+BUMPED_CASES = [
+    pytest.param(form, k, p, n, i, id=f"{form}-k{k}-a{p}-n{n}-i{i}")
+    for form in ("multiplicative", "additive")
+    for k in (1, 2)
+    for p in range(k + 1)
+    for n, i in ((3, 1), (4, 2))
+]
 
 
-# the fast chains of PERTURBED_CHAINS, run in the standard basis
-STANDARD_FAST_CHAINS = {
-    "multiplicative": lambda: oracles.fast_ybe(
-        FusedContext(2, 3, F(2)), F(3, 7), F(5, 9), 1, _multiplicative(F(2))
-    ),
-    "additive": lambda: oracles.fast_ybe(
-        FusedContext(2, 3, F(1)), F(7, 2), F(9, 4), 1, _ADDITIVE
-    ),
-}
-
-
-@pytest.mark.parametrize("case", PERTURBED_CHAINS)
-def test_ybe_fast_chain_gives_the_standard_basis_diff(monkeypatch, case):
-    # with the factorised/expanded check off, the wrong coefficient reaches
-    # the word chain, which must fail with the standard-basis chain's Diff
-    bump, verify, _ = PERTURBED_CHAINS[case]
-    bump(monkeypatch)
-    monkeypatch.setattr(fused, "_assert_lemma_equivalence", lambda *args: None)
+@pytest.mark.parametrize("form,k,p,n,i", BUMPED_CASES)
+def test_ybe_fast_matches_direct_on_a_bumped_coefficient(monkeypatch, form, k, p, n, i):
+    # both methods multiply the same expansions, so they decide the same
+    # identity and report the same Diff, whatever the coefficients are
+    if form == "multiplicative":
+        _bump_baxter(monkeypatch, p)
+        verify = lambda method: verify_braided_ybe(
+            FusedContext(k, n, F(2)), F(3, 7), F(5, 9), i, method=method)
+    else:
+        _bump_classical(monkeypatch, p)
+        verify = lambda method: verify_classical_ybe(k, n, F(7, 2), F(9, 4), i, method=method)
     res = verify("fast")
-    assert not res.ok
-    assert res == STANDARD_FAST_CHAINS[case]()
+    assert res == verify("direct")
+    # at k = 1 the raised top coefficient of the additive form gives
+    # 2 sigma + 1/mu = 2 R(2 mu), a rescaled solution (2 mu + 2 nu = 2 (mu + nu));
+    # every other bump breaks the relation
+    assert res.ok == (form == "additive" and k == 1 and p == 1)
+    assert res.ok or res.diff.left != res.diff.right
 
 
 def test_mixed_ybe_wrong_constant_gives_the_standard_basis_diff(monkeypatch):

@@ -25,9 +25,7 @@ from fusedhecke import hecke
 from fusedhecke.hecke import (
     basis_element,
     mul_symmetriser_right,
-    r_check_generator,
     right_mul_generator,
-    symmetriser_recursion_check,
     zero,
 )
 from fusedhecke.permutations import (
@@ -37,7 +35,7 @@ from fusedhecke.permutations import (
     simple_transposition,
 )
 import oracles
-from oracles import mul_element_right
+from oracles import mul_element_right, r_check_generator, symmetriser_recursion_check
 
 QS = [F(2), F(3, 2), F(5, 3)]
 
