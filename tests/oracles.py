@@ -6,7 +6,7 @@ over Fraction, a dense exact Gauss-Jordan solver, the q = 1
 partial braiding matrices obtained with it, the matrix Yang-Baxter equation
 as dense Kronecker factors and dense products, and the fused chains of right
 multiplications (projectors, partial braidings, factorised R-elements and
-the mixed Yang-Baxter chain) run in the standard basis of H_m, each
+the braided and mixed Yang-Baxter chains) run in the standard basis of H_m, each
 symmetriser applied term by term from its sum formula; also the baxterised
 generator, the left symmetriser recursion and the one-projector form of the
 factorised R-element, which only the tests use."""
@@ -300,6 +300,24 @@ def factorised(k: int, ell: int, arg, bax) -> HeckeElement:
     m = k + ell
     x = grid(projector(m, bax.q, [(1, k), (k + 1, m)]), k, ell, arg, 0, bax)
     return mul_projector_right(x, [(1, ell), (ell + 1, m)])
+
+
+def expansion(ctx, i: int, arg, bax) -> HeckeElement:
+    """R_i(arg) = sum_p a_p(arg) (partial braiding p at ellipse i)."""
+    out = zero(ctx.strands, ctx.q)
+    for p, a in enumerate(bax.coefficients(ctx.k, arg)):
+        out = out + partial_braiding(ctx, i, p).scale(a)
+    return out
+
+
+def braided_ybe(ctx, u, v, i: int, bax) -> VerifyResult:
+    """R_i(u) R_{i+1}(w) R_i(v) = R_{i+1}(v) R_i(w) R_{i+1}(u), w = bax.middle(u, v),
+    each side the product of the three expansions."""
+    w = bax.middle(u, v)
+    r = lambda j, arg: expansion(ctx, j, arg, bax)
+    lhs = mul_element_right(mul_element_right(r(i, u), r(i + 1, w)), r(i, v))
+    rhs = mul_element_right(mul_element_right(r(i + 1, v), r(i, w)), r(i + 1, u))
+    return _verdict(lhs, rhs)
 
 
 def _verdict(lhs, rhs) -> VerifyResult:

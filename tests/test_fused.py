@@ -509,6 +509,37 @@ def test_classical_ybe_unknown_method_raises(method):
         verify_classical_ybe(1, 3, F(7, 2), F(9, 4), method=method)
 
 
+@pytest.mark.parametrize("case", PERTURBED_CHAINS)
+def test_ybe_fast_rejects_wrong_coefficient(monkeypatch, case):
+    bump, verify = PERTURBED_CHAINS[case]
+    bump(monkeypatch)
+    res = verify("fast")
+    assert not res.ok
+    assert res.diff is not None and res.diff.left != res.diff.right
+
+
+# the chains of PERTURBED_CHAINS, run in the standard basis
+STANDARD_CHAINS = {
+    "multiplicative": lambda: oracles.braided_ybe(
+        FusedContext(2, 3, F(2)), F(3, 7), F(5, 9), 1, _multiplicative(F(2))
+    ),
+    "additive": lambda: oracles.braided_ybe(
+        FusedContext(2, 3, F(1)), F(7, 2), F(9, 4), 1, _ADDITIVE
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PERTURBED_CHAINS)
+def test_ybe_fast_chain_gives_the_standard_basis_diff(monkeypatch, case):
+    # the wrong coefficient reaches the word chain, which must fail with the
+    # Diff of the expansions multiplied in the standard basis
+    bump, verify = PERTURBED_CHAINS[case]
+    bump(monkeypatch)
+    res = verify("fast")
+    assert not res.ok
+    assert res == STANDARD_CHAINS[case]()
+
+
 BUMPED_CASES = [
     pytest.param(form, k, p, n, i, id=f"{form}-k{k}-a{p}-n{n}-i{i}")
     for form in ("multiplicative", "additive")
