@@ -37,7 +37,6 @@ from .hecke import (
     element_from_obj,
     element_to_obj,
     generator,
-    left_mul_generator,
     multiply,
     right_mul_generator,
     symmetriser_product,

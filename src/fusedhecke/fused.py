@@ -27,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, InternalConsistencyError, ParameterError, PoleError
@@ -46,7 +47,7 @@ from .hecke import (
     zero,
 )
 from .permutations import identity
-from .qnumbers import as_fraction, brace_int, q_binomial, q_pochhammer
+from .qnumbers import as_fraction, brace_int, format_rational, q_binomial, q_pochhammer
 
 
 @dataclass(frozen=True)
@@ -203,17 +204,18 @@ def _expand(x: HeckeElement) -> HeckeElement:
     """The standard-basis form of x in P*H_m: the word beta with coefficient
     c becomes sum_b P_b c sigma_{b o d_beta}, and no two of these keys
     collide.  P_b depends on the length of b only, so the products P_b c are
-    taken once per value of P_b."""
+    taken once per value of P_b, and b o d_beta is read off b by one
+    itemgetter per word.  That returns a tuple only for m >= 2 indices,
+    which every caller has: a partial braiding or an R-element spans two
+    blocks of at least one strand."""
     by_value: dict = {}
     for b, pb in _left_projector(x).terms.items():
         by_value.setdefault(pb, []).append(b)
     out = {}
     for word, c in x.terms.items():
-        idx = [t - 1 for t in _distinguished(word)]
+        at = operator.itemgetter(*(t - 1 for t in _distinguished(word)))
         for pb, bs in by_value.items():
-            val = pb * c
-            for b in bs:
-                out[tuple(map(b.__getitem__, idx))] = val
+            out.update(zip(map(at, bs), repeat(pb * c)))
     return _raw(x.m, x.q, out)
 
 
@@ -384,12 +386,23 @@ class _Baxterisation(NamedTuple):
     middle: Callable[[Fraction, Fraction], Fraction]
 
 
+def _grid_constant(u: Fraction, s: int, q: Fraction) -> Fraction:
+    """c(u, s) = -(q - 1/q)/(1 - u q^(2s)); a pole names u and s."""
+    arg = u * q ** (2 * s)
+    if arg == 1:
+        raise PoleError(
+            f"grid factor has a pole at spectral argument {format_rational(u)}, "
+            f"shift s = {s} (argument * q^(2s) = 1)"
+        )
+    return _r_check_constant(arg, q)
+
+
 def _multiplicative(q) -> _Baxterisation:
     q = as_fraction(q)
     return _Baxterisation(
         q,
         lambda k, u: baxter_coefficients(k, k, u, q).values,
-        lambda u, s: _r_check_constant(u * q ** (2 * s), q),
+        lambda u, s: _grid_constant(u, s, q),
         operator.mul,
     )
 
@@ -538,6 +551,14 @@ def verify_mixed_ybe(k: int, l: int, m: int, u, v, q) -> VerifyResult:
     if q == 0:
         raise ParameterError("q must be nonzero")
     bax = _multiplicative(q)
+    # every grid constant first, so that a pole names its argument; the
+    # a x b grid takes the shifts 1 - a .. b - 1
+    for name, arg, a, b in (("u", u, k, l), ("uv", u * v, k, m), ("v", v, l, m)):
+        for s in range(1 - a, b):
+            try:
+                bax.constant(arg, s)
+            except PoleError as err:
+                raise PoleError(f"R^({a},{b})({name}): {err}") from None
     times_R = lambda x, a, b, arg, offset: _mul_grid_right(x, a, b, arg, offset, bax)
     lhs = times_R(times_R(times_R(start, k, l, u, 0), k, m, u * v, l), l, m, v, 0)
     rhs = times_R(times_R(times_R(start, l, m, v, k), k, m, u * v, 0), k, l, u, m)

@@ -11,9 +11,12 @@ rule
 
 per letter, so no multiplication table is ever stored.  The words of a,
 read from their right ends, form a trie, and the terms whose words end
-alike share the passes over their common suffix; the products are summed as
-integers over one common denominator (see multiply).  At q**2 == 1 the rule
-has no second term and the product composes keys directly.
+alike share the passes over their common suffix.  The walk keys b by
+inverse permutations, where sigma_i * sigma_w is the generator rule below at
+position i, and runs every pass and the sum on integer numerators over one
+common denominator, which divides den_a den_b (ab)^L at q = a/b, L the
+length of the longest word of a (see multiply).  At q**2 == 1 the rule has
+no second term and the product composes keys directly.
 
 Right multiplication by a generator or a q-symmetriser also acts on block
 words, keys with repeated letters.  Let P be the product of the
@@ -34,12 +37,12 @@ The generator rule is written once, with three factors: a key whose letters
 at i, i+1 are equal stays put times the equal-pair factor, every other key
 has them swapped times the swap factor, and a descent (w[i] > w[i+1]) also
 stays put times the descent factor.  On Fraction coefficients the factors
-are q, 1 and q - 1/q.  The symmetriser passes run on a scaled-integer form:
-with q = a/b, a vector is a map of integer numerators over one common
-denominator, the factors become a^2, ab and a^2 - b^2, and each generator
-pass multiplies the denominator by ab.  Coefficients are converted into
-that form once, reduced by their gcd once per grown strand, and converted
-back to Fraction once.
+are q, 1 and q - 1/q.  The passes of multiply and of the symmetrisers run
+on a scaled-integer form: with q = a/b, a vector is a map of integer
+numerators over one common denominator, the factors become a^2, ab and
+a^2 - b^2, and each generator pass multiplies the denominator by ab.
+Coefficients are converted into that form once and back to Fraction once;
+the symmetriser passes also reduce by the gcd once per grown strand.
 """
 
 from __future__ import annotations
@@ -202,26 +205,6 @@ def basis_element(w: Perm, m: int, q) -> HeckeElement:
 # -- multiplication ---------------------------------------------------------
 
 
-def left_mul_generator(i: int, x: HeckeElement) -> HeckeElement:
-    """sigma_i * x expanded in the standard basis: s_i * w swaps the values
-    i, i+1 of w, and where the length goes down (i occurs after i+1) the
-    term also stays put with weight q - 1/q."""
-    if not 1 <= i <= x.m - 1:
-        raise DomainError(f"generator index {i} out of range for m={x.m}")
-    j = i + 1
-    swap = list(range(x.m + 1))
-    swap[i], swap[j] = j, i
-    # w -> s_i * w is a bijection of the support, so the first pass has no
-    # collisions
-    out = {tuple(map(swap.__getitem__, w)): c for w, c in x.terms.items()}
-    lam = x.q - 1 / x.q
-    if lam:
-        _accumulate(
-            out, ((w, lam * c) for w, c in x.terms.items() if w.index(i) > w.index(j))
-        )
-    return _raw(x.m, x.q, out)
-
-
 def _generator_rule(terms: dict, i0: int, equal, swap, descent) -> dict:
     """terms * sigma_{i0+1} on keyed coefficients, with the three factors of
     the generator rule (see the module docstring).  A swap factor of 1 is
@@ -304,6 +287,27 @@ def _scaled_symmetriser(nums: dict, den: int, i: int, j: int, q: Fraction) -> tu
     return nums, den
 
 
+def _by_inverse(terms: dict) -> dict:
+    """The same coefficients keyed by the inverse permutations."""
+    out = {}
+    for w, c in terms.items():
+        inv = [0] * len(w)
+        for pos, val in enumerate(w, 1):
+            inv[val - 1] = pos
+        out[tuple(inv)] = c
+    return out
+
+
+def left_mul_generator(i: int, nums: dict, factors: tuple) -> dict:
+    """sigma_i times the element whose scaled-integer numerators nums are
+    keyed by inverse permutations; factors is _scaled_factors(q), and the
+    denominator grows by their swap factor ab.  s_i w swaps the values i,
+    i+1 of w, so (s_i w)^-1 = w^-1 s_i swaps the positions i, i+1 of the
+    key, and the length goes down where the key has a descent at i: on
+    inverse keys, left multiplication is the right-hand generator rule."""
+    return _generator_rule(nums, i - 1, *factors)
+
+
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Product a * b: sum_w c_w (sigma_w b) over the terms c_w sigma_w of a.
 
@@ -314,20 +318,22 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     walk takes one pass per trie edge, each on its parent's product, and
     words with a common suffix share the passes over it.
 
-    The sum runs in the scaled-integer form.  Write q = r/s in lowest terms
-    and den_a, den_b for the common denominators of the coefficients of a
-    and b.  A pass multiplies coefficients by 1 or by q - 1/q =
-    (r^2 - s^2)/(rs) and adds them, so every coefficient of sigma_w b has a
-    denominator dividing den_b (rs)^l(w).  With l the length of the longest
-    word of a, each c_w (sigma_w b) is therefore an integer over
-    den_a den_b (rs)^l, and so is the total; one Fraction is built per term
-    of the product.
+    Every pass runs in the scaled-integer form on keys inverted once on the
+    way in, where sigma_i * y is the generator rule at position i (see
+    left_mul_generator), and the keys are inverted back once on the way
+    out.  Write q = r/s in lowest terms and den_a, den_b for the common
+    denominators of the coefficients of a and b.  A pass multiplies the
+    numerators by r^2, rs or r^2 - s^2 and the denominator by rs, so after
+    d passes sigma_w b is an integer map over den_b (rs)^d.  With L the
+    length of the longest word of a, a trie node at depth d that ends the
+    word of c_w = n/den_a adds n (rs)^(L-d) times its map into a total over
+    den_a den_b (rs)^L; one Fraction is built per term of the product.
     """
     a._compat(b)
     q = a.q
     nums_a, den_a = _scaled(a.terms)
+    nums_b, den_b = _scaled(b.terms)
     if q == 1 or q == -1:
-        nums_b, den_b = _scaled(b.terms)
         total: dict = {}
         for w, n in nums_a.items():
             _accumulate(
@@ -345,24 +351,24 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
         for i in reversed(word):
             node = node[0].setdefault(i, [{}, 0])
         node[1] = n
-    den_b = lcm(*(c.denominator for c in b.terms.values()))
-    den = den_b * (q.numerator * q.denominator) ** longest
+    factors = _scaled_factors(q)
+    rs = factors[1]
+    weight = [rs ** (longest - d) for d in range(longest + 1)]
     total = {}
-    # each entry is a node and its parent's product; the pass into the node
-    # is taken when it is popped, so only products on the current path and
-    # the parents of pending siblings are alive
-    stack = [(root, 0, b)]
+    # each entry is a node, its depth and its parent's product; the pass
+    # into the node is taken when it is popped, so only products on the
+    # current path and the parents of pending siblings are alive
+    stack = [(root, 0, 0, _by_inverse(nums_b))]
     while stack:
-        (children, n), i, y = stack.pop()
+        (children, n), i, depth, y = stack.pop()
         if i:
-            y = left_mul_generator(i, y)
+            y = left_mul_generator(i, y, factors)
         if n:
-            _accumulate(
-                total,
-                ((w, n * c.numerator * (den // c.denominator)) for w, c in y.terms.items()),
-            )
-        stack.extend((child, j, y) for j, child in children.items())
-    return _raw(a.m, q, _unscaled(total, den_a * den))
+            f = n * weight[depth]
+            _accumulate(total, ((w, f * c) for w, c in y.items()))
+        depth += 1
+        stack.extend((child, j, depth, y) for j, child in children.items())
+    return _raw(a.m, q, _unscaled(_by_inverse(total), den_a * den_b * rs**longest))
 
 
 # -- baxterised generators ------------------------------------------------------

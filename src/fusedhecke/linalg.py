@@ -1,16 +1,17 @@
 """Exact dense linear algebra over the rationals.
 
 Matrices are numpy arrays with dtype=object holding `fractions.Fraction`
-(or int) entries; the constructors, product and comparisons here are exact.
+(or int) entries; the constructor fmat, the product matmul and the
+comparison first_matrix_diff are exact.
 The library only builds and compares matrices: the R-matrices act on
 W^(tensor 3) through their sparse columns (see tensorrep), so the dense
 product, which skips zero entries of its left factor, serves the checks
 that multiply whole matrices.
 
-numpy is imported inside the functions that build an array (fmat, zeros,
-matmul), so a process that builds no matrix never loads it; mat_equal only
-calls methods of the arrays it is given, and first_matrix_diff walks any two
-sequences of rows, so the CLI compares plain lists of Fractions with it.
+numpy is imported inside the functions that build an array (fmat,
+matmul), so a process that builds no matrix never loads it;
+first_matrix_diff walks any two sequences of rows, so the CLI compares
+plain lists of Fractions with it.
 """
 
 from __future__ import annotations
@@ -27,12 +28,6 @@ def fmat(rows) -> np.ndarray:
         for j, v in enumerate(row):
             a[i, j] = Fraction(v)
     return a
-
-
-def zeros(r: int, c: int) -> np.ndarray:
-    import numpy as np
-
-    return np.zeros((r, c), dtype=object)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -53,10 +48,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 acc += v * b[j]
         out[i] = acc
     return out
-
-
-def mat_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and bool((a == b).all())
 
 
 def first_matrix_diff(a, b):

@@ -2,14 +2,17 @@
 against: the action on V^(tensor m) applied term by term over Fraction (the
 standard R-matrix at adjacent slots, each Hecke element applied along the
 reduced words of its terms), the product of H_m one left term at a time
-over Fraction, a dense exact Gauss-Jordan solver, the q = 1
-partial braiding matrices obtained with it, the matrix Yang-Baxter equation
-as dense Kronecker factors and dense products, and the fused chains of right
-multiplications (projectors, partial braidings, factorised R-elements and
-the braided and mixed Yang-Baxter chains) run in the standard basis of H_m, each
-symmetriser applied term by term from its sum formula; also the baxterised
-generator, the left symmetriser recursion and the one-projector form of the
-factorised R-element, which only the tests use."""
+over Fraction, by an element-level sigma_i * x of its own that shares no
+code with the library's product (the symmetriser recursion check uses it
+too), exact zero matrices and matrix equality, a dense exact Gauss-Jordan
+solver, the q = 1 partial braiding matrices obtained with it, the matrix
+Yang-Baxter equation as dense Kronecker factors and dense products, and the
+fused chains of right multiplications (projectors, partial braidings,
+factorised R-elements and the braided and mixed Yang-Baxter chains) run in
+the standard basis of H_m, each symmetriser applied term by term from its
+sum formula; also the baxterised generator, the left symmetriser recursion
+and the one-projector form of the factorised R-element, which only the
+tests use."""
 
 import itertools
 from fractions import Fraction
@@ -24,7 +27,6 @@ from fusedhecke.hecke import (
     HeckeElement,
     _accumulate,
     _raw,
-    left_mul_generator,
     mul_r_check_right,
     right_mul_generator,
     unit,
@@ -83,7 +85,7 @@ def hecke_rmatrix(N: int, q) -> np.ndarray:
         raise ParameterError("q must be nonzero")
     idxs = _multi_indices(N, 2)
     index_of = {t: r for r, t in enumerate(idxs)}
-    mat = linalg.zeros(N * N, N * N)
+    mat = zeros(N * N, N * N)
     for c, idx in enumerate(idxs):
         img = _apply_gen({idx: Fraction(1)}, 1, q)
         for key, val in img.items():
@@ -97,7 +99,7 @@ def represent(x: HeckeElement, N: int) -> np.ndarray:
     dim = N**x.m
     idxs = _multi_indices(N, x.m)
     index_of = {t: r for r, t in enumerate(idxs)}
-    mat = linalg.zeros(dim, dim)
+    mat = zeros(dim, dim)
     for c, idx in enumerate(idxs):
         img = _apply_element({idx: Fraction(1)}, x)
         for key, val in img.items():
@@ -111,6 +113,15 @@ def represent(x: HeckeElement, N: int) -> np.ndarray:
 def eye(n: int) -> np.ndarray:
     """The exact n x n identity matrix."""
     return np.identity(n, dtype=object)
+
+
+def zeros(r: int, c: int) -> np.ndarray:
+    """The exact r x c zero matrix."""
+    return np.zeros((r, c), dtype=object)
+
+
+def mat_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and bool((a == b).all())
 
 
 def _echelonize(aug: list, left_cols: int):
@@ -185,7 +196,7 @@ def pair_basis(k: int, N: int, q):
         for y in wb.columns
     ]
     index_of = {t: r for r, t in enumerate(_multi_indices(N, 2 * k))}
-    mat = linalg.zeros(len(index_of), len(cols))
+    mat = zeros(len(index_of), len(cols))
     for c, vec in enumerate(cols):
         for key, val in vec.items():
             mat[index_of[key], c] = val
@@ -203,7 +214,7 @@ def classical_sigma_direct(k: int, p: int, N: int):
     perm = list(range(2 * k))
     for s in range(p):
         perm[k - p + s], perm[k + s] = perm[k + s], perm[k - p + s]
-    images = linalg.zeros(N ** (2 * k), len(cols))
+    images = zeros(N ** (2 * k), len(cols))
     for c, vec in enumerate(cols):
         img = _apply_element(_apply_element(vec, sym1), sym2)
         img = {tuple(key[perm[t]] for t in range(2 * k)): val for key, val in img.items()}
@@ -230,6 +241,24 @@ def dense_matrix_ybe(k: int, N: int, x, y, bax) -> VerifyResult:
 
 
 # -- fused chains in the standard basis -------------------------------------------
+
+
+def left_mul_generator(i: int, x: HeckeElement) -> HeckeElement:
+    """sigma_i * x expanded in the standard basis over Fraction: s_i * w
+    swaps the values i, i+1 of w, and where the length goes down (i occurs
+    after i+1) the term also stays put with weight q - 1/q."""
+    if not 1 <= i <= x.m - 1:
+        raise DomainError(f"generator index {i} out of range for m={x.m}")
+    j = i + 1
+    swap = list(range(x.m + 1))
+    swap[i], swap[j] = j, i
+    out = {tuple(map(swap.__getitem__, w)): c for w, c in x.terms.items()}
+    lam = x.q - 1 / x.q
+    if lam:
+        _accumulate(
+            out, ((w, lam * c) for w, c in x.terms.items() if w.index(i) > w.index(j))
+        )
+    return _raw(x.m, x.q, out)
 
 
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:

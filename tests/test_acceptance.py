@@ -17,7 +17,6 @@ from fusedhecke import (
     classical_coefficients,
     classical_fused_R_matrix,
     generator,
-    linalg,
     minimal_polynomial_check,
     multiply,
     partial_braiding_mixed,
@@ -36,7 +35,7 @@ from fusedhecke.reference_data import (
     reference_coefficients_k2,
     reference_sigma_k2N2,
 )
-from oracles import classical_sigma_direct, symmetriser_recursion_check
+from oracles import classical_sigma_direct, mat_equal, symmetriser_recursion_check, zeros
 
 QS = [F(2), F(3, 2), F(5, 3)]
 
@@ -58,8 +57,8 @@ def test_criterion_01_reference_matrices():
     t0 = time.time()
     for q in QS:
         want_partial, want_full = reference_sigma_k2N2(q)
-        assert linalg.mat_equal(sigma_matrix(2, 1, 2, q), want_partial), q
-        assert linalg.mat_equal(sigma_matrix(2, 2, 2, q), want_full), q
+        assert mat_equal(sigma_matrix(2, 1, 2, q), want_partial), q
+        assert mat_equal(sigma_matrix(2, 2, 2, q), want_full), q
     _report(1, "k=2 N=2 crossing matrices at 3 q values", t0)
 
 
@@ -160,10 +159,10 @@ def test_criterion_08_classical_limit():
     # the q = 1 braiding matrices, independently recomputed
     mu = F(7, 2)
     coeffs = classical_coefficients(2, mu)
-    manual = linalg.zeros(9, 9)
+    manual = zeros(9, 9)
     for p, c in enumerate(coeffs):
         manual = manual + classical_sigma_direct(2, p, 2) * c
-    assert linalg.mat_equal(classical_fused_R_matrix(2, 2, mu), manual)
+    assert mat_equal(classical_fused_R_matrix(2, 2, mu), manual)
     assert coeffs == (F(8, 35), F(8, 5), F(1))
     _report(8, "additive YBE at q=1 for k <= 3 plus coefficient agreement", t0)
 

@@ -1,15 +1,18 @@
-"""The names the benchmark (perfbench/) and the demos take from fusedhecke
-stay available, so that trimming the public API cannot silently break a
-benchmark run, its --trace 1 mode or a demo.  Reads those files, edits none.
+"""The names the benchmark (perfbench/), its own tests and the demos take
+from fusedhecke stay available, so that trimming the public API cannot
+silently break a benchmark run, its --trace 1 mode, `pytest perfbench` or a
+demo.  Reads those files, edits none.
 """
 
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
 
 import fusedhecke
 
 ROOT = Path(__file__).resolve().parents[1]
+MODULES = {info.name for info in pkgutil.iter_modules(fusedhecke.__path__)}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -28,10 +31,16 @@ def _names_taken(tree: ast.Module, alias: str | None) -> set:
     return names
 
 
+def _missing(names) -> list:
+    """The names that `from fusedhecke import name` would not find: a
+    submodule is found whether or not it has been imported yet."""
+    return sorted(n for n in names if not hasattr(fusedhecke, n) and n not in MODULES)
+
+
 def test_workload_names_are_exported():
     names = _names_taken(_tree(ROOT / "perfbench" / "workloads.py"), "fh")
     assert "verify_braided_ybe" in names
-    assert sorted(n for n in names if not hasattr(fusedhecke, n)) == []
+    assert _missing(names) == []
 
 
 def test_demo_names_are_exported():
@@ -39,7 +48,7 @@ def test_demo_names_are_exported():
     for demo in sorted((ROOT / "demos").glob("*.py")):
         names |= _names_taken(_tree(demo), None)
     assert names
-    assert sorted(n for n in names if not hasattr(fusedhecke, n)) == []
+    assert _missing(names) == []
 
 
 def test_traced_caches_are_lru_cached():
@@ -55,3 +64,24 @@ def test_traced_caches_are_lru_cached():
         layer, attr = qualname.split(".")
         module = importlib.import_module(f"fusedhecke.{layer}")
         getattr(module, attr).cache_info()
+
+
+def test_benchmark_test_names_exist():
+    """The module functions perfbench/test_perfbench.py reads off a fusedhecke
+    module (hecke.multiply) or names as a span ("hecke.left_mul_generator")."""
+    names = set()
+    for node in ast.walk(_tree(ROOT / "perfbench" / "test_perfbench.py")):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in MODULES):
+            names.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            head, _, attr = node.value.partition(".")
+            if head in MODULES and attr.isidentifier():
+                names.add(node.value)
+    assert {"hecke.multiply", "hecke.left_mul_generator"} <= names
+    missing = []
+    for name in sorted(names):
+        module, _, attr = name.partition(".")
+        if not hasattr(importlib.import_module(f"fusedhecke.{module}"), attr):
+            missing.append(name)
+    assert missing == []

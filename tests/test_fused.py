@@ -259,8 +259,10 @@ def test_one_sided_form_equals_two_sided(k):
 
 
 def test_factorized_pole_reports_strand():
-    with pytest.raises(PoleError):
-        baxter_R_factorized(1, 2, F(1, 4), F(2))  # argument u q^2 hits 1
+    # u q^(2s) hits 1 at the shift s = 1; the message names u, not u q^2
+    with pytest.raises(PoleError, match=r"^grid factor has a pole at spectral "
+                       r"argument 1/4, shift s = 1 \(argument \* q\^\(2s\) = 1\)$"):
+        baxter_R_factorized(1, 2, F(1, 4), F(2))
 
 
 # -- Yang-Baxter checks ---------------------------------------------------------------
@@ -350,6 +352,23 @@ def test_mixed_ybe_rejects_an_empty_block(k, l, m):
 def test_mixed_ybe_rejects_q_zero():
     with pytest.raises(ParameterError, match="^q must be nonzero$"):
         verify_mixed_ybe(1, 2, 1, F(3, 5), F(7, 11), 0)
+
+
+@pytest.mark.parametrize("klm, u, v, name, arg, s", [
+    ((1, 2, 2), F(1, 4), F(3, 5), "u", "1/4", 1),
+    ((1, 1, 2), F(3, 5), F(1, 4), "v", "1/4", 1),
+    ((1, 1, 1), F(3, 5), F(5, 3), "uv", "1", 0),
+])
+def test_mixed_ybe_grid_pole_names_the_argument(monkeypatch, klm, u, v, name, arg, s):
+    # the three grids are checked before any chain starts
+    def no_chain(*args):
+        raise AssertionError("a chain started")
+
+    monkeypatch.setattr(fused, "_mul_grid_right", no_chain)
+    a, b = {"u": klm[:2], "uv": klm[::2], "v": klm[1:]}[name]
+    with pytest.raises(PoleError, match=rf"^R\^\({a},{b}\)\({name}\): grid factor has a "
+                       rf"pole at spectral argument {arg}, shift s = {s} "):
+        verify_mixed_ybe(*klm, u, v, F(2))
 
 
 def test_comm_pr():

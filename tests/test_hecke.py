@@ -13,7 +13,6 @@ from fusedhecke import (
     element_to_obj,
     generator,
     identity,
-    left_mul_generator,
     multiply,
     q_int,
     reduced_word,
@@ -31,11 +30,17 @@ from fusedhecke.hecke import (
 from fusedhecke.permutations import (
     all_permutations,
     compose,
+    inverse,
     length,
     simple_transposition,
 )
 import oracles
-from oracles import mul_element_right, r_check_generator, symmetriser_recursion_check
+from oracles import (
+    left_mul_generator,
+    mul_element_right,
+    r_check_generator,
+    symmetriser_recursion_check,
+)
 
 QS = [F(2), F(3, 2), F(5, 3)]
 
@@ -76,6 +81,9 @@ def test_generator_index_errors():
 
 
 # -- straightening -------------------------------------------------------------
+
+
+# left_mul_generator here is the oracle's element-level sigma_i * x
 
 
 def test_left_mul_generator_basic():
@@ -218,6 +226,40 @@ def test_multiply_takes_one_pass_per_distinct_suffix(monkeypatch):
     assert calls == {"left": len(suffixes), "word": len(perms)}
     assert len(suffixes) < sum(length(w) for w in perms)
     assert got == oracles.multiply(full, generator(2, 4, q))
+
+
+def test_left_mul_generator_acts_on_inverse_keys():
+    """The kernel's pass on scaled numerators keyed by inverse permutations is
+    sigma_i * x, with the denominator grown by ab at q = a/b."""
+    rng = random.Random(31)
+    perms = all_permutations(4)
+    for q in (F(3, 2), F(-5, 7)):
+        factors = hecke._scaled_factors(q)
+        x = _random_element(rng, 4, q, rng.sample(perms, 10))
+        nums, den = hecke._scaled(x.terms)
+        for i in (1, 2, 3):
+            y = hecke.left_mul_generator(i, hecke._by_inverse(nums), factors)
+            got = hecke._unscaled(hecke._by_inverse(y), den * factors[1])
+            assert got == left_mul_generator(i, x).terms, (q, i)
+
+
+def _inverted(x):
+    """iota(x): sigma_w -> sigma_{w^-1}, the anti-automorphism of H_m."""
+    return HeckeElement(x.m, x.q, {inverse(w): c for w, c in x.terms.items()})
+
+
+@pytest.mark.parametrize("q", [F(2), F(3, 2), F(-5, 7), F(1), F(-1)], ids=str)
+def test_multiply_reverses_under_inversion(q):
+    """iota(a b) = iota(b) iota(a), on random and empty factors; an identity
+    of the algebra that needs no oracle."""
+    rng = random.Random(7)
+    for m in (2, 3, 4, 5):
+        perms = all_permutations(m)
+        few = min(9, len(perms))
+        for _ in range(6):
+            a, b = (_random_element(rng, m, q, rng.sample(perms, rng.randint(0, few)))
+                    for _ in range(2))
+            assert _inverted(multiply(a, b)) == multiply(_inverted(b), _inverted(a)), m
 
 
 def test_multiply_mismatch_errors():

@@ -38,10 +38,12 @@ from oracles import (
     dense_matrix_ybe,
     eye,
     hecke_rmatrix,
+    mat_equal,
     pair_basis,
     rank,
     represent,
     solve_exact,
+    zeros,
 )
 
 
@@ -60,7 +62,7 @@ def test_hecke_rmatrix_quadratic(N):
     r = hecke_rmatrix(N, q)
     lhs = linalg.matmul(r, r)
     rhs = r * (q - 1 / q) + eye(N * N)
-    assert linalg.mat_equal(lhs, rhs)
+    assert mat_equal(lhs, rhs)
 
 
 def test_hecke_rmatrix_braid_relation():
@@ -70,22 +72,22 @@ def test_hecke_rmatrix_braid_relation():
     r23 = np.kron(eye(2), r)
     lhs = linalg.matmul(linalg.matmul(r12, r23), r12)
     rhs = linalg.matmul(linalg.matmul(r23, r12), r23)
-    assert linalg.mat_equal(lhs, rhs)
+    assert mat_equal(lhs, rhs)
 
 
 def test_represent_unit_and_braid():
     q = F(2)
-    assert linalg.mat_equal(represent(unit(3, q), 2), eye(8))
+    assert mat_equal(represent(unit(3, q), 2), eye(8))
     lhs = multiply(multiply(generator(1, 3, q), generator(2, 3, q)), generator(1, 3, q))
     rhs = multiply(multiply(generator(2, 3, q), generator(1, 3, q)), generator(2, 3, q))
-    assert linalg.mat_equal(represent(lhs, 2), represent(rhs, 2))
+    assert mat_equal(represent(lhs, 2), represent(rhs, 2))
 
 
 def test_represent_generator_is_local_rmatrix():
     q = F(2)
     r = hecke_rmatrix(2, q)
-    assert linalg.mat_equal(represent(generator(1, 3, q), 2), np.kron(r, eye(2)))
-    assert linalg.mat_equal(represent(generator(2, 3, q), 2), np.kron(eye(2), r))
+    assert mat_equal(represent(generator(1, 3, q), 2), np.kron(r, eye(2)))
+    assert mat_equal(represent(generator(2, 3, q), 2), np.kron(eye(2), r))
 
 
 def test_represent_is_homomorphism_random():
@@ -98,7 +100,7 @@ def test_represent_is_homomorphism_random():
         terms_b = {rng.choice(pool): F(rng.randint(-3, 3) or 1, rng.randint(1, 3))
                    for _ in range(2)}
         a, b = HeckeElement(4, q, terms_a), HeckeElement(4, q, terms_b)
-        assert linalg.mat_equal(
+        assert mat_equal(
             represent(multiply(a, b), 2),
             linalg.matmul(represent(a, 2), represent(b, 2)),
         )
@@ -109,7 +111,7 @@ def test_represent_is_homomorphism_random():
 def test_represented_symmetriser_idempotent_of_expected_rank(k, N):
     q = F(2)
     s = represent(symmetriser_sum(1, k, k, q), N)
-    assert linalg.mat_equal(linalg.matmul(s, s), s)
+    assert mat_equal(linalg.matmul(s, s), s)
     assert rank(s) == comb(k + N - 1, k)
 
 
@@ -232,12 +234,12 @@ def test_nonpositive_k_or_N_raises(k, N):
 
 
 def test_sigma_matrix_p0_is_identity():
-    assert linalg.mat_equal(sigma_matrix(2, 0, 2, F(2)), eye(9))
+    assert mat_equal(sigma_matrix(2, 0, 2, F(2)), eye(9))
 
 
 def test_sigma_matrix_k1_is_hecke_rmatrix():
     for N in (2, 3):
-        assert linalg.mat_equal(sigma_matrix(1, 1, N, F(2)), hecke_rmatrix(N, F(2)))
+        assert mat_equal(sigma_matrix(1, 1, N, F(2)), hecke_rmatrix(N, F(2)))
 
 
 @pytest.mark.parametrize("q", [F(2), F(3, 2)], ids=str)
@@ -251,7 +253,7 @@ def test_sigma_matrix_consistent_with_algebra_element(k, N, q):
     for p in range(k + 1):
         big = represent(partial_braiding(ctx, 1, p), N)
         coords = solve_exact(basis_mat, linalg.matmul(big, basis_mat))
-        assert linalg.mat_equal(coords, sigma_matrix(k, p, N, q))
+        assert mat_equal(coords, sigma_matrix(k, p, N, q))
 
 
 def test_sigma_matrix_image_outside_span_raises(monkeypatch):
@@ -274,7 +276,7 @@ def test_sigma_matrix_minimal_polynomial(k, N):
     for l in range(k + 1):
         c = (-1) ** (k + l) * q ** (-k + l * (l + 1))
         prod = linalg.matmul(prod, s - eye(d) * c)
-    assert linalg.mat_equal(prod, linalg.zeros(d, d))
+    assert mat_equal(prod, zeros(d, d))
 
 
 # -- assembled R-matrices -----------------------------------------------------------
@@ -284,21 +286,21 @@ def test_fused_R_matrix_k1():
     q, u = F(2), F(3, 5)
     got = fused_R_matrix(1, 2, u, q)
     want = hecke_rmatrix(2, q) - eye(4) * ((q - 1 / q) / (1 - u))
-    assert linalg.mat_equal(got, want)
+    assert mat_equal(got, want)
 
 
 def test_fused_R_matrix_is_coefficient_combination():
     q, u = F(3, 2), F(5, 9)
     c = baxter_coefficients(2, 2, u, q).values
-    manual = linalg.zeros(9, 9)
+    manual = zeros(9, 9)
     for p in range(3):
         manual = manual + sigma_matrix(2, p, 2, q) * c[p]
-    assert linalg.mat_equal(fused_R_matrix(2, 2, u, q), manual)
+    assert mat_equal(fused_R_matrix(2, 2, u, q), manual)
 
 
 @pytest.mark.parametrize("k,N,p", [(1, 2, 1), (2, 2, 1), (2, 2, 2), (2, 3, 1), (3, 2, 2)])
 def test_classical_sigma_direct_oracle(k, N, p):
-    assert linalg.mat_equal(
+    assert mat_equal(
         sigma_matrix(k, p, N, F(1)), classical_sigma_direct(k, p, N)
     )
 
@@ -306,10 +308,10 @@ def test_classical_sigma_direct_oracle(k, N, p):
 def test_classical_fused_R_matrix_coefficients():
     mu = F(7, 2)
     c = classical_coefficients(2, mu)
-    manual = linalg.zeros(9, 9)
+    manual = zeros(9, 9)
     for p in range(3):
         manual = manual + sigma_matrix(2, p, 2, F(1)) * c[p]
-    assert linalg.mat_equal(classical_fused_R_matrix(2, 2, mu), manual)
+    assert mat_equal(classical_fused_R_matrix(2, 2, mu), manual)
 
 
 def test_classical_matrix_additive_ybe():
@@ -380,7 +382,7 @@ def test_matrix_serialization_roundtrip():
     mat = fused_R_matrix(1, 2, u, q)
     obj = json.loads(json.dumps(matrix_to_obj(mat, 1, 2, q, u)))
     assert obj["dim"] == 4 and obj["u"] == "3/5"
-    assert linalg.mat_equal(matrix_from_obj(obj), mat)
+    assert mat_equal(matrix_from_obj(obj), mat)
     csv = matrix_to_csv(mat)
     assert len(csv.strip().splitlines()) == 4
     # corner entry is q - (q - 1/q)/(1 - u) = 2 - (3/2)/(2/5)
@@ -391,7 +393,7 @@ def test_sigma_matrix_is_read_only():
     want = sigma_matrix(2, 1, 2, F(2)).copy()
     with pytest.raises(ValueError):
         sigma_matrix(2, 1, 2, F(2))[0, 0] = 99
-    assert linalg.mat_equal(sigma_matrix(2, 1, 2, F(2)), want)
+    assert mat_equal(sigma_matrix(2, 1, 2, F(2)), want)
 
 
 @pytest.mark.parametrize("q", [F(2), F(3, 2), F(1), F(-1)], ids=["2", "3/2", "1", "-1"])
