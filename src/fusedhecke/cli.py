@@ -75,6 +75,24 @@ def _fail_diff(diff):
     sys.stderr.write(f"verification failed; first difference: {diff}\n")
 
 
+def _emit_element(obj: dict, args) -> int:
+    """A fused element in its JSON form, the only --format it has."""
+    if args.fmt != "json":
+        raise FusedHeckeError("algebra elements serialize as json only")
+    _emit(json.dumps(obj, indent=2), args.output)
+    return 0
+
+
+def _emit_rows(rows, args, q, u=None) -> int:
+    """A matrix on W tensor W, given as rows, in the --format asked for."""
+    if args.fmt == "csv":
+        _emit(tensorrep.matrix_to_csv(rows), args.output)
+    else:
+        obj = tensorrep.matrix_to_obj(rows, args.k, args.N, q, u)
+        _emit(json.dumps(obj, indent=2), args.output)
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fused-hecke",
@@ -171,22 +189,13 @@ def _cmd_compute_r(args) -> int:
     q = parse_rational(args.q)
     u = parse_rational(args.u)
     if args.N is None:
-        ctx = FusedContext(args.k, 2, q)
-        x = fused.baxter_R_expansion(ctx, 1, u)
-        if args.fmt != "json":
-            raise FusedHeckeError("algebra elements serialize as json only")
+        x = fused.baxter_R_expansion(FusedContext(args.k, 2, q), 1, u)
         obj = fused.fused_element_to_obj(x, args.k, 2)
         obj["u"] = format_rational(u)
-        _emit(json.dumps(obj, indent=2), args.output)
-        return 0
+        return _emit_element(obj, args)
     # the rows of fused_R_matrix(k, N, u, q), built without numpy
     rows = tensorrep._rows(tensorrep._R_columns(args.k, args.N, u, fused._multiplicative(q)))
-    if args.fmt == "csv":
-        _emit(tensorrep.matrix_to_csv(rows), args.output)
-    else:
-        _emit(json.dumps(tensorrep.matrix_to_obj(rows, args.k, args.N, q, u),
-                         indent=2), args.output)
-    return 0
+    return _emit_rows(rows, args, q, u)
 
 
 def _cmd_compute_sigma(args) -> int:
@@ -194,21 +203,11 @@ def _cmd_compute_sigma(args) -> int:
     if args.N is None:
         if args.n < 2:
             raise FusedHeckeError(f"compute-sigma needs --n >= 2, got n={args.n}")
-        ctx = FusedContext(args.k, args.n, q)
-        x = fused.partial_braiding(ctx, args.i, args.p)
-        if args.fmt != "json":
-            raise FusedHeckeError("algebra elements serialize as json only")
-        _emit(json.dumps(fused.fused_element_to_obj(x, args.k, args.n), indent=2),
-              args.output)
-        return 0
+        x = fused.partial_braiding(FusedContext(args.k, args.n, q), args.i, args.p)
+        return _emit_element(fused.fused_element_to_obj(x, args.k, args.n), args)
     # the rows of sigma_matrix(k, p, N, q), built without numpy
-    rows = tensorrep._rows(tensorrep._sigma_columns(args.k, args.p, args.N, q))
-    if args.fmt == "csv":
-        _emit(tensorrep.matrix_to_csv(rows), args.output)
-    else:
-        _emit(json.dumps(tensorrep.matrix_to_obj(rows, args.k, args.N, q), indent=2),
-              args.output)
-    return 0
+    return _emit_rows(tensorrep._rows(tensorrep._sigma_columns(args.k, args.p, args.N, q)),
+                      args, q)
 
 
 def _cmd_verify_ybe(args) -> int:
@@ -326,16 +325,14 @@ def _cmd_reproduce(args) -> int:
     q = parse_rational(args.q)
     u = parse_rational(args.u)
     example = "k2N2-matrices" if args.example == "k2N2" else args.example
-    if example == "k1-hecke":
-        got = fused.baxter_coefficients(1, 1, u, q).values
-        want = reference_data.reference_coefficients_k1(u, q)
-        for p, (g, w) in enumerate(zip(got, want)):
-            print(f"a_{p}: computed {format_rational(g)} reference "
-                  f"{format_rational(w)} -> {'match' if g == w else 'MISMATCH'}")
-        return 0 if got == want else 1
-    if example == "k2-coefficients":
-        got = fused.baxter_coefficients(2, 2, u, q).values
-        want = reference_data.reference_coefficients_k2(u, q)
+    coefficient_examples = {
+        "k1-hecke": (1, reference_data.reference_coefficients_k1),
+        "k2-coefficients": (2, reference_data.reference_coefficients_k2),
+    }
+    if example in coefficient_examples:
+        k, reference = coefficient_examples[example]
+        got = fused.baxter_coefficients(k, k, u, q).values
+        want = reference(u, q)
         for p, (g, w) in enumerate(zip(got, want)):
             print(f"a_{p}: computed {format_rational(g)} reference "
                   f"{format_rational(w)} -> {'match' if g == w else 'MISMATCH'}")

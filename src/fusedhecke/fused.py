@@ -10,13 +10,15 @@ a result that is truthy on success and carries the first differing basis
 element on failure.
 
 Every chain of right multiplications that starts at a projector P lives in
-the module P*H_m, and runs there in block-word coordinates (see hecke): it
-starts at the sorted word of P's blocks with coefficient 1, and a vector
-has at most m!/(k!)^n terms, for n blocks of k strands, instead of up to m!.  Equality in P*H_m
-is equality in H_m, so verdicts compare words.  Public elements are
-expanded to the standard basis only on the way out: the word beta with
-coefficient c becomes sum_b P_b c sigma_{b o d_beta}, where d_beta numbers
-the strands of each block from left to right.
+the module P*H_m, and runs there on hecke's scaled-integer vectors keyed by
+block words: it starts at the sorted word of P's blocks with numerator 1
+over 1, and a vector has at most m!/(k!)^n terms, for n blocks of k
+strands, instead of up to m!.  Equality in P*H_m is equality in H_m, so
+verdicts compare words.  Public elements are expanded to the standard basis
+only on the way out: the word beta with coefficient c becomes
+sum_b P_b c sigma_{b o d_beta}, where d_beta numbers the strands of each
+block from left to right.  Only _expand and _word_verdict turn numerators
+into Fractions.
 """
 
 from __future__ import annotations
@@ -28,23 +30,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, InternalConsistencyError, ParameterError, PoleError
 from .hecke import (
     HeckeElement,
-    _accumulate,
     _check_strands,
     _frozen,
-    _mul_affine_right,
     _raw,
     _r_check_constant,
+    _scaled_affine,
+    _scaled_sum,
+    _scaled_symmetriser,
+    _unscaled,
     element_to_obj,
-    mul_symmetriser_right,
     multiply,
-    right_mul_generator,
     symmetriser_sum,
-    zero,
 )
 from .permutations import identity
 from .qnumbers import as_fraction, brace_int, format_rational, q_binomial, q_pochhammer
@@ -52,44 +54,31 @@ from .qnumbers import as_fraction, brace_int, format_rational, q_binomial, q_poc
 
 @dataclass(frozen=True)
 class FusedContext:
-    """Fusion data: k strands per ellipse, n ellipses, the rational q.
-
-    For the mixed two-block setting set ell > k (then n must be 2 and the
-    ambient algebra is H_{k+ell}); otherwise ell defaults to k and the
-    ambient algebra is H_{nk}.
-    """
+    """Fusion data: k strands per ellipse, n ellipses, the rational q; the
+    ambient algebra is H_{nk}.  Mixed block sizes have their own functions
+    (projector_mixed, partial_braiding_mixed, verify_mixed_ybe)."""
 
     k: int
     n: int
     q: Fraction
-    ell: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "q", as_fraction(self.q))
-        ell = self.k if self.ell is None else self.ell
-        object.__setattr__(self, "ell", ell)
         if self.k < 1 or self.n < 1:
             raise ParameterError("k and n must be positive")
-        if ell < self.k:
-            raise ParameterError("ell must be at least k")
-        if ell != self.k and self.n != 2:
-            raise ParameterError("mixed blocks require n = 2")
         if self.q == 0:
             raise ParameterError("q must be nonzero")
-        for l in range(2, max(self.k, ell) + 1):
+        for l in range(2, self.k + 1):
             if brace_int(l, self.q) == 0:
                 raise ParameterError("degenerate q for this fusion level")
 
     @property
     def strands(self) -> int:
-        return self.n * self.k if self.ell == self.k else self.k + self.ell
+        return self.n * self.k
 
     def blocks(self):
         """The symmetrised intervals [(lo, hi), ...] of the projector."""
-        if self.ell == self.k:
-            k = self.k
-            return [(b * k + 1, b * k + k) for b in range(self.n)]
-        return [(1, self.k), (self.k + 1, self.k + self.ell)]
+        return [(b * self.k + 1, (b + 1) * self.k) for b in range(self.n)]
 
 
 class Diff(NamedTuple):
@@ -131,8 +120,7 @@ def _blocks_product(m: int, q, intervals) -> HeckeElement:
     Disjoint supports commute, so the terms are direct overlays of the
     block terms.
     """
-    base = list(identity(m))
-    terms = {tuple(base): Fraction(1)}
+    terms = {identity(m): Fraction(1)}
     for (lo, hi) in intervals:
         s = symmetriser_sum(lo, hi, m, q)
         new = {}
@@ -160,25 +148,22 @@ def projector_mixed(k: int, ell: int, q):
     return p_kl, p_lk
 
 
-def _mul_projector_right(x: HeckeElement, intervals) -> HeckeElement:
-    for (lo, hi) in intervals:
-        x = mul_symmetriser_right(x, lo, hi)
-    return x
+# -- scaled vectors of P*H_m in block-word coordinates -----------------------------
 
 
-# -- block-word coordinates in P*H_m -------------------------------------------
-
-
-def _start(m: int, q, intervals) -> HeckeElement:
-    """P = prod of the symmetrisers on the intervals, in word coordinates:
-    its sorted word, each strand of [lo, hi] carrying the letter lo and every
-    other strand its own position, with coefficient 1.  Every chain in word
-    coordinates starts here, so this is where the strand bound is checked."""
+def _start(m: int, q, intervals) -> tuple:
+    """P = prod of the symmetrisers on the intervals, as a scaled vector: its
+    sorted word, each strand of [lo, hi] carrying the letter lo and every
+    other strand its own position, with numerator 1 over 1.  Every chain in
+    word coordinates starts here, so this is where the strand bound and q
+    are checked."""
     _check_strands(m)
+    if q == 0:
+        raise ParameterError("q must be nonzero")
     word = list(range(1, m + 1))
     for (lo, hi) in intervals:
         word[lo - 1 : hi] = [lo] * (hi - lo + 1)
-    return _raw(m, q, {tuple(word): Fraction(1)})
+    return {tuple(word): 1}, 1
 
 
 def _distinguished(word) -> tuple:
@@ -192,56 +177,56 @@ def _distinguished(word) -> tuple:
     return tuple(d)
 
 
-def _left_projector(x: HeckeElement) -> HeckeElement:
-    """The P that the words of x are taken over: the letter lo occurs once
-    for each strand of its block [lo, hi]."""
-    counts = Counter(next(iter(x.terms), ()))
+def _left_projector(words, m: int, q) -> HeckeElement:
+    """The P that the words are taken over: the letter lo occurs once for
+    each strand of its block [lo, hi]."""
+    counts = Counter(next(iter(words), ()))
     intervals = [(lo, lo + c - 1) for lo, c in sorted(counts.items()) if c > 1]
-    return _blocks_product(x.m, x.q, intervals)
+    return _blocks_product(m, q, intervals)
 
 
-def _expand(x: HeckeElement) -> HeckeElement:
-    """The standard-basis form of x in P*H_m: the word beta with coefficient
-    c becomes sum_b P_b c sigma_{b o d_beta}, and no two of these keys
-    collide.  P_b depends on the length of b only, so the products P_b c are
-    taken once per value of P_b, and b o d_beta is read off b by one
-    itemgetter per word.  That returns a tuple only for m >= 2 indices,
-    which every caller has: a partial braiding or an R-element spans two
-    blocks of at least one strand."""
+def _expand(x: tuple, m: int, q) -> HeckeElement:
+    """The standard-basis form of the scaled vector x of P*H_m in H_m(q):
+    the word beta with coefficient c becomes sum_b P_b c sigma_{b o d_beta},
+    and no two of these keys collide.  P_b depends on the length of b only,
+    so the products P_b c are taken once per value of P_b, and b o d_beta is
+    read off b by one itemgetter per word.  That returns a tuple only for
+    m >= 2 indices, which every caller has: a partial braiding or an
+    R-element spans two blocks of at least one strand."""
+    terms = _unscaled(*x)
     by_value: dict = {}
-    for b, pb in _left_projector(x).terms.items():
+    for b, pb in _left_projector(terms, m, q).terms.items():
         by_value.setdefault(pb, []).append(b)
     out = {}
-    for word, c in x.terms.items():
+    for word, c in terms.items():
         at = operator.itemgetter(*(t - 1 for t in _distinguished(word)))
         for pb, bs in by_value.items():
             out.update(zip(map(at, bs), repeat(pb * c)))
-    return _raw(x.m, x.q, out)
+    return _raw(m, q, out)
 
 
-def _word_verdict(a: HeckeElement, b: HeckeElement) -> VerifyResult:
-    """a == b for two elements of one P*H_m in word coordinates, with the
-    Diff that element_diff gives on their expansions: the lexicographically
+def _word_verdict(a: tuple, b: tuple, m: int, q) -> VerifyResult:
+    """a == b for two scaled vectors of one P*H_m in H_m(q), with the Diff
+    that element_diff gives on their expansions: the lexicographically
     first differing permutation is the least d_beta over the differing
     words beta, with the coefficients c_beta P_id."""
-    if a == b:
+    (na, da), (nb, db) = a, b
+    differ = [w for w in na.keys() | nb.keys() if na.get(w, 0) * db != nb.get(w, 0) * da]
+    if not differ:
         return VerifyResult(True, None)
-    d, word = min(
-        (_distinguished(w), w)
-        for w in a.terms.keys() | b.terms.keys()
-        if a.coefficient(w) != b.coefficient(w)
-    )
-    p_id = _left_projector(a if a.terms else b).coefficient(identity(a.m))
-    return VerifyResult(
-        False, Diff(d, a.coefficient(word) * p_id, b.coefficient(word) * p_id)
-    )
+    d, word = min((_distinguished(w), w) for w in differ)
+    fa, fb = _unscaled(na, da), _unscaled(nb, db)
+    p_id = _left_projector(fa or fb, m, q).coefficient(identity(m))
+    return VerifyResult(False, Diff(d, fa.get(word, 0) * p_id, fb.get(word, 0) * p_id))
 
 
 def _projector_idempotent(ctx: FusedContext) -> bool:
     """P * P == P, taken in P*H_m: the block symmetrisers applied to P's
     word give it back with coefficient 1."""
-    p = _start(ctx.strands, ctx.q, ctx.blocks())
-    return _mul_projector_right(p, ctx.blocks()) == p
+    p = x = _start(ctx.strands, ctx.q, ctx.blocks())
+    for (lo, hi) in ctx.blocks():
+        x = _scaled_symmetriser(*x, lo, hi, ctx.q)
+    return _word_verdict(x, p, ctx.strands, ctx.q).ok
 
 
 # -- partial elementary braidings ---------------------------------------------
@@ -260,27 +245,29 @@ def braiding_word(k: int, ell: int, p: int) -> tuple[int, ...]:
     return tuple(word)
 
 
-def _braid_right(x: HeckeElement, k: int, ell: int, offset: int, p: int) -> HeckeElement:
-    """x * (the (k, ell; p) braiding word at the strand offset) * P^(ell,k) on
-    the two blocks there.  For x = x P^(k,ell) on those blocks this is x times
-    the partial braiding; blocks the word does not touch stay projected."""
+def _braid_right(x: tuple, k: int, ell: int, offset: int, p: int, q: Fraction,
+                 c: Fraction = 0) -> tuple:
+    """The scaled vector x * (the (k, ell; p) braiding word at the strand
+    offset, each letter a taken as sigma_a + c) * P^(ell,k) on the two blocks
+    there.  For x = x P^(k,ell) on those blocks and c = 0 this is x times the
+    partial braiding; c = -(q - 1/q) takes the under-crossings
+    sigma_a^-1 instead.  Blocks the word does not touch stay projected."""
     for a in braiding_word(k, ell, p):
-        x = right_mul_generator(x, offset + a)
-    end = offset + k + ell
-    return _mul_projector_right(x, [(offset + 1, offset + ell), (offset + ell + 1, end)])
+        x = _scaled_affine(*x, offset + a, c, q)
+    x = _scaled_symmetriser(*x, offset + 1, offset + ell, q)
+    return _scaled_symmetriser(*x, offset + ell + 1, offset + k + ell, q)
 
 
 @lru_cache(maxsize=None)
-def _partial_braiding_words(ctx: FusedContext, i: int, p: int) -> HeckeElement:
-    """partial_braiding in word coordinates, read-only."""
-    if ctx.ell != ctx.k:
-        raise DomainError("use partial_braiding_mixed for ell != k")
+def _partial_braiding_words(ctx: FusedContext, i: int, p: int) -> tuple:
+    """partial_braiding as a scaled vector, its numerator map read-only."""
     if not 0 <= p <= ctx.k:
         raise DomainError(f"braiding order p={p} out of range 0..{ctx.k}")
     if not 1 <= i <= ctx.n - 1:
         raise DomainError(f"ellipse index i={i} out of range 1..{ctx.n - 1}")
     x = _start(ctx.strands, ctx.q, ctx.blocks())
-    return _frozen(_braid_right(x, ctx.k, ctx.k, (i - 1) * ctx.k, p))
+    nums, den = _braid_right(x, ctx.k, ctx.k, (i - 1) * ctx.k, p, ctx.q)
+    return MappingProxyType(nums), den
 
 
 @lru_cache(maxsize=None)
@@ -289,7 +276,7 @@ def partial_braiding(ctx: FusedContext, i: int, p: int) -> HeckeElement:
     strands of ellipse i cross over the p leftmost strands of ellipse i+1,
     sandwiched between the projector on both sides.  p = 0 gives P itself.
     """
-    return _frozen(_expand(_partial_braiding_words(ctx, i, p)))
+    return _frozen(_expand(_partial_braiding_words(ctx, i, p), ctx.strands, ctx.q))
 
 
 @lru_cache(maxsize=None)
@@ -304,7 +291,7 @@ def partial_braiding_mixed(k: int, ell: int, p: int, q) -> HeckeElement:
     if not 0 <= p <= k:
         raise DomainError(f"braiding order p={p} out of range 0..{k}")
     x = _start(k + ell, q, [(1, k), (k + 1, k + ell)])
-    return _frozen(_expand(_braid_right(x, k, ell, 0, p)))
+    return _frozen(_expand(_braid_right(x, k, ell, 0, p, q), k + ell, q))
 
 
 # -- baxterisation coefficients ------------------------------------------------
@@ -424,23 +411,22 @@ _ADDITIVE = _Baxterisation(
 # -- baxterised R-elements ------------------------------------------------------
 
 
-def _expansion(ctx: FusedContext, i: int, arg, bax: _Baxterisation) -> HeckeElement:
-    """sum_p coefficient_p(arg) * (partial braiding p) at ellipse i, in word
-    coordinates."""
-    out: dict = {}
-    for p, a in enumerate(bax.coefficients(ctx.k, arg)):
-        words = _partial_braiding_words(ctx, i, p).terms
-        _accumulate(out, ((w, a * c) for w, c in words.items()))
-    return _raw(ctx.strands, ctx.q, out)
+def _expansion(ctx: FusedContext, i: int, arg, bax: _Baxterisation) -> tuple:
+    """sum_p coefficient_p(arg) * (partial braiding p) at ellipse i, as a
+    scaled vector."""
+    return _scaled_sum(
+        (a, _partial_braiding_words(ctx, i, p))
+        for p, a in enumerate(bax.coefficients(ctx.k, arg))
+    )
 
 
 def baxter_R_expansion(ctx: FusedContext, i: int, u) -> HeckeElement:
     """The baxterised element at ellipse i: sum_p a_p(u) * (partial braiding p)."""
-    return _expand(_expansion(ctx, i, u, _multiplicative(ctx.q)))
+    return _expand(_expansion(ctx, i, u, _multiplicative(ctx.q)), ctx.strands, ctx.q)
 
 
-def _mul_grid_right(x: HeckeElement, k: int, ell: int, arg, offset: int,
-                    bax: _Baxterisation) -> HeckeElement:
+def _mul_grid_right(x: tuple, k: int, ell: int, arg, offset: int,
+                    bax: _Baxterisation) -> tuple:
     """Right-multiply by the k x ell grid of baxterised generators
 
         prod_{a=k..1} prod_{t=0..ell-1} (sigma_{offset+a+t} + c(arg, t+1-a)),
@@ -448,18 +434,19 @@ def _mul_grid_right(x: HeckeElement, k: int, ell: int, arg, offset: int,
     the outer factors ordered right to left as the row index a increases;
     c(u, s) = -(q - 1/q)/(1 - u q^{2s}), or 1/(mu + s) at q = 1; then by
     P^(ell,k) on the two blocks at the offset.  For x = x P^(k,ell) there
-    this is x * R^(k,ell)(arg) in its factorised form.
+    this is x * R^(k,ell)(arg) in its factorised form, on scaled vectors.
     """
+    q = bax.q
     for a in range(k, 0, -1):
         for t in range(ell):
-            x = _mul_affine_right(x, offset + a + t, bax.constant(arg, t + 1 - a))
-    end = offset + k + ell
-    return _mul_projector_right(x, [(offset + 1, offset + ell), (offset + ell + 1, end)])
+            x = _scaled_affine(*x, offset + a + t, bax.constant(arg, t + 1 - a), q)
+    x = _scaled_symmetriser(*x, offset + 1, offset + ell, q)
+    return _scaled_symmetriser(*x, offset + ell + 1, offset + k + ell, q)
 
 
-def _factorised(k: int, ell: int, arg, bax: _Baxterisation) -> HeckeElement:
-    """P^(k,ell) * (grid of k*ell baxterised generators) * P^(ell,k), in word
-    coordinates."""
+def _factorised(k: int, ell: int, arg, bax: _Baxterisation) -> tuple:
+    """P^(k,ell) * (grid of k*ell baxterised generators) * P^(ell,k), as a
+    scaled vector."""
     x = _start(k + ell, bax.q, [(1, k), (k + 1, k + ell)])
     return _mul_grid_right(x, k, ell, arg, 0, bax)
 
@@ -467,7 +454,8 @@ def _factorised(k: int, ell: int, arg, bax: _Baxterisation) -> HeckeElement:
 def baxter_R_factorized(k: int, ell: int, u, q) -> HeckeElement:
     """The fused product P^(k,ell) * (grid of kl baxterised generators) *
     P^(ell,k) in H_{k+ell}(q)."""
-    return _expand(_factorised(k, ell, as_fraction(u), _multiplicative(q)))
+    bax = _multiplicative(q)
+    return _expand(_factorised(k, ell, as_fraction(u), bax), k + ell, bax.q)
 
 
 # -- Yang-Baxter verification ----------------------------------------------------
@@ -489,7 +477,7 @@ def _verify_ybe(ctx: FusedContext, u, v, i: int, method: str, bax: _Baxterisatio
     coefficients = {arg: bax.coefficients(ctx.k, arg) for arg in (u, w, v)}
     if method == "direct":
         bax = bax._replace(coefficients=lambda k, arg: coefficients[arg])
-        r = lambda j, arg: _expand(_expansion(ctx, j, arg, bax))
+        r = lambda j, arg: _expand(_expansion(ctx, j, arg, bax), ctx.strands, ctx.q)
         lhs = multiply(multiply(r(i, u), r(i + 1, w)), r(i, v))
         rhs = multiply(multiply(r(i + 1, v), r(i, w)), r(i + 1, u))
         return _verdict(lhs, rhs)
@@ -499,16 +487,15 @@ def _verify_ybe(ctx: FusedContext, u, v, i: int, method: str, bax: _Baxterisatio
 
     # x * R_j(arg) = sum_p a_p(arg) x (braiding word p) P for x = x P
     def times_R(x, j, arg):
-        out: dict = {}
-        for p, a in enumerate(coefficients[arg]):
-            y = _braid_right(x, k, k, (j - 1) * k, p)
-            _accumulate(out, ((word, a * c) for word, c in y.terms.items()))
-        return _raw(ctx.strands, ctx.q, out)
+        return _scaled_sum(
+            (a, _braid_right(x, k, k, (j - 1) * k, p, ctx.q))
+            for p, a in enumerate(coefficients[arg])
+        )
 
     start = _start(ctx.strands, ctx.q, ctx.blocks())
     lhs = times_R(times_R(times_R(start, i, u), i + 1, w), i, v)
     rhs = times_R(times_R(times_R(start, i + 1, v), i, w), i + 1, u)
-    return _word_verdict(lhs, rhs)
+    return _word_verdict(lhs, rhs, ctx.strands, ctx.q)
 
 
 def verify_braided_ybe(ctx: FusedContext, u, v, i: int = 1, method: str = "auto"):
@@ -547,9 +534,7 @@ def verify_mixed_ybe(k: int, l: int, m: int, u, v, q) -> VerifyResult:
         raise ParameterError(f"mixed blocks need sizes of at least 1, got k={k}, l={l}, m={m}")
     q, u, v = as_fraction(q), as_fraction(u), as_fraction(v)
     n = k + l + m
-    start = _start(n, q, [(1, k), (k + 1, k + l), (k + l + 1, n)])  # the strand bound first
-    if q == 0:
-        raise ParameterError("q must be nonzero")
+    start = _start(n, q, [(1, k), (k + 1, k + l), (k + l + 1, n)])  # strand bound and q first
     bax = _multiplicative(q)
     # every grid constant first, so that a pole names its argument; the
     # a x b grid takes the shifts 1 - a .. b - 1
@@ -562,15 +547,18 @@ def verify_mixed_ybe(k: int, l: int, m: int, u, v, q) -> VerifyResult:
     times_R = lambda x, a, b, arg, offset: _mul_grid_right(x, a, b, arg, offset, bax)
     lhs = times_R(times_R(times_R(start, k, l, u, 0), k, m, u * v, l), l, m, v, 0)
     rhs = times_R(times_R(times_R(start, l, m, v, k), k, m, u * v, 0), k, l, u, m)
-    return _word_verdict(lhs, rhs)
+    return _word_verdict(lhs, rhs, n, q)
 
 
 def verify_commPR(k: int, ell: int, u, q) -> VerifyResult:
     """Exact check of P^(k,ell) R^(k,ell)(u) = R^(k,ell)(u) P^(ell,k)."""
-    x = _factorised(k, ell, as_fraction(u), _multiplicative(q))
+    bax = _multiplicative(q)
+    q, m = bax.q, k + ell
+    x = _factorised(k, ell, as_fraction(u), bax)
     p_kl, _ = projector_mixed(k, ell, q)
-    lhs = multiply(p_kl, _expand(x))
-    rhs = _expand(_mul_projector_right(x, [(1, ell), (ell + 1, k + ell)]))
+    lhs = multiply(p_kl, _expand(x, m, q))
+    x = _scaled_symmetriser(*x, 1, ell, q)
+    rhs = _expand(_scaled_symmetriser(*x, ell + 1, m, q), m, q)
     return _verdict(lhs, rhs)
 
 
@@ -588,10 +576,10 @@ def minimal_polynomial_check(ctx: FusedContext, check_minimality: bool = True) -
         return False
     powers = [_start(ctx.strands, q, ctx.blocks())]
     for _ in range(k + 1):
-        powers.append(_braid_right(powers[-1], k, k, 0, k))
+        powers.append(_braid_right(powers[-1], k, k, 0, k, q))
     eigen = [(-1) ** (k + l) * q ** (-k + l * (l + 1)) for l in range(k + 1)]
 
-    def subset_product(values):
+    def vanishes(values) -> bool:
         # expand prod (Sigma - c P) over elementary symmetric polynomials
         esym = [Fraction(1)]
         for c in values:
@@ -600,17 +588,14 @@ def minimal_polynomial_check(ctx: FusedContext, check_minimality: bool = True) -
                 new[t + 1] += c * esym[t]
             esym = new
         d = len(values)
-        out = zero(ctx.strands, q)
-        for j in range(d + 1):
-            out = out + powers[j].scale((-1) ** (d - j) * esym[d - j])
-        return out
+        nums, _ = _scaled_sum(((-1) ** (d - j) * esym[d - j], powers[j]) for j in range(d + 1))
+        return not nums
 
-    if not subset_product(eigen).is_zero():
+    if not vanishes(eigen):
         return False
     if check_minimality and k <= 3:
         for drop in range(k + 1):
-            sub = eigen[:drop] + eigen[drop + 1 :]
-            if subset_product(sub).is_zero():
+            if vanishes(eigen[:drop] + eigen[drop + 1 :]):
                 return False
     return True
 
@@ -621,13 +606,14 @@ def minimal_polynomial_check(ctx: FusedContext, check_minimality: bool = True) -
 def classical_baxter_R(k: int, n: int, i: int, mu) -> HeckeElement:
     """The additive-parameter solution in the q = 1 fused algebra:
     sum_p c_p(mu) * (partial braiding p) with the classical coefficients."""
-    return _expand(_expansion(FusedContext(k, n, Fraction(1)), i, mu, _ADDITIVE))
+    ctx = FusedContext(k, n, Fraction(1))
+    return _expand(_expansion(ctx, i, mu, _ADDITIVE), ctx.strands, ctx.q)
 
 
 def classical_baxter_R_factorized(k: int, mu) -> HeckeElement:
     """Fused product form at q = 1 in H_{2k}(1): projector, grid of Yang
     factors (sigma_a + 1/(mu + shift)), projector."""
-    return _expand(_factorised(k, k, as_fraction(mu), _ADDITIVE))
+    return _expand(_factorised(k, k, as_fraction(mu), _ADDITIVE), 2 * k, _ADDITIVE.q)
 
 
 def verify_classical_ybe(k: int, n: int, mu, nu, i: int = 1, method: str = "auto"):
@@ -658,30 +644,24 @@ def fused_product_example_check(q) -> ExampleCheck:
 
         1/(1+q^2)^2 * (1 + (q - 1/q + 2 q^3) X + q^2 X2),
 
-    where X, X2 are the partial and full crossings.  The crossing sign is
+    where X, X2 are the partial and full crossings, with the coefficients
+    of reference_data.reference_h22_product_coefficients.  The crossing sign is
     only determined pictorially, so both the all-over and all-under readings
     are tried; returns which one matches (exactly one should).
     """
+    # imported here, so that importing the package does not load the tables
+    from .reference_data import reference_h22_product_coefficients
+
     q = as_fraction(q)
     ctx = FusedContext(2, 2, q)
-    p = projector_P(ctx)
     lam = q - 1 / q
-    scale = 1 / brace_int(2, q) ** 2
-
-    def build(word, sign):
-        x = p
-        for a in word:
-            y = right_mul_generator(x, a)
-            x = y - x.scale(lam) if sign == "under" else y
-        return _mul_projector_right(x, ctx.blocks())
-
+    start = _start(4, q, ctx.blocks())
     matches = []
-    for sign in ("over", "under"):
-        x1 = build((2,), sign)
-        x2 = build(braiding_word(2, 2, 2), sign)
-        lhs = multiply(x1, x1)
-        rhs = (p + x1.scale(lam + 2 * q**3) + x2.scale(q * q)).scale(scale)
-        if lhs == rhs:
+    for sign, c in (("over", 0), ("under", -lam)):
+        x1, x2 = (_braid_right(start, 2, 2, 0, p, q, c) for p in (1, 2))
+        e1 = _expand(x1, 4, q)
+        rhs = _scaled_sum(zip(reference_h22_product_coefficients(q), (start, x1, x2)))
+        if multiply(e1, e1) == _expand(rhs, 4, q):
             matches.append(sign)
     if len(matches) == 1:
         return ExampleCheck(True, matches[0])

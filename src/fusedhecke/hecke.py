@@ -18,31 +18,31 @@ common denominator, which divides den_a den_b (ab)^L at q = a/b, L the
 length of the longest word of a (see multiply).  At q**2 == 1 the rule has
 no second term and the product composes keys directly.
 
-Right multiplication by a generator or a q-symmetriser also acts on block
-words, keys with repeated letters.  Let P be the product of the
+Chains of right multiplications run on module vectors in one form, the
+scaled-integer form: with q = a/b, a vector is a pair (numerators,
+denominator), a map of integer numerators over one common denominator.  Its
+keys are permutations or block words.  Let P be the product of the
 q-symmetrisers on disjoint blocks of strands, where the block [lo, hi]
 carries the letter lo and every other strand its own position.  Then P*H_m
 has the basis P*sigma_d, d running over the distinguished (shortest) coset
 representatives (Dipper-James), and P*sigma_d is keyed by the word of d:
 its one-line notation with every value replaced by the letter of its block.
 d is recovered from the word by numbering the strands of each block from
-left to right.  Right multiplication by sigma_i swaps positions i, i+1 of the
-word; an equal pair of letters means that sigma_i is absorbed by P, which
-multiplies the term by q, and an unequal pair follows the permutation rule
-with its (q - 1/q) term.  A permutation is a word of P = 1, whose letters are
-all distinct.  The same words key the weight spaces of V^(tensor m) (Dipper-
-James), which is how tensorrep applies this kernel to tensors.
+left to right.  A permutation is a word of P = 1, whose letters are all
+distinct.  The same words key the weight spaces of V^(tensor m) (Dipper-
+James), which is how tensorrep applies these passes to tensors.  The passes
+are x*sigma_i, x*(sigma_i + c), x*S_[i,j] and sum_p c_p x_p; coefficients
+enter the form once (_scaled) and leave it once (_unscaled).  HeckeElement
+holds the standard basis only.
 
 The generator rule is written once, with three factors: a key whose letters
-at i, i+1 are equal stays put times the equal-pair factor, every other key
-has them swapped times the swap factor, and a descent (w[i] > w[i+1]) also
-stays put times the descent factor.  On Fraction coefficients the factors
-are q, 1 and q - 1/q.  The passes of multiply and of the symmetrisers run
-on a scaled-integer form: with q = a/b, a vector is a map of integer
-numerators over one common denominator, the factors become a^2, ab and
-a^2 - b^2, and each generator pass multiplies the denominator by ab.
-Coefficients are converted into that form once and back to Fraction once;
-the symmetriser passes also reduce by the gcd once per grown strand.
+at i, i+1 are equal stays put times the equal-pair factor (sigma_i is
+absorbed by P), every other key has them swapped times the swap factor, and
+a descent (w[i] > w[i+1]) also stays put times the descent factor.  On
+Fraction coefficients the factors are q, 1 and q - 1/q; in the scaled form
+they are a^2, ab and a^2 - b^2, and each generator pass multiplies the
+denominator by ab.  The symmetriser passes reduce by the gcd once per grown
+strand.
 """
 
 from __future__ import annotations
@@ -228,8 +228,7 @@ def _generator_rule(terms: dict, i0: int, equal, swap, descent) -> dict:
 def right_mul_generator(x: HeckeElement, i: int) -> HeckeElement:
     """x * sigma_i: w * s_i swaps the entries at positions i, i+1 of w, and
     where the length goes down (a descent at i) the term also stays put
-    with weight q - 1/q.  On a block word an equal pair of letters is
-    absorbed by the projector: the term stays put with weight q."""
+    with weight q - 1/q."""
     if not 1 <= i <= x.m - 1:
         raise DomainError(f"generator index {i} out of range for m={x.m}")
     q = x.q
@@ -262,10 +261,43 @@ def _scaled_generator(nums: dict, den: int, i: int, q: Fraction) -> tuple:
     return _generator_rule(nums, i - 1, equal, swap, descent), den * swap
 
 
+def _scaled_affine(nums: dict, den: int, i: int, c: Fraction, q: Fraction) -> tuple:
+    """(nums / den) * (sigma_i + c) in scaled-integer form.  With the
+    generator pass y over den ab and c = cn/cd, the numerators are
+    cd y + ab cn nums over den ab cd; c = 0 is the generator pass alone."""
+    y, yden = _scaled_generator(nums, den, i, q)
+    if not c:
+        return y, yden
+    cn, cd = c.numerator, c.denominator
+    f = q.numerator * q.denominator * cn
+    y = {w: cd * n for w, n in y.items()}
+    return _accumulate(y, ((w, f * n) for w, n in nums.items())), yden * cd
+
+
+def _scaled_sum(pairs) -> tuple:
+    """sum_p c_p x_p in scaled-integer form, for (c_p, x_p) in pairs, each
+    c_p a rational and x_p = (nums, den); the denominators may differ and
+    have either sign.  The sum is taken over the least common multiple of
+    the den_p times the denominators of the c_p; zero c_p are skipped."""
+    pairs = [(c, nums, den * c.denominator) for c, (nums, den) in pairs if c]
+    den = lcm(*(d for _, _, d in pairs))
+    total: dict = {}
+    for c, nums, d in pairs:
+        f = c.numerator * (den // d)
+        _accumulate(total, ((w, f * n) for w, n in nums.items()))
+    return total, den
+
+
 def _scaled_symmetriser(nums: dict, den: int, i: int, j: int, q: Fraction) -> tuple:
-    """(nums / den) * S_[i,j] in scaled-integer form, by the recursion of
-    mul_symmetriser_right.  At q = a/b, growing the interval to s + 1
-    strands takes the prefactor 1/[s+1]_q = (ab)^s / Q with
+    """(nums / den) * S_[i,j] in scaled-integer form, grown one strand at a
+    time by the recursion
+
+        S_[i,b+1] = S_[i,b] * 1/[b-i+2]_q * sum_{a=i..b+1} q^{i-a} sigma_b ... sigma_a,
+
+    the word empty for a = b+1: the image of the left recursion under
+    sigma_w -> sigma_{w^-1}, which fixes every S_[i,j].  No factor has a pole
+    at q**2 == 1.  At q = a/b, growing the interval to s + 1 strands
+    takes the prefactor 1/[s+1]_q = (ab)^s / Q with
     Q = sum_{t=0..s} a^(2(s-t)) b^(2t), which is positive, and the summand
     after t generator passes, q^(t-s) times numerators over den (ab)^t, is
     b^(2(s-t)) times those numerators over den Q."""
@@ -382,15 +414,10 @@ def _r_check_constant(u: Fraction, q: Fraction) -> Fraction:
     return (1 / q - q) / (1 - u)
 
 
-def _mul_affine_right(x: HeckeElement, i: int, c: Fraction) -> HeckeElement:
-    """x * (sigma_i + c)."""
-    y = right_mul_generator(x, i)
-    return y + x.scale(c) if c else y
-
-
 def mul_r_check_right(x: HeckeElement, i: int, u) -> HeckeElement:
     """x * (sigma_i - (q - 1/q)/(1 - u)); the workhorse of fusion products."""
-    return _mul_affine_right(x, i, _r_check_constant(as_fraction(u), x.q))
+    c = _r_check_constant(as_fraction(u), x.q)
+    return right_mul_generator(x, i) + x.scale(c)
 
 
 # -- q-symmetrisers ----------------------------------------------------------
@@ -422,24 +449,6 @@ def symmetriser_sum(i: int, j: int, m: int, q) -> HeckeElement:
         w = head + tuple(v + i - 1 for v in wp) + tail
         terms[w] = pref * q ** length(wp)
     return _raw(m, q, MappingProxyType(terms))
-
-
-def mul_symmetriser_right(x: HeckeElement, i: int, j: int) -> HeckeElement:
-    """x * S_[i,j], grown one strand at a time by the recursion
-
-        S_[i,b+1] = S_[i,b] * 1/[b-i+2]_q * sum_{a=i..b+1} q^{i-a} sigma_b ... sigma_a,
-
-    the word empty for a = b+1: the mirror image of the left recursion
-
-        S_[i,b+1] = 1/[b-i+2]_q * sum_{a=i..b+1} q^{i-a} sigma_a ... sigma_b S_[i,b]
-
-    under sigma_w -> sigma_{w^-1}, which fixes every S_[i,j].  Total wherever
-    the algebra is defined: no factor has a pole at q**2 == 1.  Runs in the
-    scaled-integer form.
-    """
-    symmetriser_sum(i, j, x.m, x.q)  # rejects a bad interval or a vanishing [r]_q!
-    nums, den = _scaled_symmetriser(*_scaled(x.terms), i, j, x.q)
-    return _raw(x.m, x.q, _unscaled(nums, den))
 
 
 def symmetriser_product(i: int, j: int, m: int, q) -> HeckeElement:

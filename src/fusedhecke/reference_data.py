@@ -1,7 +1,8 @@
 """Known closed forms used by the `reproduce-paper` command and the
 acceptance suite: the two 9x9 partial-braiding matrices for k = 2, N = 2
 (with lam = q - 1/q and tq = q + 1/q), the k = 1 and k = 2 baxterisation
-coefficients, and the coefficients of the two-ellipse worked product.
+coefficients, and the coefficients of the two-ellipse worked product, which
+fused.fused_product_example_check reads.
 
 These are transcriptions entered by hand, independent of the computation
 paths they certify.  The matrices are entered as rows of Fractions, which

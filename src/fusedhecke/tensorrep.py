@@ -3,12 +3,12 @@ their tensor products.
 
 The Hecke algebra acts on V^(tensor m) through the standard R-matrix at each
 pair of adjacent slots: e_a e_b goes to q e_a e_b if a = b, else to e_b e_a,
-plus (q - 1/q) e_a e_b if a < b.  Under the letter reversal a -> N+1-a that
+plus (q - 1/q) e_a e_b if a < b.  Under the letter flip a -> N+1-a that
 is hecke's generator rule on words with repeated letters (a weight space of
 V^(tensor m) is a parabolic module, Dipper-James), so this module owns no
-kernel of its own.  It reverses the letters of a tensor on the way into the
-hecke kernel, runs the kernel in its scaled-integer form, and keeps the
-letter order of its public multi-indices.  W is carried by the
+kernel and no chain of its own.  It flips the letters of a tensor on the way
+into hecke's scaled-integer form, runs fused's braiding chain on it, and
+keeps the letter order of its public multi-indices.  W is carried by the
 (unnormalised) symmetriser images of the nondecreasing basis tensors.  The
 action only rearranges letters, so each basis vector w_a of W lives on the
 rearrangements of its own tensor t_a, and w_a tensor w_b is the one basis
@@ -39,13 +39,12 @@ from .fused import (
     _ADDITIVE,
     VerifyResult,
     _Baxterisation,
+    _braid_right,
     _multiplicative,
-    braiding_word,
 )
 from .hecke import (
     _accumulate,
     _scaled,
-    _scaled_generator,
     _scaled_symmetriser,
     _unscaled,
 )
@@ -131,11 +130,15 @@ def _sigma_columns(k: int, p: int, N: int, q) -> tuple:
     w_b ordered lexicographically, as one tuple of (row, value) pairs per
     column, rows ascending, zeros left out.
 
-    Computed by applying the braiding word and then the symmetrisers to each
-    w_a tensor w_b on V^(tensor 2k) (the leading symmetrisers fix it), in
-    the scaled-integer form of the hecke kernel, and reading the coordinate
-    of w_a' tensor w_b' off the image at t_a' + t_b', for the keys t_a' + t_b'
-    that the image holds; raises if the image minus that combination is not
+    Computed by fused's braiding chain (the braiding word, then the
+    symmetrisers) on each w_a tensor w_b in V^(tensor 2k), which the leading
+    symmetrisers fix, in hecke's scaled-integer form.  The operator
+    sigma_word applies its last letter first, but the chain runs the word in
+    order: the permutation of a partial braiding is an involution, so the
+    word and its reverse are reduced words of one permutation and
+    sigma_word = sigma_reversed(word).  The coordinate of w_a' tensor w_b'
+    is read off the image at t_a' + t_b', for the keys t_a' + t_b' that the
+    image holds; raises if the image minus that combination is not
     zero, which no admissible parameter can trigger.
     """
     q = as_fraction(q)
@@ -153,14 +156,9 @@ def _sigma_columns(k: int, p: int, N: int, q) -> tuple:
     ]
     tensors = [_flip(t, N) for t in wb.indices]
     index_of = {ta + tb: r for r, (ta, tb) in enumerate(itertools.product(tensors, repeat=2))}
-    word = braiding_word(k, k, p)
     out = []
     for vec in basis:
-        nums, den = _scaled(vec)
-        for a in reversed(word):  # the operator sigma_word applies its last letter first
-            nums, den = _scaled_generator(nums, den, a, q)
-        nums, den = _scaled_symmetriser(nums, den, 1, k, q)
-        img = _unscaled(*_scaled_symmetriser(nums, den, k + 1, 2 * k, q))
+        img = _unscaled(*_braid_right(_scaled(vec), k, k, 0, p, q))
         col = []
         for key, r in [(key, index_of[key]) for key in img if key in index_of]:
             w = basis[r]

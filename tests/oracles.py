@@ -10,9 +10,9 @@ Yang-Baxter equation as dense Kronecker factors and dense products, and the
 fused chains of right multiplications (projectors, partial braidings,
 factorised R-elements and the braided and mixed Yang-Baxter chains) run in
 the standard basis of H_m, each symmetriser applied term by term from its
-sum formula; also the baxterised generator, the left symmetriser recursion
-and the one-projector form of the factorised R-element, which only the
-tests use."""
+sum formula; also the baxterised generator, the left symmetriser recursion,
+the one-projector form of the factorised R-element and the library's scaled
+symmetriser pass wrapped on elements, which only the tests use."""
 
 import itertools
 from fractions import Fraction
@@ -27,6 +27,9 @@ from fusedhecke.hecke import (
     HeckeElement,
     _accumulate,
     _raw,
+    _scaled,
+    _scaled_symmetriser,
+    _unscaled,
     mul_r_check_right,
     right_mul_generator,
     unit,
@@ -414,3 +417,11 @@ def baxter_R_one_sided(k: int, u, q) -> HeckeElement:
         for t in range(k):
             x = mul_r_check_right(x, a + t, u * q ** (2 * (a - 1 - t)))
     return x
+
+
+def mul_symmetriser_right(x: HeckeElement, i: int, j: int) -> HeckeElement:
+    """x * S_[i,j] by the library's scaled-integer symmetriser pass, with its
+    coefficients converted in and out; a bad interval is rejected first."""
+    symmetriser_sum(i, j, x.m, x.q)
+    nums, den = _scaled_symmetriser(*_scaled(x.terms), i, j, x.q)
+    return _raw(x.m, x.q, _unscaled(nums, den))

@@ -85,3 +85,20 @@ def test_benchmark_test_names_exist():
         if not hasattr(importlib.import_module(f"fusedhecke.{module}"), attr):
             missing.append(name)
     assert missing == []
+
+
+def test_fused_and_tensorrep_leave_numerator_arithmetic_to_hecke():
+    """fused.py and tensorrep.py take no gcd or lcm and build no Fraction
+    from a numerator and a denominator: scaled vectors enter and leave
+    Fraction form through hecke only."""
+    for name in ("fused.py", "tensorrep.py"):
+        for node in ast.walk(_tree(ROOT / "src" / "fusedhecke" / name)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert not {a.name for a in node.names} & {"gcd", "lcm"}, (name, node.lineno)
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in ("gcd", "lcm"), (name, node.lineno)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if callee == "Fraction":
+                    assert len(node.args) + len(node.keywords) < 2, (name, node.lineno)

@@ -41,7 +41,8 @@ from fusedhecke.fused import (
     fused_product_example_check,
     projector_mixed,
 )
-from fusedhecke.hecke import _raw, right_mul_generator, zero
+from fusedhecke.hecke import _scaled_generator, zero
+from fusedhecke.permutations import compose, identity, length, simple_transposition
 
 import oracles
 from oracles import baxter_R_one_sided, r_check_generator
@@ -54,13 +55,13 @@ QS = [F(2), F(3, 2), F(5, 3)]
 
 def test_context_validation():
     FusedContext(2, 3, F(2))
-    FusedContext(1, 2, F(2), ell=3)
     with pytest.raises(ParameterError):
         FusedContext(0, 2, F(2))
     with pytest.raises(ParameterError):
-        FusedContext(2, 3, F(2), ell=3)  # mixed blocks force n = 2
-    with pytest.raises(ParameterError):
         FusedContext(2, 2, F(0))
+    # mixed block sizes have their own functions, not a context option
+    with pytest.raises(TypeError):
+        FusedContext(1, 2, F(2), ell=3)
 
 
 def test_projector_k1_is_unit():
@@ -107,6 +108,26 @@ def test_braiding_word_shapes():
     assert braiding_word(2, 2, 1) == (2,)
     assert braiding_word(2, 2, 2) == (2, 3, 1, 2)
     assert braiding_word(2, 3, 1) == (2, 3)
+
+
+def _word_perm(word, m):
+    """The permutation s_{a_1} s_{a_2} ... of a generator word."""
+    w = identity(m)
+    for a in word:
+        w = compose(w, simple_transposition(a, m))
+    return w
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_braiding_word_and_its_reverse_are_reduced_words_of_one_involution(k):
+    # tensorrep runs the chain in word order where the operator sigma_word
+    # applies its last letter first: this is why both give one element
+    for p in range(k + 1):
+        word = braiding_word(k, k, p)
+        w = _word_perm(word, 2 * k)
+        assert _word_perm(reversed(word), 2 * k) == w
+        assert length(w) == len(word) == p * p
+        assert compose(w, w) == identity(2 * k)
 
 
 def test_partial_braiding_k1_is_generator():
@@ -354,6 +375,18 @@ def test_mixed_ybe_rejects_q_zero():
         verify_mixed_ybe(1, 2, 1, F(3, 5), F(7, 11), 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: baxter_R_factorized(1, 2, F(3, 7), 0),
+    lambda: partial_braiding_mixed(1, 2, 1, 0),
+    lambda: verify_commPR(1, 1, F(3, 7), 0),
+    lambda: verify_mixed_ybe(1, 1, 2, F(3, 7), F(5, 9), 0),
+], ids=["baxter_R_factorized", "partial_braiding_mixed", "verify_commPR", "verify_mixed_ybe"])
+def test_chain_entry_points_reject_q_zero(call):
+    # every chain starts at fused._start, which checks q before any pass
+    with pytest.raises(ParameterError, match="^q must be nonzero$"):
+        call()
+
+
 @pytest.mark.parametrize("klm, u, v, name, arg, s", [
     ((1, 2, 2), F(1, 4), F(3, 5), "u", "1/4", 1),
     ((1, 1, 2), F(3, 5), F(1, 4), "v", "1/4", 1),
@@ -457,6 +490,25 @@ def test_mixed_braiding_reduces_to_unmixed():
     ctx = FusedContext(2, 2, q)
     for p in range(3):
         assert partial_braiding_mixed(2, 2, p, q) == partial_braiding(ctx, 1, p)
+
+
+@pytest.mark.parametrize("q", [F(2), F(3, 2), F(-5, 7), F(1), F(-1)], ids=str)
+def test_public_elements_are_keyed_by_permutations(q):
+    # the chains run on block words; every element handed out is expanded
+    ctx = FusedContext(2, 3, q)
+    elements = [
+        projector_P(ctx),
+        partial_braiding(ctx, 2, 1),
+        partial_braiding_mixed(1, 3, 1, q),
+        *projector_mixed(1, 3, q),
+        baxter_R_expansion(ctx, 1, F(3, 7)),
+        baxter_R_factorized(2, 3, F(3, 7), q),
+        classical_baxter_R(2, 3, 1, F(7, 2)),
+        classical_baxter_R_factorized(2, F(7, 2)),
+    ]
+    for x in elements:
+        assert x.terms
+        assert all(sorted(w) == list(range(1, x.m + 1)) for w in x.terms), x
 
 
 def test_fused_serialization_header():
@@ -606,12 +658,13 @@ def test_mixed_ybe_wrong_constant_gives_the_standard_basis_diff(monkeypatch):
 
 @pytest.mark.parametrize("q", [F(2), F(1), F(-1)], ids=str)
 def test_word_kernel_is_the_action_on_the_module(q):
-    # P * sigma_d * sigma_i for every word of the blocks [1, 2], [3, 4]
+    # P * sigma_d * sigma_i for every word of the blocks [1, 2], [3, 4], by
+    # the scaled generator pass that every word chain takes
     for word in sorted(set(itertools.permutations((1, 1, 3, 3)))):
-        x = _raw(4, q, {word: F(1)})
+        x = ({word: 1}, 1)
         for i in (1, 2, 3):
-            want = multiply(_expand(x), generator(i, 4, q))
-            assert _expand(right_mul_generator(x, i)) == want
+            want = multiply(_expand(x, 4, q), generator(i, 4, q))
+            assert _expand(_scaled_generator(*x, i, q), 4, q) == want
 
 
 @pytest.mark.parametrize("q", [F(2), F(3, 2), F(1)], ids=str)
@@ -650,21 +703,23 @@ def test_word_path_at_q_minus_one(k, ell):
 # -- cached results are read-only --------------------------------------------------------------
 
 
+# each entry gives the coefficient map of a cached result: the terms of an
+# element, or the numerator map of a scaled vector
 CACHED_ELEMENTS = {
-    "symmetriser_sum": lambda: symmetriser_sum(1, 2, 4, F(2)),
-    "projector_P": lambda: projector_P(FusedContext(2, 2, F(2))),
-    "partial_braiding": lambda: partial_braiding(FusedContext(2, 2, F(2)), 1, 1),
-    "partial_braiding_mixed": lambda: partial_braiding_mixed(1, 2, 1, F(2)),
-    "_partial_braiding_words": lambda: _partial_braiding_words(FusedContext(2, 2, F(2)), 1, 1),
+    "symmetriser_sum": lambda: symmetriser_sum(1, 2, 4, F(2)).terms,
+    "projector_P": lambda: projector_P(FusedContext(2, 2, F(2))).terms,
+    "partial_braiding": lambda: partial_braiding(FusedContext(2, 2, F(2)), 1, 1).terms,
+    "partial_braiding_mixed": lambda: partial_braiding_mixed(1, 2, 1, F(2)).terms,
+    "_partial_braiding_words": lambda: _partial_braiding_words(FusedContext(2, 2, F(2)), 1, 1)[0],
 }
 
 
 @pytest.mark.parametrize("name", CACHED_ELEMENTS)
 def test_cached_element_is_read_only(name):
     get = CACHED_ELEMENTS[name]
-    before = dict(get().terms)
+    before = dict(get())
     with pytest.raises(AttributeError):
-        get().terms.clear()
+        get().clear()
     with pytest.raises(TypeError):
-        get().terms[next(iter(before))] = F(99)
-    assert get().terms == before
+        get()[next(iter(before))] = F(99)
+    assert get() == before

@@ -23,7 +23,6 @@ from fusedhecke import (
 from fusedhecke import hecke
 from fusedhecke.hecke import (
     basis_element,
-    mul_symmetriser_right,
     right_mul_generator,
     zero,
 )
@@ -38,6 +37,7 @@ import oracles
 from oracles import (
     left_mul_generator,
     mul_element_right,
+    mul_symmetriser_right,
     r_check_generator,
     symmetriser_recursion_check,
 )
@@ -412,6 +412,42 @@ def test_mul_symmetriser_right_matches_term_by_term(m, q):
                 got = mul_symmetriser_right(x, i, j)
                 assert got == mul_element_right(x, symmetriser_sum(i, j, m, q))
                 assert all(type(c) is F for c in got.terms.values())
+
+
+@pytest.mark.parametrize("q", SCALED_QS, ids=str)
+def test_scaled_affine_and_sum_match_fraction_arithmetic(q):
+    # x * (sigma_i + c) and sum_p c_p x_p on scaled vectors, some with a
+    # negated denominator, against right_mul_generator(x, i) + x.scale(c) and
+    # the Fraction sum; c = 0 and zero coefficients among them
+    rng = random.Random(8200)
+    perms = all_permutations(4)
+    cs = [F(0), F(1), F(-3, 4), F(7, 9), F(-5)]
+    for _ in range(8):
+        xs = [_random_element(rng, 4, q, rng.sample(perms, rng.randint(0, 8))) for _ in range(3)]
+        vecs = []
+        for x in xs:
+            nums, den = hecke._scaled(x.terms)
+            if rng.random() < 0.5:
+                nums, den = {w: -n for w, n in nums.items()}, -den
+            vecs.append((nums, den))
+        for x, vec in zip(xs, vecs):
+            for i in (1, 2, 3):
+                for c in cs:
+                    nums, den = hecke._scaled_affine(*vec, i, c, q)
+                    want = right_mul_generator(x, i) + x.scale(c)
+                    assert hecke._unscaled(nums, den) == want.terms
+                    assert all(nums.values())
+        coeffs = [rng.choice(cs) for _ in xs]
+        nums, den = hecke._scaled_sum(zip(coeffs, vecs))
+        want = zero(4, q)
+        for c, x in zip(coeffs, xs):
+            want = want + x.scale(c)
+        assert hecke._unscaled(nums, den) == want.terms
+        assert all(nums.values())
+    # a cancelling sum, all coefficients zero, and no summand at all
+    assert hecke._scaled_sum([(F(2, 3), vecs[0]), (F(-2, 3), vecs[0])])[0] == {}
+    assert hecke._scaled_sum([(F(0), vec) for vec in vecs])[0] == {}
+    assert hecke._scaled_sum([]) == ({}, 1)
 
 
 # -- serialization -----------------------------------------------------------------

@@ -21,7 +21,7 @@ from fusedhecke import (
     verify_matrix_ybe,
     w_basis,
 )
-from fusedhecke import hecke, linalg, tensorrep
+from fusedhecke import fused, hecke, linalg, tensorrep
 from fusedhecke.errors import InternalConsistencyError, ParameterError, ResourceError
 from fusedhecke.fused import (
     _ADDITIVE,
@@ -257,12 +257,13 @@ def test_sigma_matrix_consistent_with_algebra_element(k, N, q):
 
 
 def test_sigma_matrix_image_outside_span_raises(monkeypatch):
-    # without the trailing symmetriser passes the braided images leave
-    # W x W; q = 7/3 is used by no other test, so no cached matrix masks the
-    # patch, and the basis is built before it
+    # without the trailing symmetriser passes of the braiding chain, which
+    # tensorrep shares with fused, the braided images leave W x W; q = 7/3
+    # is used by no other test, so no cached matrix masks the patch, and the
+    # basis is built before it
     q = F(7, 3)
     w_basis(2, 2, q)
-    monkeypatch.setattr(tensorrep, "_scaled_symmetriser", lambda nums, den, i, j, q: (nums, den))
+    monkeypatch.setattr(fused, "_scaled_symmetriser", lambda nums, den, i, j, q: (nums, den))
     with pytest.raises(InternalConsistencyError):
         sigma_matrix(2, 1, 2, q)
 
