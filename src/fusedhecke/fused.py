@@ -11,10 +11,10 @@ element on failure.
 
 Every chain of right multiplications that starts at a projector P lives in
 the module P*H_m, and runs there on hecke's scaled-integer vectors keyed by
-block words: it starts at the sorted word of P's blocks with numerator 1
-over 1, and a vector has at most m!/(k!)^n terms, for n blocks of k
-strands, instead of up to m!.  Equality in P*H_m is equality in H_m, so
-verdicts compare words.  Public elements are expanded to the standard basis
+the ranks of block words in hecke's word index: it starts at the sorted
+word of P's blocks with numerator 1 over 1, and a vector has at most
+m!/(k!)^n terms, for n blocks of k strands, instead of up to m!.  Equality
+in P*H_m is equality in H_m, so verdicts compare words.  Public elements are expanded to the standard basis
 only on the way out: the word beta with coefficient c becomes
 sum_b P_b c sigma_{b o d_beta}, where d_beta numbers the strands of each
 block from left to right.  Only _expand and _word_verdict turn numerators
@@ -40,6 +40,7 @@ from .hecke import (
     _frozen,
     _raw,
     _r_check_constant,
+    _scaled,
     _scaled_affine,
     _scaled_sum,
     _scaled_symmetriser,
@@ -96,7 +97,9 @@ class VerifyResult(NamedTuple):
 
 
 def element_diff(a: HeckeElement, b: HeckeElement) -> Diff | None:
-    """First (lexicographically) differing basis coefficient, if any."""
+    """First (lexicographically) differing basis coefficient, if any; raises
+    DomainError for elements of different algebras."""
+    a._compat(b)
     if a == b:
         return None
     for w in sorted(set(a.terms) | set(b.terms)):
@@ -130,7 +133,7 @@ def _blocks_product(m: int, q, intervals) -> HeckeElement:
                 lst[lo - 1 : hi] = wb[lo - 1 : hi]
                 new[tuple(lst)] = c * cb
         terms = new
-    return HeckeElement(m, q, terms)
+    return _raw(m, q, terms)
 
 
 @lru_cache(maxsize=None)
@@ -152,18 +155,18 @@ def projector_mixed(k: int, ell: int, q):
 
 
 def _start(m: int, q, intervals) -> tuple:
-    """P = prod of the symmetrisers on the intervals, as a scaled vector: its
-    sorted word, each strand of [lo, hi] carrying the letter lo and every
-    other strand its own position, with numerator 1 over 1.  Every chain in
-    word coordinates starts here, so this is where the strand bound and q
-    are checked."""
+    """P = prod of the symmetrisers on the intervals, as a scaled vector: the
+    rank of its sorted word, each strand of [lo, hi] carrying the letter lo
+    and every other strand its own position, with numerator 1 over 1.
+    Every chain in word coordinates starts here, so this is where the
+    strand bound and q are checked."""
     _check_strands(m)
     if q == 0:
         raise ParameterError("q must be nonzero")
     word = list(range(1, m + 1))
     for (lo, hi) in intervals:
         word[lo - 1 : hi] = [lo] * (hi - lo + 1)
-    return {tuple(word): 1}, 1
+    return _scaled({tuple(word): 1})
 
 
 def _distinguished(word) -> tuple:
@@ -211,11 +214,12 @@ def _word_verdict(a: tuple, b: tuple, m: int, q) -> VerifyResult:
     first differing permutation is the least d_beta over the differing
     words beta, with the coefficients c_beta P_id."""
     (na, da), (nb, db) = a, b
-    differ = [w for w in na.keys() | nb.keys() if na.get(w, 0) * db != nb.get(w, 0) * da]
-    if not differ:
+    if all(na.get(r, 0) * db == nb.get(r, 0) * da for r in na.keys() | nb.keys()):
         return VerifyResult(True, None)
-    d, word = min((_distinguished(w), w) for w in differ)
     fa, fb = _unscaled(na, da), _unscaled(nb, db)
+    d, word = min(
+        (_distinguished(w), w) for w in fa.keys() | fb.keys() if fa.get(w, 0) != fb.get(w, 0)
+    )
     p_id = _left_projector(fa or fb, m, q).coefficient(identity(m))
     return VerifyResult(False, Diff(d, fa.get(word, 0) * p_id, fb.get(word, 0) * p_id))
 

@@ -11,45 +11,54 @@ rule
 
 per letter, so no multiplication table is ever stored.  The words of a,
 read from their right ends, form a trie, and the terms whose words end
-alike share the passes over their common suffix.  The walk keys b by
-inverse permutations, where sigma_i * sigma_w is the generator rule below at
-position i, and runs every pass and the sum on integer numerators over one
-common denominator, which divides den_a den_b (ab)^L at q = a/b, L the
-length of the longest word of a (see multiply).  At q**2 == 1 the rule has
+alike share the passes over their common suffix.  The walk keys b by the
+ranks of inverse permutations, where sigma_i * sigma_w is the generator
+rule below at position i, and runs every pass and the sum on integer
+numerators over one common denominator, which divides den_a den_b (ab)^L at
+q = a/b, L the length of the longest word of a (see multiply).  At q**2 == 1 the rule has
 no second term and the product composes keys directly.
 
 Chains of right multiplications run on module vectors in one form, the
 scaled-integer form: with q = a/b, a vector is a pair (numerators,
 denominator), a map of integer numerators over one common denominator.  Its
-keys are permutations or block words.  Let P be the product of the
-q-symmetrisers on disjoint blocks of strands, where the block [lo, hi]
-carries the letter lo and every other strand its own position.  Then P*H_m
-has the basis P*sigma_d, d running over the distinguished (shortest) coset
-representatives (Dipper-James), and P*sigma_d is keyed by the word of d:
-its one-line notation with every value replaced by the letter of its block.
-d is recovered from the word by numbering the strands of each block from
-left to right.  A permutation is a word of P = 1, whose letters are all
-distinct.  The same words key the weight spaces of V^(tensor m) (Dipper-
-James), which is how tensorrep applies these passes to tensors.  The passes
-are x*sigma_i, x*(sigma_i + c), x*S_[i,j] and sum_p c_p x_p; coefficients
-enter the form once (_scaled) and leave it once (_unscaled).  HeckeElement
-holds the standard basis only.
+keys are the ranks of permutations or block words in one word index.  Let P
+be the product of the q-symmetrisers on disjoint blocks of strands, where
+the block [lo, hi] carries the letter lo and every other strand its own
+position.  Then P*H_m has the basis P*sigma_d, d running over the
+distinguished (shortest) coset representatives (Dipper-James), and P*sigma_d
+is keyed by the word of d: its one-line notation with every value replaced
+by the letter of its block.  d is recovered from the word by numbering the
+strands of each block from left to right.  A permutation is a word of P = 1,
+whose letters are all distinct.  The same words key the weight spaces of
+V^(tensor m) (Dipper-James), which is how tensorrep applies these passes to
+tensors.  The passes are x*sigma_i, x*(sigma_i + c), x*S_[i,j] and
+sum_p c_p x_p; words and coefficients enter the form once (_scaled) and
+leave it once (_unscaled).  HeckeElement holds the standard basis only, keyed
+by permutation tuples.
 
 The generator rule is written once, with three factors: a key whose letters
 at i, i+1 are equal stays put times the equal-pair factor (sigma_i is
 absorbed by P), every other key has them swapped times the swap factor, and
-a descent (w[i] > w[i+1]) also stays put times the descent factor.  On
-Fraction coefficients the factors are q, 1 and q - 1/q; in the scaled form
-they are a^2, ab and a^2 - b^2, and each generator pass multiplies the
-denominator by ab.  The symmetriser passes reduce by the gcd once per grown
-strand.
+a descent (w[i] > w[i+1]) also stays put times the descent factor.  In the
+scaled form the factors are a^2, ab and a^2 - b^2, and each generator pass
+multiplies the denominator by ab.  The pass reads the move of each rank from
+the word index (_WordIndex), which is append-only: a word keeps its rank for
+the life of the process, and the move of a rank at a position (its target
+rank and whether it is an equal pair, an ascent or a descent) is computed
+from the word once, on first use.  So the index holds only the words that
+some pass has reached, and words are taken apart only there; tuples appear
+at the boundaries alone: _scaled, _unscaled, fused._start and the Diff of
+fused._word_verdict.  The symmetriser passes reduce by the gcd once per
+grown strand.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from threading import Lock
 from types import MappingProxyType
 
 from .errors import DomainError, ParameterError, PoleError, ResourceError
@@ -57,6 +66,7 @@ from .permutations import (
     Perm,
     all_permutations,
     identity,
+    is_permutation,
     length,
     max_strands,
     perm_from_str,
@@ -94,6 +104,8 @@ class HeckeElement:
             if c:
                 if len(w) != m:
                     raise DomainError(f"term {w} has wrong strand count")
+                if not is_permutation(w):
+                    raise DomainError(f"term {w} is not a permutation of 1..{m}")
                 clean[w] = c
         self.terms = clean
 
@@ -205,23 +217,76 @@ def basis_element(w: Perm, m: int, q) -> HeckeElement:
 # -- multiplication ---------------------------------------------------------
 
 
-def _generator_rule(terms: dict, i0: int, equal, swap, descent) -> dict:
-    """terms * sigma_{i0+1} on keyed coefficients, with the three factors of
-    the generator rule (see the module docstring).  A swap factor of 1 is
-    not multiplied out."""
-    keep = swap == 1
-    # w -> w * s_i is a bijection of the support, so the first pass has no
+_EQUAL, _SWAP, _DESCENT = 0, 1, 2
+
+
+class _WordIndex:
+    """An append-only index of words, shared by permutations and block words
+    of every length: a word gets the next integer rank when it is first
+    seen, and keeps it, so a vector keyed by ranks stays valid whatever is
+    ranked later.  For each position i0 it memoises, on first use, the
+    s_{i0+1} move of a rank as (target rank, kind): a word whose letters at
+    i0, i0+1 are equal stays put (_EQUAL), any other has them swapped, an
+    ascent (_SWAP) or a descent, w[i0] > w[i0+1] (_DESCENT).  This is the
+    only place where a word is taken apart.  A new word is ranked under a
+    lock, so that no word gets two ranks when threads share the index."""
+
+    __slots__ = ("words", "ranks", "moves", "lock")
+
+    def __init__(self):
+        self.words: list = []  # rank -> word
+        self.ranks: dict = {}  # word -> rank
+        self.moves = defaultdict(dict)  # i0 -> {rank: (target rank, kind)}
+        self.lock = Lock()
+
+    def rank(self, word: tuple) -> int:
+        r = self.ranks.get(word)
+        if r is None:
+            with self.lock:
+                r = self.ranks.get(word)
+                if r is None:
+                    # the word is stored before its rank is published
+                    self.words.append(word)
+                    r = self.ranks[word] = len(self.words) - 1
+        return r
+
+    def move(self, i0: int, r: int) -> tuple:
+        """The move of rank r at i0, memoised together with its inverse."""
+        table = self.moves[i0]
+        w = self.words[r]
+        a, b = w[i0], w[i0 + 1]
+        if a == b:
+            table[r] = (r, _EQUAL)
+        else:
+            t = self.rank(w[:i0] + (b, a) + w[i0 + 2 :])
+            table[t] = (r, _SWAP if a > b else _DESCENT)
+            table[r] = (t, _DESCENT if a > b else _SWAP)
+        return table[r]
+
+
+_INDEX = _WordIndex()
+
+
+def _generator_rule(nums: dict, i0: int, equal, swap, descent) -> dict:
+    """nums * sigma_{i0+1} on rank-keyed numerators, with the three factors
+    of the generator rule (see the module docstring), read off the index's
+    move table at i0."""
+    moves = _INDEX.moves[i0]
+    factor = (equal, swap, swap)
+    # w -> w * s_i is a bijection of the support, so the moves have no
     # collisions
-    out = {
-        w[:i0] + (w[i0 + 1], w[i0]) + w[i0 + 2 :]: (
-            equal * c if w[i0] == w[i0 + 1] else c if keep else swap * c
-        )
-        for w, c in terms.items()
-    }
+    out = {}
+    down = []
+    for r, c in nums.items():
+        try:
+            t, kind = moves[r]
+        except KeyError:
+            t, kind = _INDEX.move(i0, r)
+        out[t] = factor[kind] * c
+        if kind == _DESCENT:
+            down.append(r)
     if descent:
-        _accumulate(
-            out, ((w, descent * c) for w, c in terms.items() if w[i0] > w[i0 + 1])
-        )
+        _accumulate(out, ((r, descent * nums[r]) for r in down))
     return out
 
 
@@ -231,22 +296,31 @@ def right_mul_generator(x: HeckeElement, i: int) -> HeckeElement:
     with weight q - 1/q."""
     if not 1 <= i <= x.m - 1:
         raise DomainError(f"generator index {i} out of range for m={x.m}")
-    q = x.q
-    return _raw(x.m, q, _generator_rule(x.terms, i - 1, q, 1, q - 1 / q))
+    return _raw(x.m, x.q, _unscaled(*_scaled_generator(*_scaled(x.terms), i, x.q)))
 
 
 # -- the scaled-integer form: (numerators, denominator) at q = a/b -------------
 
 
-def _scaled(terms) -> tuple:
+def _integral(terms) -> tuple:
     """Fraction coefficients as integer numerators over their least common
-    denominator."""
+    denominator, on the same keys."""
     den = lcm(*(c.denominator for c in terms.values()))
     return {w: c.numerator * (den // c.denominator) for w, c in terms.items()}, den
 
 
+def _scaled(terms) -> tuple:
+    """Fraction coefficients on words as a scaled vector, keyed by the ranks
+    of the words."""
+    nums, den = _integral(terms)
+    rank = _INDEX.rank
+    return {rank(w): n for w, n in nums.items()}, den
+
+
 def _unscaled(nums: dict, den: int) -> dict:
-    return {w: Fraction(n, den) for w, n in nums.items()}
+    """A scaled vector as Fraction coefficients on words."""
+    words = _INDEX.words
+    return {words[r]: Fraction(n, den) for r, n in nums.items()}
 
 
 def _scaled_factors(q: Fraction) -> tuple:
@@ -332,11 +406,12 @@ def _by_inverse(terms: dict) -> dict:
 
 def left_mul_generator(i: int, nums: dict, factors: tuple) -> dict:
     """sigma_i times the element whose scaled-integer numerators nums are
-    keyed by inverse permutations; factors is _scaled_factors(q), and the
-    denominator grows by their swap factor ab.  s_i w swaps the values i,
-    i+1 of w, so (s_i w)^-1 = w^-1 s_i swaps the positions i, i+1 of the
-    key, and the length goes down where the key has a descent at i: on
-    inverse keys, left multiplication is the right-hand generator rule."""
+    keyed by the ranks of inverse permutations; factors is
+    _scaled_factors(q), and the denominator grows by their swap factor ab.
+    s_i w swaps the values i, i+1 of w, so (s_i w)^-1 = w^-1 s_i swaps the
+    positions i, i+1 of the key, and the length goes down where the key has
+    a descent at i: on inverse keys, left multiplication is the right-hand
+    generator rule."""
     return _generator_rule(nums, i - 1, *factors)
 
 
@@ -350,10 +425,10 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     walk takes one pass per trie edge, each on its parent's product, and
     words with a common suffix share the passes over it.
 
-    Every pass runs in the scaled-integer form on keys inverted once on the
-    way in, where sigma_i * y is the generator rule at position i (see
-    left_mul_generator), and the keys are inverted back once on the way
-    out.  Write q = r/s in lowest terms and den_a, den_b for the common
+    Every pass runs in the scaled-integer form on the ranks of keys inverted
+    once on the way in, where sigma_i * y is the generator rule at position
+    i (see left_mul_generator), and the keys are inverted back once on the
+    way out.  Write q = r/s in lowest terms and den_a, den_b for the common
     denominators of the coefficients of a and b.  A pass multiplies the
     numerators by r^2, rs or r^2 - s^2 and the denominator by rs, so after
     d passes sigma_w b is an integer map over den_b (rs)^d.  With L the
@@ -363,16 +438,17 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """
     a._compat(b)
     q = a.q
-    nums_a, den_a = _scaled(a.terms)
-    nums_b, den_b = _scaled(b.terms)
+    nums_a, den_a = _integral(a.terms)
     if q == 1 or q == -1:
+        nums_b, den_b = _integral(b.terms)
         total: dict = {}
         for w, n in nums_a.items():
             _accumulate(
                 total,
                 ((tuple(w[t - 1] for t in v), n * nv) for v, nv in nums_b.items()),
             )
-        return _raw(a.m, q, _unscaled(total, den_a * den_b))
+        den = den_a * den_b
+        return _raw(a.m, q, {w: Fraction(n, den) for w, n in total.items()})
     # a trie node is [children by letter, scaled coefficient of a or 0]
     root: list = [{}, 0]
     longest = 0
@@ -386,21 +462,26 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     factors = _scaled_factors(q)
     rs = factors[1]
     weight = [rs ** (longest - d) for d in range(longest + 1)]
+    # the sum keeps its cancelled keys until the walk ends
     total = {}
+    get = total.get
     # each entry is a node, its depth and its parent's product; the pass
     # into the node is taken when it is popped, so only products on the
     # current path and the parents of pending siblings are alive
-    stack = [(root, 0, 0, _by_inverse(nums_b))]
+    nums_b, den_b = _scaled(_by_inverse(b.terms))
+    stack = [(root, 0, 0, nums_b)]
     while stack:
         (children, n), i, depth, y = stack.pop()
         if i:
             y = left_mul_generator(i, y, factors)
         if n:
             f = n * weight[depth]
-            _accumulate(total, ((w, f * c) for w, c in y.items()))
+            for w, c in y.items():
+                total[w] = get(w, 0) + f * c
         depth += 1
         stack.extend((child, j, depth, y) for j, child in children.items())
-    return _raw(a.m, q, _unscaled(_by_inverse(total), den_a * den_b * rs**longest))
+    total = {w: n for w, n in total.items() if n}
+    return _raw(a.m, q, _by_inverse(_unscaled(total, den_a * den_b * rs**longest)))
 
 
 # -- baxterised generators ------------------------------------------------------

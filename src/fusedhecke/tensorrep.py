@@ -111,7 +111,7 @@ def w_basis(k: int, N: int, q) -> WBasis:
         raise ParameterError("q must be nonzero")
     indices = tuple(itertools.combinations_with_replacement(range(1, N + 1), k))
     columns = tuple(
-        _reversed(_unscaled(*_scaled_symmetriser({_flip(t, N): 1}, 1, 1, k, q)), N)
+        _reversed(_unscaled(*_scaled_symmetriser(*_scaled({_flip(t, N): 1}), 1, k, q)), N)
         for t in indices
     )
     if len(indices) != comb(k + N - 1, k) or not all(

@@ -291,7 +291,8 @@ def mul_element_right(x: HeckeElement, y: HeckeElement) -> HeckeElement:
         for idx in reduced_word(w):
             z = right_mul_generator(z, idx)
         _accumulate(total, ((wz, c * cz) for wz, cz in z.terms.items()))
-    return HeckeElement(x.m, x.q, total)
+    # x may be keyed by words, which the public constructor refuses
+    return _raw(x.m, x.q, total)
 
 
 def mul_projector_right(x: HeckeElement, intervals) -> HeckeElement:

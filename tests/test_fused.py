@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from fusedhecke import (
     DomainError,
     FusedContext,
+    HeckeElement,
     ParameterError,
     PoleError,
     ResourceError,
@@ -30,7 +33,7 @@ from fusedhecke import (
     verify_commPR,
     verify_mixed_ybe,
 )
-from fusedhecke import fused
+from fusedhecke import fused, hecke
 from fusedhecke.fused import (
     _ADDITIVE,
     _expand,
@@ -41,8 +44,14 @@ from fusedhecke.fused import (
     fused_product_example_check,
     projector_mixed,
 )
-from fusedhecke.hecke import _scaled_generator, zero
-from fusedhecke.permutations import compose, identity, length, simple_transposition
+from fusedhecke.hecke import _scaled, _scaled_generator, zero
+from fusedhecke.permutations import (
+    all_permutations,
+    compose,
+    identity,
+    length,
+    simple_transposition,
+)
 
 import oracles
 from oracles import baxter_R_one_sided, r_check_generator
@@ -417,6 +426,17 @@ def test_verify_result_reports_diff():
     assert d.left != d.right
 
 
+def test_element_diff_rejects_elements_of_different_algebras():
+    # a == b is False for them, so returning None would read as a match
+    a = HeckeElement(3, 2, {(2, 1, 3): 1})
+    for b in (HeckeElement(3, 3, {(2, 1, 3): 1}), HeckeElement(4, 2, {(2, 1, 3, 4): 1})):
+        with pytest.raises(DomainError, match="different algebras"):
+            element_diff(a, b)
+        with pytest.raises(DomainError):
+            fused._verdict(a, b)
+    assert element_diff(a, a) is None
+
+
 # -- minimal polynomial -----------------------------------------------------------------
 
 
@@ -656,15 +676,24 @@ def test_mixed_ybe_wrong_constant_gives_the_standard_basis_diff(monkeypatch):
 # -- the word path against the standard-basis chains ----------------------------------------------
 
 
-@pytest.mark.parametrize("q", [F(2), F(1), F(-1)], ids=str)
+@pytest.mark.parametrize("q", [F(2), F(3, 2), F(-5, 7), F(1), F(-1)], ids=str)
 def test_word_kernel_is_the_action_on_the_module(q):
     # P * sigma_d * sigma_i for every word of the blocks [1, 2], [3, 4], by
-    # the scaled generator pass that every word chain takes
+    # the scaled generator pass that every word chain takes, on the word's rank
     for word in sorted(set(itertools.permutations((1, 1, 3, 3)))):
-        x = ({word: 1}, 1)
+        x = _scaled({word: 1})
         for i in (1, 2, 3):
             want = multiply(_expand(x, 4, q), generator(i, 4, q))
             assert _expand(_scaled_generator(*x, i, q), 4, q) == want
+    # sums over the words of five-strand modules against the oracle's product
+    rng = random.Random(41)
+    for letters in ((1, 1, 1, 4, 5), (1, 1, 3, 3, 3)):
+        words = sorted(set(itertools.permutations(letters)))
+        for keys in (rng.sample(words, 4), words):
+            x = _scaled({w: F(rng.randint(-9, 9) or 1, rng.randint(1, 7)) for w in keys})
+            for i in range(1, 5):
+                want = oracles.multiply(_expand(x, 5, q), generator(i, 5, q))
+                assert _expand(_scaled_generator(*x, i, q), 5, q) == want, (letters, i)
 
 
 @pytest.mark.parametrize("q", [F(2), F(3, 2), F(1)], ids=str)
@@ -704,7 +733,7 @@ def test_word_path_at_q_minus_one(k, ell):
 
 
 # each entry gives the coefficient map of a cached result: the terms of an
-# element, or the numerator map of a scaled vector
+# element, or the numerator map of a scaled vector, keyed by word ranks
 CACHED_ELEMENTS = {
     "symmetriser_sum": lambda: symmetriser_sum(1, 2, 4, F(2)).terms,
     "projector_P": lambda: projector_P(FusedContext(2, 2, F(2))).terms,
@@ -723,3 +752,49 @@ def test_cached_element_is_read_only(name):
     with pytest.raises(TypeError):
         get()[next(iter(before))] = F(99)
     assert get() == before
+
+
+# -- the word index -----------------------------------------------------------------------------
+
+
+def _rank_other_lengths(q):
+    """Rank words of lengths 3, 5 and 6 and fill their moves."""
+    hecke._scaled({w: F(1) for w in all_permutations(5)})
+    multiply(symmetriser_sum(1, 3, 5, q), symmetriser_sum(3, 5, 5, q))
+    partial_braiding(FusedContext(1, 3, q), 1, 1)
+    partial_braiding(FusedContext(2, 3, q), 2, 2)
+
+
+@pytest.mark.parametrize("first", ["cached", "others"])
+def test_word_index_is_append_only(first):
+    # a cached vector keeps its ranks, whether the words of other lengths
+    # were ranked before or after it was built
+    q = F(5, 3)
+    ctx = FusedContext(2, 2, q)
+    fused._partial_braiding_words.cache_clear()
+    fused.partial_braiding.cache_clear()
+    if first == "others":
+        _rank_other_lengths(q)
+    vectors = [_partial_braiding_words(ctx, 1, p) for p in range(3)]
+    elements = [partial_braiding(ctx, 1, p) for p in range(3)]
+    expanded = [_expand(x, 4, q) for x in vectors]
+    words = list(hecke._INDEX.words)
+    if first == "cached":
+        _rank_other_lengths(q)
+    assert hecke._INDEX.words[: len(words)] == words
+    assert [_partial_braiding_words(ctx, 1, p) for p in range(3)] == vectors
+    assert [_expand(x, 4, q) for x in vectors] == expanded == elements
+    assert [partial_braiding(ctx, 1, p) for p in range(3)] == elements
+    assert elements == [oracles.partial_braiding(ctx, 1, p) for p in range(3)]
+
+
+def test_word_index_stays_lazy():
+    # one (3, 3) fast YBE ranks only words of its H_9 module, 9!/(3!)^3 =
+    # 1680 of them, and the index never holds all of S_9
+    index = hecke._INDEX
+    before = len(index.words)
+    assert verify_braided_ybe(FusedContext(3, 3, F(7, 5)), F(3, 7), F(5, 9), method="fast")
+    new = index.words[before:]
+    assert len(new) <= 1680
+    assert all(sorted(w) == [1, 1, 1, 4, 4, 4, 7, 7, 7] for w in new)
+    assert sum(len(w) == 9 for w in index.words) < math.factorial(9)

@@ -1,5 +1,8 @@
+import itertools
 import json
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import numpy as np
@@ -229,18 +232,21 @@ def test_multiply_takes_one_pass_per_distinct_suffix(monkeypatch):
 
 
 def test_left_mul_generator_acts_on_inverse_keys():
-    """The kernel's pass on scaled numerators keyed by inverse permutations is
-    sigma_i * x, with the denominator grown by ab at q = a/b."""
+    """The kernel's pass on scaled numerators keyed by the ranks of inverse
+    permutations is sigma_i * x, with the denominator grown by ab at q = a/b,
+    on sparse and full supports."""
     rng = random.Random(31)
-    perms = all_permutations(4)
-    for q in (F(3, 2), F(-5, 7)):
-        factors = hecke._scaled_factors(q)
-        x = _random_element(rng, 4, q, rng.sample(perms, 10))
-        nums, den = hecke._scaled(x.terms)
-        for i in (1, 2, 3):
-            y = hecke.left_mul_generator(i, hecke._by_inverse(nums), factors)
-            got = hecke._unscaled(hecke._by_inverse(y), den * factors[1])
-            assert got == left_mul_generator(i, x).terms, (q, i)
+    for m in (4, 5):
+        perms = all_permutations(m)
+        for q in (F(3, 2), F(-5, 7), F(1), F(-1)):
+            factors = hecke._scaled_factors(q)
+            for keys in (rng.sample(perms, 10), perms):
+                x = _random_element(rng, m, q, keys)
+                nums, den = hecke._scaled(hecke._by_inverse(x.terms))
+                for i in range(1, m):
+                    y = hecke.left_mul_generator(i, nums, factors)
+                    got = hecke._by_inverse(hecke._unscaled(y, den * factors[1]))
+                    assert got == left_mul_generator(i, x).terms, (m, q, i)
 
 
 def _inverted(x):
@@ -267,6 +273,45 @@ def test_multiply_mismatch_errors():
         multiply(unit(2, F(2)), unit(3, F(2)))
     with pytest.raises(DomainError):
         multiply(unit(2, F(2)), unit(2, F(3)))
+
+
+def test_constructor_rejects_keys_that_are_not_permutations():
+    # such a key would be ranked as a block word, which the standard basis
+    # has no place for
+    for key in ((1, 1, 3), (1, 2, 4), (0, 1, 2)):
+        with pytest.raises(DomainError, match="not a permutation"):
+            HeckeElement(3, 2, {key: 1})
+    with pytest.raises(DomainError, match="strand count"):
+        HeckeElement(3, 2, {(1, 2): 1})
+    assert HeckeElement(3, 2, {(1, 1, 3): 0}) == zero(3, 2)
+
+
+def test_word_index_gives_one_rank_per_word_under_threads():
+    # eight threads rank the same new words at once, in several rounds, with
+    # a short switch interval; a word ranked twice would split its terms
+    words = list(itertools.permutations(range(1, 7)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            index = hecke._WordIndex()
+            start = threading.Barrier(8)
+
+            def rank_all():
+                start.wait(timeout=60)
+                for w in words:
+                    index.rank(w)
+
+            threads = [threading.Thread(target=rank_all) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(index.words) == len(index.ranks) == len(words)
+            assert all(index.words[index.ranks[w]] == w for w in words)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_group_algebra_at_q_one():
@@ -406,7 +451,9 @@ def test_mul_symmetriser_right_matches_term_by_term(m, q):
             keys = [tuple(rng.randint(1, m - 1) for _ in range(m)) for _ in range(4)]
         else:
             keys = [rng.choice(pool) for _ in range(4)]
-        x = HeckeElement(m, q, {w: F(rng.randint(-9, 9), rng.randint(1, 9)) for w in keys})
+        terms = {w: F(rng.randint(-9, 9), rng.randint(1, 9)) for w in keys}
+        # the public constructor takes permutations only
+        x = hecke._raw(m, q, {w: c for w, c in terms.items() if c})
         for i in range(1, m):
             for j in range(i + 1, m + 1):
                 got = mul_symmetriser_right(x, i, j)
