@@ -17,8 +17,8 @@ m!/(k!)^n terms, for n blocks of k strands, instead of up to m!.  Equality
 in P*H_m is equality in H_m, so verdicts compare words.  Public elements are expanded to the standard basis
 only on the way out: the word beta with coefficient c becomes
 sum_b P_b c sigma_{b o d_beta}, where d_beta numbers the strands of each
-block from left to right.  Only _expand and _word_verdict turn numerators
-into Fractions.
+block from left to right, on integer numerators.  Only the Diff of
+_word_verdict turns numerators into Fractions.
 """
 
 from __future__ import annotations
@@ -37,8 +37,10 @@ from .errors import DomainError, InternalConsistencyError, ParameterError, PoleE
 from .hecke import (
     HeckeElement,
     _check_strands,
+    _coprime_factors,
+    _element,
     _frozen,
-    _raw,
+    _INDEX,
     _r_check_constant,
     _scaled,
     _scaled_affine,
@@ -102,11 +104,10 @@ def element_diff(a: HeckeElement, b: HeckeElement) -> Diff | None:
     a._compat(b)
     if a == b:
         return None
-    for w in sorted(set(a.terms) | set(b.terms)):
-        ca, cb = a.coefficient(w), b.coefficient(w)
-        if ca != cb:
-            return Diff(w, ca, cb)
-    return None
+    # canonical forms: elements that differ differ at some key
+    (na, da), (nb, db) = (a.nums, a.den), (b.nums, b.den)
+    w = min(w for w in na.keys() | nb.keys() if na.get(w, 0) * db != nb.get(w, 0) * da)
+    return Diff(w, a.coefficient(w), b.coefficient(w))
 
 
 def _verdict(a: HeckeElement, b: HeckeElement) -> VerifyResult:
@@ -123,17 +124,17 @@ def _blocks_product(m: int, q, intervals) -> HeckeElement:
     Disjoint supports commute, so the terms are direct overlays of the
     block terms.
     """
-    terms = {identity(m): Fraction(1)}
+    nums, den = {identity(m): 1}, 1
     for (lo, hi) in intervals:
         s = symmetriser_sum(lo, hi, m, q)
         new = {}
-        for w, c in terms.items():
-            for wb, cb in s.terms.items():
+        for w, n in nums.items():
+            for wb, nb in s.nums.items():
                 lst = list(w)
                 lst[lo - 1 : hi] = wb[lo - 1 : hi]
-                new[tuple(lst)] = c * cb
-        terms = new
-    return _raw(m, q, terms)
+                new[tuple(lst)] = n * nb
+        nums, den = new, den * s.den
+    return _element(m, q, nums, den)
 
 
 @lru_cache(maxsize=None)
@@ -180,10 +181,10 @@ def _distinguished(word) -> tuple:
     return tuple(d)
 
 
-def _left_projector(words, m: int, q) -> HeckeElement:
-    """The P that the words are taken over: the letter lo occurs once for
+def _left_projector(word, m: int, q) -> HeckeElement:
+    """The P that the word is taken over: the letter lo occurs once for
     each strand of its block [lo, hi]."""
-    counts = Counter(next(iter(words), ()))
+    counts = Counter(word)
     intervals = [(lo, lo + c - 1) for lo, c in sorted(counts.items()) if c > 1]
     return _blocks_product(m, q, intervals)
 
@@ -195,17 +196,24 @@ def _expand(x: tuple, m: int, q) -> HeckeElement:
     so the products P_b c are taken once per value of P_b, and b o d_beta is
     read off b by one itemgetter per word.  That returns a tuple only for
     m >= 2 indices, which every caller has: a partial braiding or an
-    R-element spans two blocks of at least one strand."""
-    terms = _unscaled(*x)
+    R-element spans two blocks of at least one strand.  The numerators are
+    products of a word's numerator and a numerator of P, so their common
+    factor with the denominator is read off these factors alone."""
+    nums, den = x
+    words = _INDEX.words
+    p = _left_projector(words[next(iter(nums))] if nums else (), m, q)
     by_value: dict = {}
-    for b, pb in _left_projector(terms, m, q).terms.items():
+    for b, pb in p.nums.items():
         by_value.setdefault(pb, []).append(b)
+    gx, gp, den = _coprime_factors(nums.values(), by_value, den * p.den)
+    by_value = [(pb // gp, bs) for pb, bs in by_value.items()]
     out = {}
-    for word, c in terms.items():
-        at = operator.itemgetter(*(t - 1 for t in _distinguished(word)))
-        for pb, bs in by_value.items():
-            out.update(zip(map(at, bs), repeat(pb * c)))
-    return _raw(m, q, out)
+    for r, n in nums.items():
+        at = operator.itemgetter(*(t - 1 for t in _distinguished(words[r])))
+        n //= gx
+        for pb, bs in by_value:
+            out.update(zip(map(at, bs), repeat(pb * n)))
+    return _element(m, q, out, den, reduced=True)
 
 
 def _word_verdict(a: tuple, b: tuple, m: int, q) -> VerifyResult:
@@ -220,7 +228,7 @@ def _word_verdict(a: tuple, b: tuple, m: int, q) -> VerifyResult:
     d, word = min(
         (_distinguished(w), w) for w in fa.keys() | fb.keys() if fa.get(w, 0) != fb.get(w, 0)
     )
-    p_id = _left_projector(fa or fb, m, q).coefficient(identity(m))
+    p_id = _left_projector(next(iter(fa or fb)), m, q).coefficient(identity(m))
     return VerifyResult(False, Diff(d, fa.get(word, 0) * p_id, fb.get(word, 0) * p_id))
 
 

@@ -1,10 +1,16 @@
 """The Hecke algebra H_m(q) at a specialised rational q.
 
-Elements are finitely supported maps from permutations (standard basis
-indices) to exact rationals.  Zero coefficients are pruned eagerly and
-equality of elements is structural.  The product a * b takes each term of a
-along its canonical reduced word over b, one application of the straightening
-rule
+An element holds its standard-basis coefficients as integer numerators on
+permutation tuples over one common denominator, in canonical form: the
+denominator is positive and coprime to the numerators, 1 for zero, and no
+numerator is zero.  Every element is built through one normalising
+constructor (_element), so equality of elements is the equality of their
+numerator maps and denominators.  Fractions are built only where a
+coefficient is read: terms is a read-only view that makes one per value
+read, and coefficient, sorted_terms and the JSON form do the same.
+
+The product a * b takes each term of a along its canonical reduced word
+over b, one application of the straightening rule
 
     sigma_i * sigma_w = sigma_{s_i w}                     if the length goes up,
     sigma_i * sigma_w = sigma_{s_i w} + (q - 1/q) sigma_w otherwise
@@ -32,9 +38,9 @@ strands of each block from left to right.  A permutation is a word of P = 1,
 whose letters are all distinct.  The same words key the weight spaces of
 V^(tensor m) (Dipper-James), which is how tensorrep applies these passes to
 tensors.  The passes are x*sigma_i, x*(sigma_i + c), x*S_[i,j] and
-sum_p c_p x_p; words and coefficients enter the form once (_scaled) and
-leave it once (_unscaled).  HeckeElement holds the standard basis only, keyed
-by permutation tuples.
+sum_p c_p x_p.  An element's numerators enter it by ranking their keys
+(_ranked) and leave it by reading the keys back (_unranked); Fraction
+coefficients on words enter once (_scaled) and leave once (_unscaled).
 
 The generator rule is written once, with three factors: a key whose letters
 at i, i+1 are equal stays put times the equal-pair factor (sigma_i is
@@ -47,14 +53,15 @@ the life of the process, and the move of a rank at a position (its target
 rank and whether it is an equal pair, an ascent or a descent) is computed
 from the word once, on first use.  So the index holds only the words that
 some pass has reached, and words are taken apart only there; tuples appear
-at the boundaries alone: _scaled, _unscaled, fused._start and the Diff of
-fused._word_verdict.  The symmetriser passes reduce by the gcd once per
-grown strand.
+at the boundaries alone: _ranked, _unranked, _scaled, _unscaled,
+fused._start, fused._expand and the Diff of fused._word_verdict.  The
+symmetriser passes reduce by the gcd once per grown strand.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -87,10 +94,39 @@ def _check_strands(m: int):
         )
 
 
-class HeckeElement:
-    """A sparse element of H_m(q) in the standard basis."""
+class _Terms(Mapping):
+    """The coefficients of an element as a read-only map from permutations
+    to Fractions: len, iteration and membership read the numerator map, and
+    a Fraction is built only when a value is read."""
 
-    __slots__ = ("m", "q", "terms")
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums, den: int):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, w) -> Fraction:
+        return Fraction(self._nums[w], self._den)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __contains__(self, w) -> bool:
+        return w in self._nums
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class HeckeElement:
+    """A sparse element of H_m(q) in the standard basis: integer numerators
+    nums on permutation tuples over one denominator den, with den > 0,
+    gcd(den, *nums) == 1 and den == 1 for zero, and no zero numerator."""
+
+    __slots__ = ("m", "q", "nums", "den")
 
     def __init__(self, m: int, q, terms=None):
         _check_strands(m)
@@ -107,7 +143,12 @@ class HeckeElement:
                 if not is_permutation(w):
                     raise DomainError(f"term {w} is not a permutation of 1..{m}")
                 clean[w] = c
-        self.terms = clean
+        self.nums, self.den = _normalised(*_integral(clean))
+
+    @property
+    def terms(self) -> _Terms:
+        """The coefficients as a read-only map from permutations to Fractions."""
+        return _Terms(self.nums, self.den)
 
     # -- linear structure ---------------------------------------------------
 
@@ -115,21 +156,27 @@ class HeckeElement:
         if self.m != other.m or self.q != other.q:
             raise DomainError("elements live in different algebras")
 
-    def __add__(self, other):
+    def _sum(self, other, sign: int) -> "HeckeElement":
         self._compat(other)
-        return _raw(self.m, self.q, _accumulate(dict(self.terms), other.terms.items()))
+        pairs = ((1, (self.nums, self.den)), (sign, (other.nums, other.den)))
+        return _element(self.m, self.q, *_scaled_sum(pairs))
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __neg__(self):
-        return _raw(self.m, self.q, {w: -c for w, c in self.terms.items()})
+        return _element(self.m, self.q, {w: -n for w, n in self.nums.items()}, self.den)
 
     def scale(self, c) -> "HeckeElement":
         c = as_fraction(c)
         if not c:
-            return _raw(self.m, self.q, {})
-        return _raw(self.m, self.q, {w: c * x for w, x in self.terms.items()})
+            return _element(self.m, self.q, {}, 1)
+        cn = c.numerator
+        nums = {w: cn * n for w, n in self.nums.items()}
+        return _element(self.m, self.q, nums, self.den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, HeckeElement):
@@ -140,44 +187,77 @@ class HeckeElement:
         return self.scale(other)
 
     def __truediv__(self, other):
-        return self.scale(1 / as_fraction(other))
+        c = as_fraction(other)
+        if not c:
+            raise ParameterError("division of an element by zero")
+        return self.scale(1 / c)
 
     def __eq__(self, other):
         return (
             isinstance(other, HeckeElement)
             and self.m == other.m
             and self.q == other.q
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __repr__(self):
-        return f"HeckeElement(m={self.m}, q={self.q}, {len(self.terms)} terms)"
+        return f"HeckeElement(m={self.m}, q={self.q}, {len(self.nums)} terms)"
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def coefficient(self, w: Perm) -> Fraction:
-        return self.terms.get(tuple(w), Fraction(0))
+        return Fraction(self.nums.get(tuple(w), 0), self.den)
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        den = self.den
+        return [(w, Fraction(n, den)) for w, n in sorted(self.nums.items())]
 
 
-def _raw(m, q, terms) -> HeckeElement:
-    """Internal constructor: terms already pruned and validated."""
+def _normalised(nums, den: int) -> tuple:
+    """(nums, den) in canonical form: den > 0, coprime to the numerators,
+    and 1 for the empty map.  The numerators must be nonzero."""
+    if not nums:
+        return nums, 1
+    g = gcd(den, *nums.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = {w: n // g for w, n in nums.items()}
+    return nums, den // g
+
+
+def _coprime_factors(xs, ys, den: int) -> tuple:
+    """(gx, gy, d) for the products x y over den, x running over the nonzero
+    integers xs and y over ys, found without forming the products: gx
+    divides every x, gy every y, and the products (x/gx)(y/gy) over
+    d = den/(gx gy) are in canonical form.  Per prime, the gcd of den and
+    all x y is gcd(den, gcd(xs)) gcd(den / gcd(den, gcd(xs)), gcd(ys))."""
+    gx = gcd(den, *xs)
+    gy = gcd(den // gx, *ys)
+    if den < 0:
+        gy = -gy
+    return gx, gy, den // (gx * gy)
+
+
+def _element(m: int, q: Fraction, nums, den: int, reduced: bool = False) -> HeckeElement:
+    """Internal constructor: nums / den on permutation tuples, the
+    numerators nonzero and the keys already validated, brought to canonical
+    form unless the caller says it is (reduced)."""
     x = HeckeElement.__new__(HeckeElement)
     x.m = m
     x.q = q
-    x.terms = terms
+    x.nums, x.den = (nums, den) if reduced else _normalised(nums, den)
     return x
 
 
 def _frozen(x: HeckeElement) -> HeckeElement:
-    """x with a read-only term map, for results that a cache hands out."""
-    return _raw(x.m, x.q, MappingProxyType(x.terms))
+    """x with a read-only numerator map, for results that a cache hands out."""
+    return _element(x.m, x.q, MappingProxyType(x.nums), x.den, reduced=True)
 
 
 def _accumulate(out: dict, items) -> dict:
@@ -296,7 +376,8 @@ def right_mul_generator(x: HeckeElement, i: int) -> HeckeElement:
     with weight q - 1/q."""
     if not 1 <= i <= x.m - 1:
         raise DomainError(f"generator index {i} out of range for m={x.m}")
-    return _raw(x.m, x.q, _unscaled(*_scaled_generator(*_scaled(x.terms), i, x.q)))
+    nums, den = _scaled_generator(_ranked(x.nums), x.den, i, x.q)
+    return _element(x.m, x.q, _unranked(nums), den)
 
 
 # -- the scaled-integer form: (numerators, denominator) at q = a/b -------------
@@ -309,12 +390,23 @@ def _integral(terms) -> tuple:
     return {w: c.numerator * (den // c.denominator) for w, c in terms.items()}, den
 
 
+def _ranked(nums) -> dict:
+    """The same values keyed by the ranks of the words."""
+    rank = _INDEX.rank
+    return {rank(w): n for w, n in nums.items()}
+
+
+def _unranked(nums) -> dict:
+    """The same values keyed by the words of the ranks."""
+    words = _INDEX.words
+    return {words[r]: n for r, n in nums.items()}
+
+
 def _scaled(terms) -> tuple:
     """Fraction coefficients on words as a scaled vector, keyed by the ranks
     of the words."""
     nums, den = _integral(terms)
-    rank = _INDEX.rank
-    return {rank(w): n for w, n in nums.items()}, den
+    return _ranked(nums), den
 
 
 def _unscaled(nums: dict, den: int) -> dict:
@@ -358,7 +450,11 @@ def _scaled_sum(pairs) -> tuple:
     total: dict = {}
     for c, nums, d in pairs:
         f = c.numerator * (den // d)
-        _accumulate(total, ((w, f * n) for w, n in nums.items()))
+        if total:
+            _accumulate(total, ((w, f * n) for w, n in nums.items()))
+        else:
+            # numerators are nonzero, so the first summand needs no pruning
+            total = {w: f * n for w, n in nums.items()}
     return total, den
 
 
@@ -428,31 +524,29 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     Every pass runs in the scaled-integer form on the ranks of keys inverted
     once on the way in, where sigma_i * y is the generator rule at position
     i (see left_mul_generator), and the keys are inverted back once on the
-    way out.  Write q = r/s in lowest terms and den_a, den_b for the common
-    denominators of the coefficients of a and b.  A pass multiplies the
+    way out.  Write q = r/s in lowest terms and den_a, den_b for the
+    denominators of a and b.  A pass multiplies the
     numerators by r^2, rs or r^2 - s^2 and the denominator by rs, so after
     d passes sigma_w b is an integer map over den_b (rs)^d.  With L the
     length of the longest word of a, a trie node at depth d that ends the
     word of c_w = n/den_a adds n (rs)^(L-d) times its map into a total over
-    den_a den_b (rs)^L; one Fraction is built per term of the product.
+    den_a den_b (rs)^L, which the constructor reduces.  At q**2 == 1 the
+    numerators are multiplied and summed over den_a den_b.
     """
     a._compat(b)
     q = a.q
-    nums_a, den_a = _integral(a.terms)
     if q == 1 or q == -1:
-        nums_b, den_b = _integral(b.terms)
         total: dict = {}
-        for w, n in nums_a.items():
+        for w, n in a.nums.items():
             _accumulate(
                 total,
-                ((tuple(w[t - 1] for t in v), n * nv) for v, nv in nums_b.items()),
+                ((tuple(w[t - 1] for t in v), n * nv) for v, nv in b.nums.items()),
             )
-        den = den_a * den_b
-        return _raw(a.m, q, {w: Fraction(n, den) for w, n in total.items()})
+        return _element(a.m, q, total, a.den * b.den)
     # a trie node is [children by letter, scaled coefficient of a or 0]
     root: list = [{}, 0]
     longest = 0
-    for w, n in nums_a.items():
+    for w, n in a.nums.items():
         word = reduced_word(w)
         longest = max(longest, len(word))
         node = root
@@ -468,8 +562,7 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     # each entry is a node, its depth and its parent's product; the pass
     # into the node is taken when it is popped, so only products on the
     # current path and the parents of pending siblings are alive
-    nums_b, den_b = _scaled(_by_inverse(b.terms))
-    stack = [(root, 0, 0, nums_b)]
+    stack = [(root, 0, 0, _ranked(_by_inverse(b.nums)))]
     while stack:
         (children, n), i, depth, y = stack.pop()
         if i:
@@ -480,8 +573,8 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
                 total[w] = get(w, 0) + f * c
         depth += 1
         stack.extend((child, j, depth, y) for j, child in children.items())
-    total = {w: n for w, n in total.items() if n}
-    return _raw(a.m, q, _by_inverse(_unscaled(total, den_a * den_b * rs**longest)))
+    total = _by_inverse(_unranked({w: n for w, n in total.items() if n}))
+    return _element(a.m, q, total, a.den * b.den * rs**longest)
 
 
 # -- baxterised generators ------------------------------------------------------
@@ -522,14 +615,16 @@ def symmetriser_sum(i: int, j: int, m: int, q) -> HeckeElement:
     fact = q_factorial(r, q)
     if fact == 0:
         raise ParameterError(f"[{r}]_q! vanishes at q={q}")
-    pref = q ** (-(r * (r - 1)) // 2) / fact
+    # at q = a/b and [r]_q! = f/g, q^(l - top) / [r]_q! = a^l b^(top-l) g / (a^top f)
+    a, b = q.numerator, q.denominator
+    top = r * (r - 1) // 2
     head = tuple(range(1, i))
     tail = tuple(range(j + 1, m + 1))
-    terms = {}
+    nums = {}
     for wp in all_permutations(r):
-        w = head + tuple(v + i - 1 for v in wp) + tail
-        terms[w] = pref * q ** length(wp)
-    return _raw(m, q, MappingProxyType(terms))
+        l = length(wp)
+        nums[head + tuple(v + i - 1 for v in wp) + tail] = a**l * b ** (top - l) * fact.denominator
+    return _frozen(_element(m, q, nums, a**top * fact.numerator))
 
 
 def symmetriser_product(i: int, j: int, m: int, q) -> HeckeElement:
@@ -565,11 +660,26 @@ def element_to_obj(x: HeckeElement) -> dict:
     }
 
 
+def _fields(obj, keys: tuple, what: str) -> tuple:
+    """The values of the keys in the JSON object obj, or a DomainError that
+    names the missing ones."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"{what} must be a JSON object, got {obj!r}")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise DomainError(f"{what} lacks {', '.join(map(repr, missing))}")
+    return tuple(obj[k] for k in keys)
+
+
 def element_from_obj(obj: dict) -> HeckeElement:
-    m = int(obj["strands"])
-    q = as_fraction(obj["q"])
+    """The inverse of element_to_obj; raises DomainError on a missing key or
+    a permutation that occurs twice."""
+    m, q, entries = _fields(obj, ("strands", "q", "terms"), "an element")
     terms = {}
-    for entry in obj["terms"]:
-        w = perm_from_str("[" + ",".join(str(v) for v in entry["perm"]) + "]")
-        terms[w] = as_fraction(entry["coeff"])
-    return HeckeElement(m, q, terms)
+    for entry in entries:
+        perm, coeff = _fields(entry, ("perm", "coeff"), "a term")
+        w = perm_from_str("[" + ",".join(str(v) for v in perm) + "]")
+        if w in terms:
+            raise DomainError(f"permutation {list(w)} occurs twice")
+        terms[w] = as_fraction(coeff)
+    return HeckeElement(int(m), as_fraction(q), terms)

@@ -26,7 +26,8 @@ from fusedhecke.fused import FusedContext, VerifyResult, braiding_word, element_
 from fusedhecke.hecke import (
     HeckeElement,
     _accumulate,
-    _raw,
+    _element,
+    _integral,
     _scaled,
     _scaled_symmetriser,
     _unscaled,
@@ -246,6 +247,13 @@ def dense_matrix_ybe(k: int, N: int, x, y, bax) -> VerifyResult:
 # -- fused chains in the standard basis -------------------------------------------
 
 
+def from_fractions(m: int, q, terms: dict) -> HeckeElement:
+    """The element with the nonzero Fraction coefficients terms, its keys
+    taken as they are: permutations, or words, which the public
+    constructor refuses."""
+    return _element(m, q, *_integral(terms))
+
+
 def left_mul_generator(i: int, x: HeckeElement) -> HeckeElement:
     """sigma_i * x expanded in the standard basis over Fraction: s_i * w
     swaps the values i, i+1 of w, and where the length goes down (i occurs
@@ -261,7 +269,7 @@ def left_mul_generator(i: int, x: HeckeElement) -> HeckeElement:
         _accumulate(
             out, ((w, lam * c) for w, c in x.terms.items() if w.index(i) > w.index(j))
         )
-    return _raw(x.m, x.q, out)
+    return from_fractions(x.m, x.q, out)
 
 
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
@@ -273,14 +281,14 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     classical = a.q == 1 or a.q == -1
     for w, c in a.terms.items():
         if classical:
-            y = _raw(b.m, b.q, {tuple(w[t - 1] for t in v): cv
-                                for v, cv in b.terms.items()})
+            y = from_fractions(b.m, b.q, {tuple(w[t - 1] for t in v): cv
+                                          for v, cv in b.terms.items()})
         else:
             y = b
             for idx in reversed(reduced_word(w)):
                 y = left_mul_generator(idx, y)
         _accumulate(total, ((wy, c * cy) for wy, cy in y.terms.items()))
-    return _raw(a.m, a.q, total)
+    return from_fractions(a.m, a.q, total)
 
 
 def mul_element_right(x: HeckeElement, y: HeckeElement) -> HeckeElement:
@@ -291,8 +299,7 @@ def mul_element_right(x: HeckeElement, y: HeckeElement) -> HeckeElement:
         for idx in reduced_word(w):
             z = right_mul_generator(z, idx)
         _accumulate(total, ((wz, c * cz) for wz, cz in z.terms.items()))
-    # x may be keyed by words, which the public constructor refuses
-    return _raw(x.m, x.q, total)
+    return from_fractions(x.m, x.q, total)
 
 
 def mul_projector_right(x: HeckeElement, intervals) -> HeckeElement:
@@ -425,4 +432,4 @@ def mul_symmetriser_right(x: HeckeElement, i: int, j: int) -> HeckeElement:
     coefficients converted in and out; a bad interval is rejected first."""
     symmetriser_sum(i, j, x.m, x.q)
     nums, den = _scaled_symmetriser(*_scaled(x.terms), i, j, x.q)
-    return _raw(x.m, x.q, _unscaled(nums, den))
+    return from_fractions(x.m, x.q, _unscaled(nums, den))

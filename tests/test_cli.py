@@ -203,7 +203,8 @@ def test_reproduce_k2N2_reports_a_perturbed_reference_entry(capsys, monkeypatch)
 
 
 def _cli_process(*argv, unbuffered=False, **kwargs):
-    """`python -m fusedhecke.cli ARGV` in a fresh interpreter."""
+    """`python -m fusedhecke.cli ARGV` in a fresh interpreter, its stderr a
+    pipe; use the process in a with block, which closes its pipes."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     env.pop("PYTHONUNBUFFERED", None)
@@ -219,11 +220,11 @@ CLOSED_STDOUT = "error: standard output closed before all of it was written\n"
 def test_stdout_closed_after_the_first_line_exits_2():
     # 113 kB of JSON: more than the pipe holds, so the writer is still
     # writing when the reader closes its end
-    proc = _cli_process("compute-r", "--k", "2", "--N", "4", stdout=subprocess.PIPE)
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=120) == 2
+    with _cli_process("compute-r", "--k", "2", "--N", "4", stdout=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
     assert first == b"{\n"
     assert err == CLOSED_STDOUT
 
@@ -231,12 +232,12 @@ def test_stdout_closed_after_the_first_line_exits_2():
 def test_unbuffered_stdout_closed_after_the_first_line_exits_2():
     # unbuffered, the JSON goes to one raw write, which returns a short count
     # when the reader closes mid-write; the rest must still be written
-    proc = _cli_process("compute-r", "--k", "2", "--N", "4", unbuffered=True,
-                        stdout=subprocess.PIPE)
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=120) == 2
+    with _cli_process("compute-r", "--k", "2", "--N", "4", unbuffered=True,
+                      stdout=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
     assert first == b"{\n"
     assert err == CLOSED_STDOUT
 
@@ -250,8 +251,9 @@ def test_stdout_closed_before_verify_algebra_prints_exits_2(unbuffered):
                             unbuffered=unbuffered, stdout=write)
     finally:
         os.close(write)
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=120) == 2
+    with proc:
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
     assert err == CLOSED_STDOUT
 
 

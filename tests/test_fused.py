@@ -729,6 +729,21 @@ def test_word_path_at_q_minus_one(k, ell):
     )
 
 
+@pytest.mark.parametrize("q", [F(2), F(3, 2), F(-5, 7), F(1), F(-1)], ids=str)
+def test_expanded_elements_are_in_canonical_form(q):
+    # _expand reads the common factor off the word numerators and P's
+    # values; its numerators and denominator are those that the public
+    # constructor gives the same coefficients
+    ctx = FusedContext(2, 3, q)
+    xs = [partial_braiding(ctx, i, p) for i in (1, 2) for p in range(3)]
+    xs += [partial_braiding_mixed(1, 2, p, q) for p in range(2)]
+    xs += [baxter_R_expansion(ctx, 2, F(3, 5)), baxter_R_factorized(2, 3, F(-7, 4), q),
+           projector_P(ctx), projector_mixed(1, 3, q)[1], classical_baxter_R(2, 3, 1, F(7, 2))]
+    for x in xs:
+        y = HeckeElement(x.m, x.q, dict(x.terms))
+        assert (dict(x.nums), x.den) == (y.nums, y.den)
+
+
 # -- cached results are read-only --------------------------------------------------------------
 
 

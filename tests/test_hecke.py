@@ -2,7 +2,9 @@ import itertools
 import json
 import random
 import sys
+import math
 import threading
+from collections.abc import Mapping, MutableMapping
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from fusedhecke import (
     DomainError,
     HeckeElement,
+    ParameterError,
     PoleError,
     element_from_obj,
     element_to_obj,
@@ -202,7 +205,9 @@ def test_multiply_matches_oracle(m):
             pairs.append((full, _random_element(rng, m, q, perms)))
         for a, b in pairs:
             got, want = multiply(a, b), oracles.multiply(a, b)
-            assert type(got.terms) is dict
+            # a read-only mapping whose values are Fractions
+            assert isinstance(got.terms, Mapping)
+            assert not isinstance(got.terms, MutableMapping)
             assert got.terms == want.terms, (m, q)
             assert all(type(c) is F for c in got.terms.values())
 
@@ -453,7 +458,7 @@ def test_mul_symmetriser_right_matches_term_by_term(m, q):
             keys = [rng.choice(pool) for _ in range(4)]
         terms = {w: F(rng.randint(-9, 9), rng.randint(1, 9)) for w in keys}
         # the public constructor takes permutations only
-        x = hecke._raw(m, q, {w: c for w, c in terms.items() if c})
+        x = oracles.from_fractions(m, q, {w: c for w, c in terms.items() if c})
         for i in range(1, m):
             for j in range(i + 1, m + 1):
                 got = mul_symmetriser_right(x, i, j)
@@ -516,3 +521,112 @@ def test_zero_pruning():
     x = generator(1, 2, q)
     assert (x - x) == zero(2, q)
     assert not (x - x).terms
+
+
+@pytest.mark.parametrize("key", ["strands", "q", "terms"])
+def test_element_from_obj_names_a_missing_key(key):
+    obj = element_to_obj(generator(1, 2, F(2)))
+    del obj[key]
+    with pytest.raises(DomainError, match=f"lacks '{key}'"):
+        element_from_obj(obj)
+
+
+@pytest.mark.parametrize("key", ["perm", "coeff"])
+def test_element_from_obj_names_a_missing_term_key(key):
+    obj = element_to_obj(generator(1, 2, F(2)))
+    del obj["terms"][0][key]
+    with pytest.raises(DomainError, match=f"lacks '{key}'"):
+        element_from_obj(obj)
+
+
+def test_element_from_obj_rejects_a_repeated_permutation():
+    # the second coefficient would otherwise replace the first
+    obj = element_to_obj(generator(1, 2, F(2)))
+    obj["terms"].append({"perm": [2, 1], "coeff": "3"})
+    with pytest.raises(DomainError, match=r"\[2, 1\] occurs twice"):
+        element_from_obj(obj)
+
+
+@pytest.mark.parametrize("c", [0, F(0), "0"], ids=repr)
+def test_division_by_zero_raises_parameter_error(c):
+    with pytest.raises(ParameterError):
+        generator(1, 2, F(2)) / c
+
+
+# -- the integer form --------------------------------------------------------------
+
+
+def _assert_canonical(x):
+    assert x.den > 0 and all(x.nums.values())
+    assert math.gcd(x.den, *x.nums.values()) == 1
+    assert x.nums or x.den == 1
+
+
+@pytest.mark.parametrize("q", [F(2), F(3, 2), F(-5, 7), F(1), F(-1)], ids=str)
+def test_equal_elements_have_one_integer_form(q):
+    """Elements reached by different routes are equal with identical
+    numerators and denominators: negative scalars, cancelling sums,
+    scale(0), products and the public constructor."""
+    rng = random.Random(4100)
+    perms = all_permutations(4)
+    a, b, c = (_random_element(rng, 4, q, rng.sample(perms, 9)) for _ in range(3))
+    ab = multiply(a, b)
+    routes = [
+        (a.scale(F(-3, 4)).scale(F(-4, 3)), a),
+        (-(-a), a),
+        ((a / F(-7, 3)).scale(F(-7, 3)), a),
+        ((a + b) - b, a),
+        (b + a - a, b),
+        (a - a, zero(4, q)),
+        (a.scale(0), zero(4, q)),
+        (a.scale(0), b - b),
+        (multiply(a, b - b), zero(4, q)),
+        (multiply(a.scale(F(-2, 3)), b), ab.scale(F(-2, 3))),
+        (multiply(a, b.scale(6)), ab + ab + ab + ab + ab + ab),
+        (multiply(a, b + c), ab + multiply(a, c)),
+        (ab, oracles.multiply(a, b)),
+        (ab, HeckeElement(4, q, dict(ab.terms))),
+        (right_mul_generator(a, 2), multiply(a, generator(2, 4, q))),
+    ]
+    for got, want in routes:
+        _assert_canonical(got)
+        assert got == want
+        assert (got.nums, got.den) == (want.nums, want.den)
+
+
+def test_integer_form_builds_no_fraction(monkeypatch):
+    """Equality, sums, scaling, products, the Diff of equal elements, the
+    size of .terms and the expansion of a word vector run on integers."""
+    from fusedhecke.fused import FusedContext, _expand, _partial_braiding_words, element_diff
+
+    q, c = F(3, 2), F(-5, 7)
+    rng = random.Random(4200)
+    a, b = (_random_element(rng, 5, q, all_permutations(5)) for _ in range(2))
+    a2 = HeckeElement(5, q, dict(a.terms))
+    one = HeckeElement(5, F(1), dict(a.terms))
+    vec = _partial_braiding_words(FusedContext(2, 3, q), 1, 1)
+    _expand(vec, 6, q)  # fills the symmetriser cache
+    built = []
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    assert a == a2 and a != b
+    a + b, a - b, -a
+    a.scale(c)
+    multiply(a, b)
+    multiply(one, one)
+    right_mul_generator(a, 3)
+    assert element_diff(a, a2) is None
+    assert len(a.terms) == 120 and (1, 2, 3, 4, 5) in a.terms
+    _expand(vec, 6, q)
+    monkeypatch.undo()
+    assert built == []
+    # the counter counts: reading a coefficient builds one
+    monkeypatch.setattr(F, "__new__", counted)
+    a.coefficient((1, 2, 3, 4, 5))
+    monkeypatch.undo()
+    assert len(built) == 1
