@@ -257,7 +257,7 @@ def _element(m: int, q: Fraction, nums, den: int, reduced: bool = False) -> Heck
 
 def _frozen(x: HeckeElement) -> HeckeElement:
     """x with a read-only numerator map, for results that a cache hands out."""
-    return _element(x.m, x.q, MappingProxyType(x.nums), x.den, reduced=True)
+    return _element(x.m, x.q, MappingProxyType(x.nums), x.den)
 
 
 def _accumulate(out: dict, items) -> dict:
@@ -450,11 +450,7 @@ def _scaled_sum(pairs) -> tuple:
     total: dict = {}
     for c, nums, d in pairs:
         f = c.numerator * (den // d)
-        if total:
-            _accumulate(total, ((w, f * n) for w, n in nums.items()))
-        else:
-            # numerators are nonzero, so the first summand needs no pruning
-            total = {w: f * n for w, n in nums.items()}
+        _accumulate(total, ((w, f * n) for w, n in nums.items()))
     return total, den
 
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
+from types import MappingProxyType
 
 import pytest
 
@@ -747,13 +748,13 @@ def test_expanded_elements_are_in_canonical_form(q):
 # -- cached results are read-only --------------------------------------------------------------
 
 
-# each entry gives the coefficient map of a cached result: the terms of an
-# element, or the numerator map of a scaled vector, keyed by word ranks
+# each entry gives the numerator map of a cached result: the map an element
+# holds on permutation tuples, or that of a scaled vector, keyed by word ranks
 CACHED_ELEMENTS = {
-    "symmetriser_sum": lambda: symmetriser_sum(1, 2, 4, F(2)).terms,
-    "projector_P": lambda: projector_P(FusedContext(2, 2, F(2))).terms,
-    "partial_braiding": lambda: partial_braiding(FusedContext(2, 2, F(2)), 1, 1).terms,
-    "partial_braiding_mixed": lambda: partial_braiding_mixed(1, 2, 1, F(2)).terms,
+    "symmetriser_sum": lambda: symmetriser_sum(1, 2, 4, F(2)).nums,
+    "projector_P": lambda: projector_P(FusedContext(2, 2, F(2))).nums,
+    "partial_braiding": lambda: partial_braiding(FusedContext(2, 2, F(2)), 1, 1).nums,
+    "partial_braiding_mixed": lambda: partial_braiding_mixed(1, 2, 1, F(2)).nums,
     "_partial_braiding_words": lambda: _partial_braiding_words(FusedContext(2, 2, F(2)), 1, 1)[0],
 }
 
@@ -761,11 +762,12 @@ CACHED_ELEMENTS = {
 @pytest.mark.parametrize("name", CACHED_ELEMENTS)
 def test_cached_element_is_read_only(name):
     get = CACHED_ELEMENTS[name]
+    assert type(get()) is MappingProxyType
     before = dict(get())
     with pytest.raises(AttributeError):
         get().clear()
     with pytest.raises(TypeError):
-        get()[next(iter(before))] = F(99)
+        get()[next(iter(before))] = 99
     assert get() == before
 
 
