@@ -423,18 +423,18 @@ _ADDITIVE = _Baxterisation(
 # -- baxterised R-elements ------------------------------------------------------
 
 
-def _expansion(ctx: FusedContext, i: int, arg, bax: _Baxterisation) -> tuple:
-    """sum_p coefficient_p(arg) * (partial braiding p) at ellipse i, as a
-    scaled vector."""
-    return _scaled_sum(
-        (a, _partial_braiding_words(ctx, i, p))
-        for p, a in enumerate(bax.coefficients(ctx.k, arg))
+def _expansion(ctx: FusedContext, i: int, coefficients) -> HeckeElement:
+    """sum_p coefficients[p] * (partial braiding p) at ellipse i, as an
+    element of H_{nk}."""
+    x = _scaled_sum(
+        (a, _partial_braiding_words(ctx, i, p)) for p, a in enumerate(coefficients)
     )
+    return _expand(x, ctx.strands, ctx.q)
 
 
 def baxter_R_expansion(ctx: FusedContext, i: int, u) -> HeckeElement:
     """The baxterised element at ellipse i: sum_p a_p(u) * (partial braiding p)."""
-    return _expand(_expansion(ctx, i, u, _multiplicative(ctx.q)), ctx.strands, ctx.q)
+    return _expansion(ctx, i, baxter_coefficients(ctx.k, ctx.k, u, ctx.q).values)
 
 
 def _mul_grid_right(x: tuple, k: int, ell: int, arg, offset: int,
@@ -488,8 +488,7 @@ def _verify_ybe(ctx: FusedContext, u, v, i: int, method: str, bax: _Baxterisatio
     # and compute each argument's coefficients once
     coefficients = {arg: bax.coefficients(ctx.k, arg) for arg in (u, w, v)}
     if method == "direct":
-        bax = bax._replace(coefficients=lambda k, arg: coefficients[arg])
-        r = lambda j, arg: _expand(_expansion(ctx, j, arg, bax), ctx.strands, ctx.q)
+        r = lambda j, arg: _expansion(ctx, j, coefficients[arg])
         lhs = multiply(multiply(r(i, u), r(i + 1, w)), r(i, v))
         rhs = multiply(multiply(r(i + 1, v), r(i, w)), r(i + 1, u))
         return _verdict(lhs, rhs)
@@ -619,7 +618,7 @@ def classical_baxter_R(k: int, n: int, i: int, mu) -> HeckeElement:
     """The additive-parameter solution in the q = 1 fused algebra:
     sum_p c_p(mu) * (partial braiding p) with the classical coefficients."""
     ctx = FusedContext(k, n, Fraction(1))
-    return _expand(_expansion(ctx, i, mu, _ADDITIVE), ctx.strands, ctx.q)
+    return _expansion(ctx, i, classical_coefficients(k, mu))
 
 
 def classical_baxter_R_factorized(k: int, mu) -> HeckeElement:

@@ -21,8 +21,9 @@ alike share the passes over their common suffix.  The walk keys b by the
 ranks of inverse permutations, where sigma_i * sigma_w is the generator
 rule below at position i, and runs every pass and the sum on integer
 numerators over one common denominator, which divides den_a den_b (ab)^L at
-q = a/b, L the length of the longest word of a (see multiply).  At q**2 == 1 the rule has
-no second term and the product composes keys directly.
+q = a/b, L the length of the longest word of a (see multiply).  At q**2 == 1
+the rule's second term vanishes, and the same walk gives the product of the
+group algebra of S_m.
 
 Chains of right multiplications run on module vectors in one form, the
 scaled-integer form: with q = a/b, a vector is a pair (numerators,
@@ -76,7 +77,6 @@ from .permutations import (
     is_permutation,
     length,
     max_strands,
-    perm_from_str,
     reduced_word,
     simple_transposition,
 )
@@ -288,10 +288,6 @@ def unit(m: int, q) -> HeckeElement:
 def generator(i: int, m: int, q) -> HeckeElement:
     """The standard generator sigma_{s_i}."""
     return HeckeElement(m, q, {simple_transposition(i, m): Fraction(1)})
-
-
-def basis_element(w: Perm, m: int, q) -> HeckeElement:
-    return HeckeElement(m, q, {tuple(w): Fraction(1)})
 
 
 # -- multiplication ---------------------------------------------------------
@@ -510,12 +506,11 @@ def left_mul_generator(i: int, nums: dict, factors: tuple) -> dict:
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Product a * b: sum_w c_w (sigma_w b) over the terms c_w sigma_w of a.
 
-    At q**2 == 1 the generators square to 1, so sigma_w b is b with w
-    composed into each key.  Otherwise sigma_w b takes one left_mul_generator
-    pass per letter of the canonical reduced word of w, applied from the
-    right end.  The words, read in that order, go into a trie, so a depth-first
-    walk takes one pass per trie edge, each on its parent's product, and
-    words with a common suffix share the passes over it.
+    sigma_w b takes one left_mul_generator pass per letter of the canonical
+    reduced word of w, applied from the right end.  The words, read in that
+    order, go into a trie, so a depth-first walk takes one pass per trie
+    edge, each on its parent's product, and words with a common suffix share
+    the passes over it.
 
     Every pass runs in the scaled-integer form on the ranks of keys inverted
     once on the way in, where sigma_i * y is the generator rule at position
@@ -527,18 +522,10 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     length of the longest word of a, a trie node at depth d that ends the
     word of c_w = n/den_a adds n (rs)^(L-d) times its map into a total over
     den_a den_b (rs)^L, which the constructor reduces.  At q**2 == 1 the
-    numerators are multiplied and summed over den_a den_b.
+    descent factor r^2 - s^2 is 0, so each pass only permutes the keys.
     """
     a._compat(b)
     q = a.q
-    if q == 1 or q == -1:
-        total: dict = {}
-        for w, n in a.nums.items():
-            _accumulate(
-                total,
-                ((tuple(w[t - 1] for t in v), n * nv) for v, nv in b.nums.items()),
-            )
-        return _element(a.m, q, total, a.den * b.den)
     # a trie node is [children by letter, scaled coefficient of a or 0]
     root: list = [{}, 0]
     longest = 0
@@ -606,8 +593,6 @@ def symmetriser_sum(i: int, j: int, m: int, q) -> HeckeElement:
     if not 1 <= i <= j <= m:
         raise DomainError(f"invalid symmetriser interval [{i},{j}] in H_{m}")
     r = j - i + 1
-    if r == 1:
-        return _frozen(unit(m, q))
     fact = q_factorial(r, q)
     if fact == 0:
         raise ParameterError(f"[{r}]_q! vanishes at q={q}")
@@ -668,14 +653,25 @@ def _fields(obj, keys: tuple, what: str) -> tuple:
 
 
 def element_from_obj(obj: dict) -> HeckeElement:
-    """The inverse of element_to_obj; raises DomainError on a missing key or
-    a permutation that occurs twice."""
+    """The inverse of element_to_obj; raises DomainError on a missing key, a
+    strand count that is not an integer, terms that are not a list, a perm
+    that is not a permutation given as a list of integers, or a permutation
+    that occurs twice."""
     m, q, entries = _fields(obj, ("strands", "q", "terms"), "an element")
+    # a JSON integer, not a bool or a float
+    if type(m) is not int:
+        raise DomainError(f"strands must be an integer, got {m!r}")
+    if not isinstance(entries, list):
+        raise DomainError(f"terms must be a list, got {entries!r}")
     terms = {}
     for entry in entries:
         perm, coeff = _fields(entry, ("perm", "coeff"), "a term")
-        w = perm_from_str("[" + ",".join(str(v) for v in perm) + "]")
+        # checked here too, since the constructor skips zero coefficients
+        if not (isinstance(perm, list) and all(type(v) is int for v in perm)
+                and is_permutation(perm)):
+            raise DomainError(f"perm must be a permutation, a list of integers, got {perm!r}")
+        w = tuple(perm)
         if w in terms:
-            raise DomainError(f"permutation {list(w)} occurs twice")
+            raise DomainError(f"permutation {perm} occurs twice")
         terms[w] = as_fraction(coeff)
-    return HeckeElement(int(m), as_fraction(q), terms)
+    return HeckeElement(m, as_fraction(q), terms)

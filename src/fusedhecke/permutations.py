@@ -122,17 +122,3 @@ def all_permutations(m: int):
         )
     return list(itertools.permutations(range(1, m + 1)))
 
-
-def perm_to_str(w: Perm) -> str:
-    """One-line notation serialization, e.g. "[2,1,3]"."""
-    return "[" + ",".join(str(x) for x in w) + "]"
-
-
-def perm_from_str(text: str) -> Perm:
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise DomainError(f"not a one-line permutation: {text!r}")
-    w = tuple(int(part) for part in body[1:-1].split(","))
-    if not is_permutation(w):
-        raise DomainError(f"not a bijection of 1..{len(w)}: {text!r}")
-    return w

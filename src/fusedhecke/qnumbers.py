@@ -14,9 +14,11 @@ q-numbers take their continuous limit values there instead of failing on
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from math import log10
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
@@ -44,17 +46,32 @@ def parse_rational(text: str) -> Fraction:
     >>> parse_rational("12")
     Fraction(12, 1)
     """
-    if not _RATIONAL_RE.match(text.strip()):
+    body = text.strip()
+    if not _RATIONAL_RE.match(body):
         raise ParameterError(f"not a rational in p/q form: {text!r}")
-    return Fraction(text.strip())
+    try:
+        return Fraction(body)
+    except ValueError:
+        digits = max(len(part.lstrip("+-")) for part in body.split("/"))
+        raise ParameterError(
+            f"a rational with {digits} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits on reading an integer"
+        ) from None
 
 
 def format_rational(x: Fraction) -> str:
     """Serialize a Fraction as "p" or "p/q" (sign on the numerator)."""
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        bits = max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+        raise ResourceError(
+            f"a rational of about {int(bits * log10(2)) + 1} digits exceeds the limit "
+            f"of {sys.get_int_max_str_digits()} digits on printing an integer"
+        ) from None
 
 
 def q_int(L: int, q) -> Fraction:

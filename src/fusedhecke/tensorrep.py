@@ -15,13 +15,13 @@ rearrangements of its own tensor t_a, and w_a tensor w_b is the one basis
 vector of W tensor W with a term at
 t_a + t_b: the braiding operators on W tensor W are read off at those keys.
 They keep the weight (letter multiset) of a basis tensor, so they are sparse:
-each sigma_p is built once as sparse columns, the R-matrices are assembled
-only on their joint support, and the matrix Yang-Baxter equation applies R
-to W^(tensor 3) one basis vector at a time through R's sparse columns.  The
-public matrices are numpy object arrays over exact rationals, filled from
-those columns; numpy is imported only where one is built (_dense), so
-importing this module, the matrix YBE and the serialisation of rows do not
-load it.
+each sigma_p is built once as sparse columns, an R-matrix is summed column
+by column over the sigma_p with a nonzero coefficient, and the matrix
+Yang-Baxter equation applies R to W^(tensor 3) one basis vector at a time
+through R's sparse columns.  The public matrices are numpy object arrays
+over exact rationals, filled from those columns; numpy is imported only
+where one is built (_dense), so importing this module, the matrix YBE and
+the serialisation of rows do not load it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 
-from . import linalg
 from .errors import DomainError, InternalConsistencyError, ParameterError, ResourceError
 from .fused import (
     _ADDITIVE,
@@ -205,30 +204,18 @@ def sigma_matrix(k: int, p: int, N: int, q) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=None)
-def _sigma_entries(k: int, N: int, q) -> tuple:
-    """(r, c, (sigma_0[r, c], ..., sigma_k[r, c])) for every entry (r, c),
-    in row-major order, at which some sigma_matrix(k, p, N, q) is nonzero."""
-    zero = Fraction(0)
-    entries = {}
-    for p in range(k + 1):
-        for c, col in enumerate(_sigma_columns(k, p, N, q)):
-            for r, val in col:
-                entries.setdefault((r, c), [zero] * (k + 1))[p] = val
-    return tuple((r, c, tuple(sig)) for (r, c), sig in sorted(entries.items()))
-
-
 def _R_columns(k: int, N: int, arg, bax: _Baxterisation) -> list:
     """The nonzero entries of sum_p coefficient_p(arg) * sigma_matrix(p) on
-    W tensor W, as one list of (row, value) pairs per column."""
+    W tensor W, as one list of (row, value) pairs per column, rows
+    ascending, summed column by column over the sigma_p whose coefficient
+    is not zero (the top one is 1)."""
     _check_fusion_args(k, N)
-    coeffs = bax.coefficients(k, arg)
-    cols = [[] for _ in range(comb(k + N - 1, k) ** 2)]
-    for r, c, sig in _sigma_entries(k, N, bax.q):
-        val = sum(a * s for a, s in zip(coeffs, sig))
-        if val:
-            cols[c].append((r, val))
-    return cols
+    cols = [{} for _ in range(comb(k + N - 1, k) ** 2)]
+    for p, a in enumerate(bax.coefficients(k, arg)):
+        if a:
+            for col, sig in zip(cols, _sigma_columns(k, p, N, bax.q)):
+                _accumulate(col, ((r, a * s) for r, s in sig))
+    return [sorted(col.items()) for col in cols]
 
 
 def _R_matrix(k: int, N: int, arg, bax: _Baxterisation) -> np.ndarray:
@@ -312,10 +299,6 @@ def matrix_to_obj(mat, k: int, N: int, q, u=None) -> dict:
     if u is not None:
         obj["u"] = format_rational(as_fraction(u))
     return obj
-
-
-def matrix_from_obj(obj: dict) -> np.ndarray:
-    return linalg.fmat([[Fraction(v) for v in row] for row in obj["matrix"]])
 
 
 def matrix_to_csv(mat) -> str:

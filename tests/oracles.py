@@ -4,15 +4,16 @@ standard R-matrix at adjacent slots, each Hecke element applied along the
 reduced words of its terms), the product of H_m one left term at a time
 over Fraction, by an element-level sigma_i * x of its own that shares no
 code with the library's product (the symmetriser recursion check uses it
-too), exact zero matrices and matrix equality, a dense exact Gauss-Jordan
-solver, the q = 1 partial braiding matrices obtained with it, the matrix
-Yang-Baxter equation as dense Kronecker factors and dense products, and the
-fused chains of right multiplications (projectors, partial braidings,
-factorised R-elements and the braided and mixed Yang-Baxter chains) run in
-the standard basis of H_m, each symmetriser applied term by term from its
-sum formula; also the baxterised generator, the left symmetriser recursion,
-the one-projector form of the factorised R-element and the library's scaled
-symmetriser pass wrapped on elements, which only the tests use."""
+too), exact zero matrices, matrix equality and a matrix read back from its
+JSON form, a dense exact Gauss-Jordan solver, the q = 1 partial braiding
+matrices obtained with it, the matrix Yang-Baxter equation as dense
+Kronecker factors and dense products, and the fused chains of right
+multiplications (projectors, partial braidings, factorised R-elements and
+the braided and mixed Yang-Baxter chains) run in the standard basis of H_m,
+each symmetriser applied term by term from its sum formula; also the
+baxterised generator, the left symmetriser recursion, the one-projector form
+of the factorised R-element, the standard basis element and the library's
+scaled symmetriser pass wrapped on elements, which only the tests use."""
 
 import itertools
 from fractions import Fraction
@@ -126,6 +127,11 @@ def zeros(r: int, c: int) -> np.ndarray:
 
 def mat_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and bool((a == b).all())
+
+
+def matrix_from_obj(obj: dict) -> np.ndarray:
+    """The exact matrix of tensorrep.matrix_to_obj's JSON form."""
+    return linalg.fmat([[Fraction(v) for v in row] for row in obj["matrix"]])
 
 
 def _echelonize(aug: list, left_cols: int):
@@ -252,6 +258,11 @@ def from_fractions(m: int, q, terms: dict) -> HeckeElement:
     taken as they are: permutations, or words, which the public
     constructor refuses."""
     return _element(m, q, *_integral(terms))
+
+
+def basis_element(w, m: int, q) -> HeckeElement:
+    """The standard basis element sigma_w of H_m(q)."""
+    return HeckeElement(m, q, {tuple(w): Fraction(1)})
 
 
 def left_mul_generator(i: int, x: HeckeElement) -> HeckeElement:

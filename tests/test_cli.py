@@ -10,8 +10,7 @@ import pytest
 from fusedhecke import element_from_obj, fused_R_matrix, reference_data, sigma_matrix
 from fusedhecke.cli import main
 from fusedhecke.fused import VerifyResult
-from fusedhecke.tensorrep import matrix_from_obj
-from oracles import mat_equal
+from oracles import mat_equal, matrix_from_obj
 
 
 def run(capsys, *argv):
@@ -156,6 +155,20 @@ def test_qnum_negative_pochhammer_p_exits_2(capsys):
                          "--p", "-2", "--q", "2")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "p >= 0" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, digits", [
+    (("qnum", "--fn", "int", "--L", "8000", "--q", "2"), "about 4817 digits"),
+    (("qnum", "--fn", "factorial", "--L", "200", "--q", "2"), "about 12006 digits"),
+    (("compute-r", "--k", "1", "--N", "2", "--q", "7" * 5000), "with 5000 digits"),
+], ids=["qnum-int", "qnum-factorial", "compute-r-q"])
+def test_integer_over_the_conversion_limit_exits_2(capsys, argv, digits):
+    # Python refuses to convert integers of more than 4300 digits to or from
+    # a string; the error names the digit count instead of a traceback
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: a rational") and digits in err
     assert len(err.splitlines()) == 1
 
 

@@ -28,7 +28,6 @@ from fusedhecke import (
 )
 from fusedhecke import hecke
 from fusedhecke.hecke import (
-    basis_element,
     right_mul_generator,
     zero,
 )
@@ -41,6 +40,7 @@ from fusedhecke.permutations import (
 )
 import oracles
 from oracles import (
+    basis_element,
     left_mul_generator,
     mul_element_right,
     mul_symmetriser_right,
@@ -212,10 +212,11 @@ def test_multiply_matches_oracle(m):
             assert all(type(c) is F for c in got.terms.values())
 
 
-def test_multiply_takes_one_pass_per_distinct_suffix(monkeypatch):
+@pytest.mark.parametrize("q", [F(3, 2), F(1), F(-1)], ids=str)
+def test_multiply_takes_one_pass_per_distinct_suffix(monkeypatch, q):
     """The full element of S_4 takes one left_mul_generator pass per distinct
-    suffix of the canonical reduced words, not one per letter."""
-    q = F(3, 2)
+    suffix of the canonical reduced words, not one per letter, at q**2 == 1
+    too."""
     perms = all_permutations(4)
     full = HeckeElement(4, q, {w: F(1) for w in perms})
     calls = {"left": 0, "word": 0}
@@ -544,6 +545,35 @@ def test_element_from_obj_rejects_a_repeated_permutation():
     obj = element_to_obj(generator(1, 2, F(2)))
     obj["terms"].append({"perm": [2, 1], "coeff": "3"})
     with pytest.raises(DomainError, match=r"\[2, 1\] occurs twice"):
+        element_from_obj(obj)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("strands", 2.7, "strands must be an integer"),
+    ("strands", True, "strands must be an integer"),
+    ("strands", "2", "strands must be an integer"),
+    ("terms", {"perm": [2, 1], "coeff": "1"}, "terms must be a list"),
+    ("terms", "[2, 1]", "terms must be a list"),
+    ("perm", [2, "x"], "perm must be a permutation"),
+    ("perm", [2.0, 1], "perm must be a permutation"),
+    ("perm", [2, True], "perm must be a permutation"),
+    ("perm", "21", "perm must be a permutation"),
+    ("perm", [1, 1], "perm must be a permutation"),
+    ("term", {"perm": [1, 1], "coeff": "0"}, "perm must be a permutation"),
+], ids=["strands-float", "strands-bool", "strands-str", "terms-object", "terms-str",
+        "perm-str-entry", "perm-float-entry", "perm-bool-entry", "perm-str", "perm-repeat",
+        "perm-repeat-zero-coeff"])
+def test_element_from_obj_rejects_a_malformed_value(field, value, message):
+    # JSON comes from outside the program: nothing is coerced, and a zero
+    # coefficient does not excuse a malformed perm
+    obj = element_to_obj(generator(1, 2, F(2)))
+    if field == "perm":
+        obj["terms"][0]["perm"] = value
+    elif field == "term":
+        obj["terms"][0] = value
+    else:
+        obj[field] = value
+    with pytest.raises(DomainError, match=message):
         element_from_obj(obj)
 
 

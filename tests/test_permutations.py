@@ -9,8 +9,6 @@ from fusedhecke.permutations import (
     compose,
     inverse,
     length,
-    perm_from_str,
-    perm_to_str,
     simple_transposition,
 )
 
@@ -84,14 +82,3 @@ def test_reduced_word_roundtrip(m):
         word = reduced_word(w)
         assert len(word) == length(w)
         assert _compose_word(word, m) == w
-
-
-def test_one_line_serialization():
-    assert perm_to_str((2, 1, 3)) == "[2,1,3]"
-    assert perm_from_str("[2,1,3]") == (2, 1, 3)
-    for w in all_permutations(4):
-        assert perm_from_str(perm_to_str(w)) == w
-    with pytest.raises(DomainError):
-        perm_from_str("[1,1,2]")
-    with pytest.raises(DomainError):
-        perm_from_str("2,1,3")

@@ -30,7 +30,7 @@ from fusedhecke.fused import (
     classical_coefficients,
 )
 from fusedhecke.permutations import all_permutations
-from fusedhecke.tensorrep import matrix_from_obj, matrix_to_csv, matrix_to_obj
+from fusedhecke.tensorrep import matrix_to_csv, matrix_to_obj
 from oracles import (
     _apply_element,
     _apply_gen,
@@ -39,6 +39,7 @@ from oracles import (
     eye,
     hecke_rmatrix,
     mat_equal,
+    matrix_from_obj,
     pair_basis,
     rank,
     represent,
@@ -350,11 +351,22 @@ def test_verify_matrix_ybe_perturbed_sigma_fails(monkeypatch):
     # sigma_1 raised by one at an entry inside the support; the dense
     # reference multiplies the same perturbed R-matrices
     k, N, q, u, v = 2, 2, F(2), F(3, 5), F(7, 11)
-    entries = list(tensorrep._sigma_entries(k, N, q))
-    n = len(entries) // 2
-    r, c, sig = entries[n]
-    entries[n] = (r, c, (sig[0], sig[1] + 1) + sig[2:])
-    monkeypatch.setattr(tensorrep, "_sigma_entries", lambda k, N, q: tuple(entries))
+    columns = tensorrep._sigma_columns
+    # the middle one, in row-major order, of the entries where some sigma_p
+    # is nonzero
+    entries = sorted({(r, c) for p in range(k + 1)
+                      for c, col in enumerate(columns(k, p, N, q)) for r, _ in col})
+    r, c = entries[len(entries) // 2]
+
+    def raised(k, p, N, q):
+        cols = columns(k, p, N, q)
+        if p != 1:
+            return cols
+        col = dict(cols[c])
+        col[r] = col.get(r, F(0)) + 1
+        return cols[:c] + (tuple(sorted(col.items())),) + cols[c + 1:]
+
+    monkeypatch.setattr(tensorrep, "_sigma_columns", raised)
     got = verify_matrix_ybe(k, N, u, v, q)
     assert not got.ok
     assert got == dense_matrix_ybe(k, N, u, v, _multiplicative(q))
@@ -408,8 +420,9 @@ def test_sparse_columns_agree_with_the_dense_matrices(k, N, q):
         assert rows == sigma_matrix(k, p, N, q).tolist()
     rows = tensorrep._rows(tensorrep._R_columns(k, N, u, _multiplicative(q)))
     assert rows == fused_R_matrix(k, N, u, q).tolist()
-    sigmas = [sigma_matrix(k, p, N, q) for p in range(k + 1)]
-    scan = np.any([s != 0 for s in sigmas], axis=0).nonzero()
-    assert tensorrep._sigma_entries(k, N, q) == tuple(
-        (int(r), int(c), tuple(s[r, c] for s in sigmas)) for r, c in zip(*scan)
-    )
+    # R is sum_p a_p(u) sigma_p, entry by entry
+    d = comb(k + N - 1, k) ** 2
+    want = zeros(d, d)
+    for p, a in enumerate(baxter_coefficients(k, k, u, q).values):
+        want = want + sigma_matrix(k, p, N, q) * a
+    assert mat_equal(fused_R_matrix(k, N, u, q), want)
