@@ -194,7 +194,8 @@ def _cmd_compute_r(args) -> int:
         obj["u"] = format_rational(u)
         return _emit_element(obj, args)
     # the rows of fused_R_matrix(k, N, u, q), built without numpy
-    rows = tensorrep._rows(tensorrep._R_columns(args.k, args.N, u, fused._multiplicative(q)))
+    r = tensorrep._R_columns(args.k, args.N, u, fused._multiplicative(q))
+    rows = tensorrep._rows(r, args.k, args.N)
     return _emit_rows(rows, args, q, u)
 
 
@@ -206,8 +207,8 @@ def _cmd_compute_sigma(args) -> int:
         x = fused.partial_braiding(FusedContext(args.k, args.n, q), args.i, args.p)
         return _emit_element(fused.fused_element_to_obj(x, args.k, args.n), args)
     # the rows of sigma_matrix(k, p, N, q), built without numpy
-    return _emit_rows(tensorrep._rows(tensorrep._sigma_columns(args.k, args.p, args.N, q)),
-                      args, q)
+    sigma = tensorrep._sigma_columns(args.k, args.p, args.N, q)
+    return _emit_rows(tensorrep._rows(sigma, args.k, args.N), args, q)
 
 
 def _cmd_verify_ybe(args) -> int:
@@ -339,7 +340,7 @@ def _cmd_reproduce(args) -> int:
         return 0 if got == want else 1
     if example == "k2N2-matrices":
         # the library call goes first: it rejects a bad q with a message
-        got1, got2 = (tensorrep._rows(tensorrep._sigma_columns(2, p, 2, q)) for p in (1, 2))
+        got1, got2 = (tensorrep._rows(tensorrep._sigma_columns(2, p, 2, q), 2, 2) for p in (1, 2))
         want1, want2 = reference_data._reference_sigma_k2N2_rows(q)
         ok = True
         for label, got, want in (("partial", got1, want1), ("full", got2, want2)):

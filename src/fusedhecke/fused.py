@@ -52,7 +52,7 @@ from .hecke import (
     symmetriser_sum,
 )
 from .permutations import identity
-from .qnumbers import as_fraction, brace_int, format_rational, q_binomial, q_pochhammer
+from .qnumbers import as_fraction, brace_int, format_rational, q_int
 
 
 @dataclass(frozen=True)
@@ -323,7 +323,15 @@ class BaxterCoefficients:
 
 def baxter_coefficients(k: int, ell: int, u, q) -> BaxterCoefficients:
     """Coefficients a_p(u) = (-q)^(k-p) (q^-2; q^-2)_{k-p} / (u q^-2p; q^-2)_{k-p}
-    * [k, p]_q [ell, k-p]_q for p = 0..k (requires k <= ell)."""
+    * [k, p]_q [ell, k-p]_q for p = 0..k (requires k <= ell).
+
+    The q-factorials [0]_q! .. [ell]_q!, the (q^-2; q^-2)_j and the factors
+    1 - u q^(-2s) are each formed once, and the q-binomials and the
+    denominators are read off them.
+
+    >>> baxter_coefficients(1, 1, Fraction(3, 5), 2).values
+    (Fraction(-15, 4), Fraction(1, 1))
+    """
     q = as_fraction(q)
     u = as_fraction(u)
     if q == 0:
@@ -331,25 +339,26 @@ def baxter_coefficients(k: int, ell: int, u, q) -> BaxterCoefficients:
     if ell < k:
         raise DomainError("coefficients need k <= ell")
     qi2 = q**-2
-    values = []
-    for p in range(k + 1):
-        denom = Fraction(1)
-        for r in range(k - p):
-            factor = 1 - u * q ** (-2 * (p + r))
-            if factor == 0:
-                raise PoleError(
-                    f"coefficient a_{p}: factor (1 - u q^(-2*{p + r})) vanishes"
-                )
-            denom *= factor
-        val = (
-            (-q) ** (k - p)
-            * q_pochhammer(qi2, qi2, k - p)
-            / denom
-            * q_binomial(k, p, q)
-            * q_binomial(ell, k - p, q)
-        )
-        values.append(val)
-    return BaxterCoefficients(k, ell, u, q, tuple(values))
+    # (u q^-2p; q^-2)_{k-p} is the product of the factors s = p..k-1, so a
+    # pole is reported at a_0, whose denominator holds every factor
+    factors = [1 - u * qi2**s for s in range(k)]
+    if 0 in factors:
+        raise PoleError(f"coefficient a_0: factor (1 - u q^(-2*{factors.index(0)})) vanishes")
+    fac, poch, denom = [Fraction(1)], [Fraction(1)], [Fraction(1)]
+    for r in range(1, ell + 1):
+        fac.append(fac[-1] * q_int(r, q))
+    for j in range(1, k + 1):
+        poch.append(poch[-1] * (1 - qi2**j))
+        denom.append(denom[-1] * factors[k - j])
+    values = tuple(
+        (-q) ** (k - p)
+        * poch[k - p]
+        / denom[k - p]
+        * (fac[k] / (fac[k - p] * fac[p]))
+        * (fac[ell] / (fac[ell - k + p] * fac[k - p]))
+        for p in range(k + 1)
+    )
+    return BaxterCoefficients(k, ell, u, q, values)
 
 
 def classical_coefficients(k: int, mu) -> tuple:

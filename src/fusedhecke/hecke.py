@@ -41,7 +41,8 @@ V^(tensor m) (Dipper-James), which is how tensorrep applies these passes to
 tensors.  The passes are x*sigma_i, x*(sigma_i + c), x*S_[i,j] and
 sum_p c_p x_p.  An element's numerators enter it by ranking their keys
 (_ranked) and leave it by reading the keys back (_unranked); Fraction
-coefficients on words enter once (_scaled) and leave once (_unscaled).
+coefficients on words enter once (_scaled) and leave once (_unscaled),
+and numerators on other keys are read as Fractions by _fractions.
 
 The generator rule is written once, with three factors: a key whose letters
 at i, i+1 are equal stays put times the equal-pair factor (sigma_i is
@@ -405,10 +406,14 @@ def _scaled(terms) -> tuple:
     return _ranked(nums), den
 
 
+def _fractions(nums, den: int) -> dict:
+    """Integer numerators over den as Fractions, on the same keys."""
+    return {w: Fraction(n, den) for w, n in nums.items()}
+
+
 def _unscaled(nums: dict, den: int) -> dict:
     """A scaled vector as Fraction coefficients on words."""
-    words = _INDEX.words
-    return {words[r]: Fraction(n, den) for r, n in nums.items()}
+    return _unranked(_fractions(nums, den))
 
 
 def _scaled_factors(q: Fraction) -> tuple:

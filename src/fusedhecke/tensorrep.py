@@ -14,14 +14,19 @@ action only rearranges letters, so each basis vector w_a of W lives on the
 rearrangements of its own tensor t_a, and w_a tensor w_b is the one basis
 vector of W tensor W with a term at
 t_a + t_b: the braiding operators on W tensor W are read off at those keys.
-They keep the weight (letter multiset) of a basis tensor, so they are sparse:
-each sigma_p is built once as sparse columns, an R-matrix is summed column
-by column over the sigma_p with a nonzero coefficient, and the matrix
-Yang-Baxter equation applies R to W^(tensor 3) one basis vector at a time
-through R's sparse columns.  The public matrices are numpy object arrays
-over exact rationals, filled from those columns; numpy is imported only
-where one is built (_dense), so importing this module, the matrix YBE and
-the serialisation of rows do not load it.
+They keep the weight (letter multiset) of a basis tensor, so they are sparse.
+Every matrix on W tensor W is held in hecke's scaled-integer form: its
+nonzero entries as integer numerators over one denominator, keyed by the
+column-major index.  Each sigma_p is built once in that form, its
+coordinates read off the braided images by integer cross-multiplication;
+an R-matrix is one scaled sum of the sigma_p with a nonzero coefficient;
+and the matrix Yang-Baxter equation applies the numerators of R to
+W^(tensor 3) one basis vector at a time through R's columns and compares
+both sides as integer maps.  Fractions are built only where a matrix is
+read: the public numpy object arrays (_dense), the rows that the CLI prints
+(_rows) and the Diff of a failing matrix YBE.  numpy is imported only in
+_dense, so importing this module, the matrix YBE and the serialisation of
+rows do not load it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from types import MappingProxyType
 
 from .errors import DomainError, InternalConsistencyError, ParameterError, ResourceError
@@ -42,8 +47,14 @@ from .fused import (
     _multiplicative,
 )
 from .hecke import (
+    _INDEX,
     _accumulate,
+    _fractions,
+    _integral,
+    _normalised,
+    _ranked,
     _scaled,
+    _scaled_sum,
     _scaled_symmetriser,
     _unscaled,
 )
@@ -123,11 +134,17 @@ def w_basis(k: int, N: int, q) -> WBasis:
     return WBasis(k, N, q, indices, tuple(MappingProxyType(c) for c in columns))
 
 
+def _dim(k: int, N: int) -> int:
+    """The dimension of W tensor W."""
+    return comb(k + N - 1, k) ** 2
+
+
 @lru_cache(maxsize=None)
 def _sigma_columns(k: int, p: int, N: int, q) -> tuple:
     """The order-p partial braiding on W tensor W, in the basis w_a tensor
-    w_b ordered lexicographically, as one tuple of (row, value) pairs per
-    column, rows ascending, zeros left out.
+    w_b ordered lexicographically, as (nums, den): its nonzero entries as
+    integer numerators over one denominator, keyed by the column-major
+    index c * dim + r (read-only).
 
     Computed by fused's braiding chain (the braiding word, then the
     symmetrisers) on each w_a tensor w_b in V^(tensor 2k), which the leading
@@ -135,10 +152,16 @@ def _sigma_columns(k: int, p: int, N: int, q) -> tuple:
     sigma_word applies its last letter first, but the chain runs the word in
     order: the permutation of a partial braiding is an involution, so the
     word and its reverse are reduced words of one permutation and
-    sigma_word = sigma_reversed(word).  The coordinate of w_a' tensor w_b'
-    is read off the image at t_a' + t_b', for the keys t_a' + t_b' that the
-    image holds; raises if the image minus that combination is not
-    zero, which no admissible parameter can trigger.
+    sigma_word = sigma_reversed(word).
+
+    The supports of distinct w_a tensor w_b are disjoint (w_basis checks
+    that w_a lives on the rearrangements of t_a), so each key of an image
+    belongs to one basis vector w_r, and the coordinate of w_r is the
+    image's value at t_r over the value of w_r there.  The image lies in
+    W tensor W if and only if every key belongs to some w_r, the image at
+    each key t of w_r is proportional to w_r, n_t w_r[t_r] = n_{t_r} w_r[t]
+    on integer numerators, and the image holds every key of each w_r it
+    meets.  Raises if not, which no admissible parameter can trigger.
     """
     q = as_fraction(q)
     _check_fusion_args(k, N)
@@ -146,52 +169,63 @@ def _sigma_columns(k: int, p: int, N: int, q) -> tuple:
         raise DomainError(f"braiding order p={p} out of range 0..{k}")
     _check_tensor_dim(N, 2 * k)
     wb = w_basis(k, N, q)
-    # the pair basis and its keys in the kernel's letters
-    cols = [_reversed(c, N) for c in wb.columns]
-    basis = [
-        {kx + ky: vx * vy for kx, vx in x.items() for ky, vy in y.items()}
-        for x in cols
-        for y in cols
-    ]
+    dim = _dim(k, N)
+    # w_a in the kernel's letters on integer numerators, and the inverse of
+    # its value at its own tensor t_a as rho_a / lam
+    ws = [_integral(_reversed(c, N)) for c in wb.columns]
+    rho, lam = _integral({a: 1 / c[t] for a, (t, c) in enumerate(zip(wb.indices, wb.columns))})
     tensors = [_flip(t, N) for t in wb.indices]
-    index_of = {ta + tb: r for r, (ta, tb) in enumerate(itertools.product(tensors, repeat=2))}
-    out = []
-    for vec in basis:
-        img = _unscaled(*_braid_right(_scaled(vec), k, k, 0, p, q))
-        col = []
-        for key, r in [(key, index_of[key]) for key in img if key in index_of]:
-            w = basis[r]
-            coord = img[key] / w[key]
-            col.append((r, coord))
-            _accumulate(img, ((t, -coord * v) for t, v in w.items()))
-        if img:
-            raise InternalConsistencyError(
-                f"sigma_matrix image leaves W tensor W for k={k}, p={p}, N={N}, q={q}"
-            )
-        out.append(tuple(sorted(col)))
-    return tuple(out)
+    basis, scales, owner = [], [], {}
+    for r, (a, b) in enumerate(itertools.product(range(wb.dim), repeat=2)):
+        (x, dx), (y, dy) = ws[a], ws[b]
+        nums = _ranked({kx + ky: vx * vy for kx, vx in x.items() for ky, vy in y.items()})
+        top = _INDEX.rank(tensors[a] + tensors[b])
+        basis.append((nums, dx * dy))
+        scales.append(rho[a] * rho[b])
+        # each key of w_r -> r, w_r's numerators there and at t_r, t_r
+        owner.update((key, (r, n, nums[top], top)) for key, n in nums.items())
+    outside = InternalConsistencyError(
+        f"sigma_matrix image leaves W tensor W for k={k}, p={p}, N={N}, q={q}"
+    )
+    cols = []
+    for c, x in enumerate(basis):
+        img, den = _braid_right(x, k, k, 0, p, q)
+        col = {}  # r -> the image's numerator at t_r
+        for key, n in img.items():
+            if key not in owner:
+                raise outside
+            r, m, pivot, top = owner[key]
+            if n * pivot != img.get(top, 0) * m:
+                raise outside
+            col[r] = img[top]
+        if sum(len(basis[r][0]) for r in col) != len(img):
+            raise outside
+        cols.append((1, ({c * dim + r: t * scales[r] for r, t in col.items()}, den * lam * lam)))
+    nums, den = _normalised(*_scaled_sum(cols))
+    return MappingProxyType(nums), den
 
 
-def _rows(cols) -> list:
-    """The rows, lists of Fractions, of the square matrix with the given
-    sparse columns."""
+def _rows(x: tuple, k: int, N: int) -> list:
+    """The rows, lists of Fractions, of the matrix x = (nums, den) on
+    W tensor W, keyed column-major."""
+    dim = _dim(k, N)
     zero = Fraction(0)
-    rows = [[zero] * len(cols) for _ in cols]
-    for c, col in enumerate(cols):
-        for r, val in col:
-            rows[r][c] = val
+    rows = [[zero] * dim for _ in range(dim)]
+    for key, val in _fractions(*x).items():
+        c, r = divmod(key, dim)
+        rows[r][c] = val
     return rows
 
 
-def _dense(cols) -> np.ndarray:
-    """The square numpy object array with the given sparse columns; it
-    holds their Fraction objects."""
+def _dense(x: tuple, k: int, N: int) -> np.ndarray:
+    """The numpy object array of the matrix x = (nums, den) on W tensor W,
+    keyed column-major; it holds Fractions."""
     import numpy as np
 
-    out = np.full((len(cols), len(cols)), Fraction(0), dtype=object)
-    for c, col in enumerate(cols):
-        for r, val in col:
-            out[r, c] = val
+    dim = _dim(k, N)
+    out = np.full((dim, dim), Fraction(0), dtype=object)
+    for key, val in _fractions(*x).items():
+        out[key % dim, key // dim] = val
     return out
 
 
@@ -199,29 +233,25 @@ def _dense(cols) -> np.ndarray:
 def sigma_matrix(k: int, p: int, N: int, q) -> np.ndarray:
     """Matrix of the order-p partial braiding on W tensor W, in the basis
     w_a tensor w_b ordered lexicographically (read-only)."""
-    mat = _dense(_sigma_columns(k, p, N, as_fraction(q)))
+    mat = _dense(_sigma_columns(k, p, N, as_fraction(q)), k, N)
     mat.setflags(write=False)
     return mat
 
 
-def _R_columns(k: int, N: int, arg, bax: _Baxterisation) -> list:
-    """The nonzero entries of sum_p coefficient_p(arg) * sigma_matrix(p) on
-    W tensor W, as one list of (row, value) pairs per column, rows
-    ascending, summed column by column over the sigma_p whose coefficient
-    is not zero (the top one is 1)."""
+def _R_columns(k: int, N: int, arg, bax: _Baxterisation) -> tuple:
+    """sum_p coefficient_p(arg) * sigma_matrix(p) on W tensor W in the form
+    of _sigma_columns, one scaled sum over the sigma_p whose coefficient is
+    not zero (the top one is 1)."""
     _check_fusion_args(k, N)
-    cols = [{} for _ in range(comb(k + N - 1, k) ** 2)]
-    for p, a in enumerate(bax.coefficients(k, arg)):
-        if a:
-            for col, sig in zip(cols, _sigma_columns(k, p, N, bax.q)):
-                _accumulate(col, ((r, a * s) for r, s in sig))
-    return [sorted(col.items()) for col in cols]
+    return _scaled_sum(
+        (a, _sigma_columns(k, p, N, bax.q)) for p, a in enumerate(bax.coefficients(k, arg)) if a
+    )
 
 
 def _R_matrix(k: int, N: int, arg, bax: _Baxterisation) -> np.ndarray:
     """sum_p coefficient_p(arg) * sigma_matrix(p) on W tensor W, as a dense
-    matrix filled at its sparse columns."""
-    return _dense(_R_columns(k, N, arg, bax))
+    matrix filled at its nonzero entries."""
+    return _dense(_R_columns(k, N, arg, bax), k, N)
 
 
 def fused_R_matrix(k: int, N: int, u, q) -> np.ndarray:
@@ -235,11 +265,21 @@ def classical_fused_R_matrix(k: int, N: int, mu) -> np.ndarray:
     return _R_matrix(k, N, mu, _ADDITIVE)
 
 
+def _columns(nums, dim: int) -> list:
+    """The (row, numerator) pairs of each column of a matrix keyed
+    column-major."""
+    cols = [[] for _ in range(dim)]
+    for key, n in nums.items():
+        c, r = divmod(key, dim)
+        cols[c].append((r, n))
+    return cols
+
+
 def _apply_pair(vec: dict, cols: list, inner: int) -> dict:
-    """Apply a matrix on W tensor W, given by its sparse columns, to two
-    adjacent factors of a sparse vector on W^(tensor 3) keyed by row-major
-    index: the first two factors for inner = d (R x I), the last two for
-    inner = 1 (I x R)."""
+    """Apply a matrix on W tensor W, given by the numerators of its
+    columns, to two adjacent factors of a sparse vector of numerators on
+    W^(tensor 3) keyed by row-major index: the first two factors for
+    inner = d (R x I), the last two for inner = 1 (I x R)."""
     outer = len(cols) * inner
     out = {}
     for i, v in vec.items():
@@ -256,24 +296,32 @@ def _verify_matrix_ybe(k: int, N: int, x, y, bax: _Baxterisation) -> VerifyResul
 
         (R(x) x I)(I x R(w))(R(y) x I) = (I x R(y))(R(w) x I)(I x R(x)).
 
-    The diff is the row-major-first differing entry (i, j, lhs, rhs) of the
-    two products."""
+    Each side applies the numerators of the same three R's to e_j = {j: 1},
+    so both lie over the product of their denominators and are compared as
+    integer maps.  The diff is the row-major-first differing entry
+    (i, j, lhs, rhs) of the two products, read as Fractions."""
     _check_fusion_args(k, N)
     d = comb(k + N - 1, k)
     if d**3 > MAX_YBE_DIM:
         raise ResourceError(f"W^(tensor 3) has dimension {d**3} > {MAX_YBE_DIM}")
-    r_x, r_w, r_y = (_R_columns(k, N, a, bax) for a in (x, bax.middle(x, y), y))
+    rs = [_R_columns(k, N, a, bax) for a in (x, bax.middle(x, y), y)]
+    r_x, r_w, r_y = (_columns(nums, d * d) for nums, _ in rs)
+    den = prod(den for _, den in rs)
     diff = None
     for j in range(d**3):
-        e = {j: Fraction(1)}
+        e = {j: 1}
         lhs = _apply_pair(_apply_pair(_apply_pair(e, r_y, d), r_w, 1), r_x, d)
         rhs = _apply_pair(_apply_pair(_apply_pair(e, r_x, 1), r_w, d), r_y, 1)
         if lhs == rhs:
             continue
         i = min(i for i in lhs.keys() | rhs.keys() if lhs.get(i) != rhs.get(i))
         if diff is None or i < diff[0]:
-            diff = (i, j, lhs.get(i, Fraction(0)), rhs.get(i, Fraction(0)))
-    return VerifyResult(diff is None, diff)
+            diff = (i, j, lhs.get(i, 0), rhs.get(i, 0))
+    if diff is None:
+        return VerifyResult(True, None)
+    i, j, lhs, rhs = diff
+    values = _fractions({"lhs": lhs, "rhs": rhs}, den)
+    return VerifyResult(False, (i, j, values["lhs"], values["rhs"]))
 
 
 def verify_matrix_ybe(k: int, N: int, u, v, q) -> VerifyResult:

@@ -2,10 +2,10 @@ import doctest
 
 import pytest
 
-from fusedhecke import permutations, qnumbers
+from fusedhecke import fused, permutations, qnumbers
 
 
-@pytest.mark.parametrize("module", [qnumbers, permutations])
+@pytest.mark.parametrize("module", [qnumbers, permutations, fused])
 def test_module_doctests(module):
     result = doctest.testmod(module)
     assert result.failed == 0

@@ -53,6 +53,7 @@ from fusedhecke.permutations import (
     length,
     simple_transposition,
 )
+from fusedhecke.qnumbers import q_binomial, q_pochhammer
 
 import oracles
 from oracles import baxter_R_one_sided, r_check_generator
@@ -216,6 +217,32 @@ def test_coefficients_k2():
 def test_top_coefficient_is_one(k):
     assert baxter_coefficients(k, k, F(3, 7), F(2)).values[k] == 1
     assert baxter_coefficients(k, k + 1, F(3, 7), F(2)).values[k] == 1
+
+
+def _coefficients_by_formula(k, ell, u, q):
+    """a_p(u) term by term from q_binomial and q_pochhammer."""
+    values = []
+    for p in range(k + 1):
+        denom = q_pochhammer(u * q ** (-2 * p), q**-2, k - p)
+        values.append((-q) ** (k - p) * q_pochhammer(q**-2, q**-2, k - p) / denom
+                      * q_binomial(k, p, q) * q_binomial(ell, k - p, q))
+    return tuple(values)
+
+
+@pytest.mark.parametrize("q", [F(2), F(3, 2), F(-5, 7), F(1), F(-1)],
+                         ids=["2", "3/2", "-5/7", "1", "-1"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_coefficients_match_the_q_binomial_formula(k, q):
+    u = F(3, 5)
+    for ell in range(k, k + 3):
+        assert baxter_coefficients(k, ell, u, q).values == _coefficients_by_formula(k, ell, u, q)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_coefficient_pole_names_the_first_vanishing_factor(s):
+    q = F(3, 2)
+    with pytest.raises(PoleError, match=rf"^coefficient a_0: factor \(1 - u q\^\(-2\*{s}\)\) vanishes$"):
+        baxter_coefficients(3, 4, q ** (2 * s), q)
 
 
 def test_coefficient_pole_names_factor():

@@ -269,6 +269,44 @@ def test_sigma_matrix_image_outside_span_raises(monkeypatch):
         sigma_matrix(2, 1, 2, q)
 
 
+def _off_by_one(nums, key):
+    nums[key] += 1 if nums[key] != -1 else -1
+
+
+def _dropped(nums, key):
+    del nums[key]
+
+
+@pytest.mark.parametrize("change, q", [(_off_by_one, F(13, 6)), (_dropped, F(17, 6))],
+                         ids=["off_by_one", "dropped"])
+def test_sigma_matrix_image_not_proportional_raises(monkeypatch, change, q):
+    # one numerator of one braided image off by one (its support kept), or
+    # one key of it dropped: the image is no longer a multiple of the
+    # w_a (x) w_b that holds the key, which the integer read-off catches;
+    # each q is used by no other test, so no cached matrix masks the patch
+    k, N = 2, 2
+    braid = tensorrep._braid_right
+    changed = []
+
+    def perturbed(*args):
+        nums, den = braid(*args)
+        # a key whose halves are not both some t_a: not the key that fixes a
+        # coordinate, so it lies in a w_a (x) w_b with at least two keys
+        words = hecke._INDEX.words
+        at = [r for r in nums if any(list(h) != sorted(h, reverse=True)
+                                     for h in (words[r][:k], words[r][k:]))]
+        if at and not changed:
+            changed.append(at[0])
+            nums = dict(nums)
+            change(nums, at[0])
+        return nums, den
+
+    monkeypatch.setattr(tensorrep, "_braid_right", perturbed)
+    with pytest.raises(InternalConsistencyError, match="leaves W tensor W"):
+        sigma_matrix(k, 1, N, q)
+    assert changed
+
+
 @pytest.mark.parametrize("k,N", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_sigma_matrix_minimal_polynomial(k, N):
     q = F(2)
@@ -352,19 +390,21 @@ def test_verify_matrix_ybe_perturbed_sigma_fails(monkeypatch):
     # reference multiplies the same perturbed R-matrices
     k, N, q, u, v = 2, 2, F(2), F(3, 5), F(7, 11)
     columns = tensorrep._sigma_columns
+    dim = comb(k + N - 1, k) ** 2
     # the middle one, in row-major order, of the entries where some sigma_p
     # is nonzero
-    entries = sorted({(r, c) for p in range(k + 1)
-                      for c, col in enumerate(columns(k, p, N, q)) for r, _ in col})
+    entries = sorted({divmod(key, dim)[::-1] for p in range(k + 1)
+                      for key in columns(k, p, N, q)[0]})
     r, c = entries[len(entries) // 2]
 
     def raised(k, p, N, q):
-        cols = columns(k, p, N, q)
+        nums, den = columns(k, p, N, q)
         if p != 1:
-            return cols
-        col = dict(cols[c])
-        col[r] = col.get(r, F(0)) + 1
-        return cols[:c] + (tuple(sorted(col.items())),) + cols[c + 1:]
+            return nums, den
+        # one more at (r, c) is den more in the numerator there
+        nums = dict(nums)
+        nums[c * dim + r] = nums.get(c * dim + r, 0) + den
+        return nums, den
 
     monkeypatch.setattr(tensorrep, "_sigma_columns", raised)
     got = verify_matrix_ybe(k, N, u, v, q)
@@ -416,9 +456,9 @@ def test_sparse_columns_agree_with_the_dense_matrices(k, N, q):
     # numpy arrays from the same columns
     u = F(3, 7)
     for p in range(k + 1):
-        rows = tensorrep._rows(tensorrep._sigma_columns(k, p, N, q))
+        rows = tensorrep._rows(tensorrep._sigma_columns(k, p, N, q), k, N)
         assert rows == sigma_matrix(k, p, N, q).tolist()
-    rows = tensorrep._rows(tensorrep._R_columns(k, N, u, _multiplicative(q)))
+    rows = tensorrep._rows(tensorrep._R_columns(k, N, u, _multiplicative(q)), k, N)
     assert rows == fused_R_matrix(k, N, u, q).tolist()
     # R is sum_p a_p(u) sigma_p, entry by entry
     d = comb(k + N - 1, k) ** 2
