@@ -14,11 +14,14 @@ the module P*H_m, and runs there on hecke's scaled-integer vectors keyed by
 the ranks of block words in hecke's word index: it starts at the sorted
 word of P's blocks with numerator 1 over 1, and a vector has at most
 m!/(k!)^n terms, for n blocks of k strands, instead of up to m!.  Equality
-in P*H_m is equality in H_m, so verdicts compare words.  Public elements are expanded to the standard basis
-only on the way out: the word beta with coefficient c becomes
-sum_b P_b c sigma_{b o d_beta}, where d_beta numbers the strands of each
-block from left to right, on integer numerators.  Only the Diff of
-_word_verdict turns numerators into Fractions.
+in P*H_m is equality in H_m, so verdicts compare words.  Public elements
+are expanded to the standard basis only on the way out: the word beta with
+coefficient c becomes sum_b P_b c sigma_{b o d_beta}, where d_beta numbers
+the strands of each block from left to right, on integer numerators.  P
+is itself made by symmetriser passes from the identity.  Only the Diff of
+_word_verdict turns numerators into Fractions, and only the
+method="direct" oracle of the Yang-Baxter verifiers multiplies elements in
+the standard basis.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from typing import Callable, NamedTuple
 from .errors import DomainError, InternalConsistencyError, ParameterError, PoleError
 from .hecke import (
     HeckeElement,
+    _check_interval,
     _check_strands,
     _coprime_factors,
     _element,
@@ -46,10 +50,10 @@ from .hecke import (
     _scaled_affine,
     _scaled_sum,
     _scaled_symmetriser,
+    _unranked,
     _unscaled,
     element_to_obj,
     multiply,
-    symmetriser_sum,
 )
 from .permutations import identity
 from .qnumbers import as_fraction, brace_int, format_rational, q_int
@@ -118,38 +122,27 @@ def _verdict(a: HeckeElement, b: HeckeElement) -> VerifyResult:
 # -- projectors ---------------------------------------------------------------
 
 
-def _blocks_product(m: int, q, intervals) -> HeckeElement:
-    """Product of q-symmetrisers on pairwise disjoint intervals of strands.
-
-    Disjoint supports commute, so the terms are direct overlays of the
-    block terms.
-    """
-    nums, den = {identity(m): 1}, 1
+@lru_cache(maxsize=None)
+def _blocks_product(m: int, q: Fraction, intervals: tuple) -> HeckeElement:
+    """The product of the q-symmetrisers on pairwise disjoint intervals of
+    strands, one symmetriser pass each from the identity; cached, read-only."""
+    x = _start(m, q, ())
     for (lo, hi) in intervals:
-        s = symmetriser_sum(lo, hi, m, q)
-        new = {}
-        for w, n in nums.items():
-            for wb, nb in s.nums.items():
-                lst = list(w)
-                lst[lo - 1 : hi] = wb[lo - 1 : hi]
-                new[tuple(lst)] = n * nb
-        nums, den = new, den * s.den
-    return _element(m, q, nums, den)
+        _check_interval(lo, hi, m)
+        x = _scaled_symmetriser(*x, lo, hi, q)
+    return _frozen(_element(m, q, _unranked(x[0]), x[1]))
 
 
 @lru_cache(maxsize=None)
 def projector_P(ctx: FusedContext) -> HeckeElement:
     """The idempotent P = S_[1,k] S_[k+1,2k] ... on the context's strands."""
-    return _frozen(_blocks_product(ctx.strands, ctx.q, ctx.blocks()))
+    return _blocks_product(ctx.strands, ctx.q, tuple(ctx.blocks()))
 
 
 def projector_mixed(k: int, ell: int, q):
     """The ordered pair (P^(k,ell), P^(ell,k)) inside H_{k+ell}(q)."""
-    q = as_fraction(q)
-    m = k + ell
-    p_kl = _blocks_product(m, q, [(1, k), (k + 1, m)])
-    p_lk = _blocks_product(m, q, [(1, ell), (ell + 1, m)])
-    return p_kl, p_lk
+    q, m = as_fraction(q), k + ell
+    return tuple(_blocks_product(m, q, ((1, a), (a + 1, m))) for a in (k, ell))
 
 
 # -- scaled vectors of P*H_m in block-word coordinates -----------------------------
@@ -185,7 +178,7 @@ def _left_projector(word, m: int, q) -> HeckeElement:
     """The P that the word is taken over: the letter lo occurs once for
     each strand of its block [lo, hi]."""
     counts = Counter(word)
-    intervals = [(lo, lo + c - 1) for lo, c in sorted(counts.items()) if c > 1]
+    intervals = tuple((lo, lo + c - 1) for lo, c in sorted(counts.items()) if c > 1)
     return _blocks_product(m, q, intervals)
 
 
@@ -571,15 +564,18 @@ def verify_mixed_ybe(k: int, l: int, m: int, u, v, q) -> VerifyResult:
 
 
 def verify_commPR(k: int, ell: int, u, q) -> VerifyResult:
-    """Exact check of P^(k,ell) R^(k,ell)(u) = R^(k,ell)(u) P^(ell,k)."""
+    """Exact check of G P^(ell,k) = P^(k,ell) G P^(ell,k), G the k x ell
+    grid of baxter_R_factorized at u: the fused product needs its right
+    projector only.  The sides run from the identity and from P^(k,ell),
+    and are compared expanded.  At k = ell = 1 both projectors are the unit,
+    so the check holds for any G."""
     bax = _multiplicative(q)
-    q, m = bax.q, k + ell
-    x = _factorised(k, ell, as_fraction(u), bax)
-    p_kl, _ = projector_mixed(k, ell, q)
-    lhs = multiply(p_kl, _expand(x, m, q))
-    x = _scaled_symmetriser(*x, 1, ell, q)
-    rhs = _expand(_scaled_symmetriser(*x, ell + 1, m, q), m, q)
-    return _verdict(lhs, rhs)
+    q, m, u = bax.q, k + ell, as_fraction(u)
+    one = _start(m, q, ())  # strand bound and q first
+    _check_interval(1, k, m)  # then the blocks of P^(k,ell)
+    _check_interval(k + 1, m, m)
+    lhs = _mul_grid_right(one, k, ell, u, 0, bax)
+    return _verdict(_expand(lhs, m, q), _expand(_factorised(k, ell, u, bax), m, q))
 
 
 # -- minimal polynomial -----------------------------------------------------------
@@ -679,9 +675,10 @@ def fused_product_example_check(q) -> ExampleCheck:
     matches = []
     for sign, c in (("over", 0), ("under", -lam)):
         x1, x2 = (_braid_right(start, 2, 2, 0, p, q, c) for p in (1, 2))
-        e1 = _expand(x1, 4, q)
+        # x1 = x1 P, so x1 * x1 is x1 times the crossing and P
+        square = _braid_right(x1, 2, 2, 0, 1, q, c)
         rhs = _scaled_sum(zip(reference_h22_product_coefficients(q), (start, x1, x2)))
-        if multiply(e1, e1) == _expand(rhs, 4, q):
+        if _word_verdict(square, rhs, 4, q).ok:
             matches.append(sign)
     if len(matches) == 1:
         return ExampleCheck(True, matches[0])

@@ -39,10 +39,12 @@ strands of each block from left to right.  A permutation is a word of P = 1,
 whose letters are all distinct.  The same words key the weight spaces of
 V^(tensor m) (Dipper-James), which is how tensorrep applies these passes to
 tensors.  The passes are x*sigma_i, x*(sigma_i + c), x*S_[i,j] and
-sum_p c_p x_p.  An element's numerators enter it by ranking their keys
-(_ranked) and leave it by reading the keys back (_unranked); Fraction
-coefficients on words enter once (_scaled) and leave once (_unscaled),
-and numerators on other keys are read as Fractions by _fractions.
+sum_p c_p x_p; symmetriser_product and every element of fused are chains of
+them from one start, and multiply serves only products of given elements.
+An element's numerators enter it by ranking their keys (_ranked) and leave
+it by reading the keys back (_unranked); Fraction coefficients on words
+enter once (_scaled) and leave once (_unscaled), and numerators on other
+keys are read as Fractions by _fractions.
 
 The generator rule is written once, with three factors: a key whose letters
 at i, i+1 are equal stays put times the equal-pair factor (sigma_i is
@@ -576,13 +578,12 @@ def _r_check_constant(u: Fraction, q: Fraction) -> Fraction:
     return (1 / q - q) / (1 - u)
 
 
-def mul_r_check_right(x: HeckeElement, i: int, u) -> HeckeElement:
-    """x * (sigma_i - (q - 1/q)/(1 - u)); the workhorse of fusion products."""
-    c = _r_check_constant(as_fraction(u), x.q)
-    return right_mul_generator(x, i) + x.scale(c)
-
-
 # -- q-symmetrisers ----------------------------------------------------------
+
+
+def _check_interval(i: int, j: int, m: int):
+    if not 1 <= i <= j <= m:
+        raise DomainError(f"invalid symmetriser interval [{i},{j}] in H_{m}")
 
 
 @lru_cache(maxsize=None)
@@ -595,8 +596,7 @@ def symmetriser_sum(i: int, j: int, m: int, q) -> HeckeElement:
     The degenerate interval i == j gives the unit.
     """
     q = as_fraction(q)
-    if not 1 <= i <= j <= m:
-        raise DomainError(f"invalid symmetriser interval [{i},{j}] in H_{m}")
+    _check_interval(i, j, m)
     r = j - i + 1
     fact = q_factorial(r, q)
     if fact == 0:
@@ -618,17 +618,19 @@ def symmetriser_product(i: int, j: int, m: int, q) -> HeckeElement:
 
         S_[i,j] = 1/[r]_q! * prod_{a=i..j-1} R_a(q^{2(a-i+1)}) ... R_i(q^2),
 
-    the factors within each group running down to index i.  Fails with a
-    pole error at q**2 == 1 (all spectral arguments degenerate to 1).
+    the factors within each group running down to index i, each factor
+    R_a(u) = sigma_a + c one affine pass on a scaled vector from the
+    identity.  Fails with a pole error at q**2 == 1 (all spectral arguments
+    degenerate to 1).
     """
     q = as_fraction(q)
-    if not 1 <= i <= j <= m:
-        raise DomainError(f"invalid symmetriser interval [{i},{j}] in H_{m}")
-    x = unit(m, q)
+    _check_interval(i, j, m)
+    x = _ranked(unit(m, q).nums), 1  # unit checks the strand bound and q
     for a in range(i, j):
         for t in range(a - i + 1):
-            x = mul_r_check_right(x, a - t, q ** (2 * (a - i + 1 - t)))
-    return x / q_factorial(j - i + 1, q)
+            c = _r_check_constant(q ** (2 * (a - i + 1 - t)), q)
+            x = _scaled_affine(*x, a - t, c, q)
+    return _element(m, q, _unranked(x[0]), x[1]) / q_factorial(j - i + 1, q)
 
 
 # -- serialization -----------------------------------------------------------

@@ -11,7 +11,8 @@ Kronecker factors and dense products, and the fused chains of right
 multiplications (projectors, partial braidings, factorised R-elements and
 the braided and mixed Yang-Baxter chains) run in the standard basis of H_m,
 each symmetriser applied term by term from its sum formula; also the
-baxterised generator, the left symmetriser recursion, the one-projector form
+baxterised generator and the product-form symmetriser built from it one
+element per factor, the left symmetriser recursion, the one-projector form
 of the factorised R-element, the standard basis element and the library's
 scaled symmetriser pass wrapped on elements, which only the tests use."""
 
@@ -29,16 +30,16 @@ from fusedhecke.hecke import (
     _accumulate,
     _element,
     _integral,
+    _r_check_constant,
     _scaled,
     _scaled_symmetriser,
     _unscaled,
-    mul_r_check_right,
     right_mul_generator,
     unit,
     zero,
 )
 from fusedhecke.permutations import reduced_word
-from fusedhecke.qnumbers import as_fraction, q_int
+from fusedhecke.qnumbers import as_fraction, q_factorial, q_int
 from fusedhecke.tensorrep import _check_tensor_dim, _R_matrix
 
 
@@ -393,6 +394,23 @@ def mixed_ybe(k: int, l: int, m: int, u, v, q) -> VerifyResult:
 
 
 # -- test-only forms of library elements ---------------------------------------------
+
+
+def mul_r_check_right(x: HeckeElement, i: int, u) -> HeckeElement:
+    """x * (sigma_i - (q - 1/q)/(1 - u)) on elements: the generator pass
+    plus the scaled copy of x, one element per factor."""
+    c = _r_check_constant(as_fraction(u), x.q)
+    return right_mul_generator(x, i) + x.scale(c)
+
+
+def symmetriser_product(i: int, j: int, m: int, q) -> HeckeElement:
+    """hecke.symmetriser_product taken factor by factor on elements."""
+    q = as_fraction(q)
+    x = unit(m, q)
+    for a in range(i, j):
+        for t in range(a - i + 1):
+            x = mul_r_check_right(x, a - t, q ** (2 * (a - i + 1 - t)))
+    return x / q_factorial(j - i + 1, q)
 
 
 def r_check_generator(i: int, u, m: int, q) -> HeckeElement:

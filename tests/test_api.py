@@ -37,6 +37,11 @@ def _missing(names) -> list:
     return sorted(n for n in names if not hasattr(fusedhecke, n) and n not in MODULES)
 
 
+def _callee(node: ast.Call) -> str | None:
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def test_workload_names_are_exported():
     names = _names_taken(_tree(ROOT / "perfbench" / "workloads.py"), "fh")
     assert "verify_braided_ybe" in names
@@ -98,7 +103,27 @@ def test_fused_and_tensorrep_leave_numerator_arithmetic_to_hecke():
             elif isinstance(node, ast.Attribute):
                 assert node.attr not in ("gcd", "lcm"), (name, node.lineno)
             elif isinstance(node, ast.Call):
-                func = node.func
-                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if callee == "Fraction":
+                if _callee(node) == "Fraction":
                     assert len(node.args) + len(node.keywords) < 2, (name, node.lineno)
+
+
+def test_fused_multiplies_elements_only_in_the_direct_oracle():
+    """Every element and verdict of fused comes from one chain of hecke's
+    scaled passes; hecke.multiply, the standard-basis product of two
+    elements, is called only by _verify_ybe, for method="direct"."""
+    callers = {
+        top.name
+        for top in _tree(ROOT / "src" / "fusedhecke" / "fused.py").body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and _callee(node) == "multiply"
+    }
+    assert callers == {"_verify_ybe"}
+
+
+def test_src_builds_no_element_per_baxterised_factor():
+    """The baxterised factors sigma_i + c run as hecke._scaled_affine passes;
+    the element-level x * (sigma_i + c) lives in tests/oracles.py only."""
+    for path in sorted((ROOT / "src" / "fusedhecke").glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert node.name != "mul_r_check_right", (path.name, node.lineno)

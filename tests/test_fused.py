@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 from types import MappingProxyType
 
@@ -34,7 +36,7 @@ from fusedhecke import (
     verify_commPR,
     verify_mixed_ybe,
 )
-from fusedhecke import fused, hecke
+from fusedhecke import fused, hecke, reference_data
 from fusedhecke.fused import (
     _ADDITIVE,
     _expand,
@@ -80,15 +82,24 @@ def test_projector_k1_is_unit():
     assert projector_P(ctx) == unit(3, F(2))
 
 
-def test_projector_two_blocks():
-    q = F(2)
-    ctx = FusedContext(2, 2, q)
+def _sum_formula_product(m, q, intervals):
+    """The standard-basis product of the symmetriser_sum blocks."""
+    return functools.reduce(multiply, (symmetriser_sum(lo, hi, m, q) for lo, hi in intervals))
+
+
+@pytest.mark.parametrize("q", [F(2), F(3, 2), F(-5, 7), F(1), F(-1)], ids=str)
+@pytest.mark.parametrize("k,n", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
+def test_projector_two_blocks(k, n, q):
+    # the projectors are symmetriser passes from the identity; the closed
+    # sum formula, multiplied out in the standard basis, is the reference
+    ctx = FusedContext(k, n, q)
     p = projector_P(ctx)
-    assert len(p.terms) == 4
-    s12 = symmetriser_sum(1, 2, 4, q)
-    s34 = symmetriser_sum(3, 4, 4, q)
-    assert p == multiply(s12, s34)
-    assert multiply(p, p) == p
+    assert len(p.terms) == math.factorial(k) ** n
+    assert p == _sum_formula_product(ctx.strands, q, ctx.blocks())
+    m = k + n
+    p_kn, p_nk = projector_mixed(k, n, q)
+    assert p_kn == _sum_formula_product(m, q, [(1, k), (k + 1, m)])
+    assert p_nk == _sum_formula_product(m, q, [(1, n), (n + 1, m)])
 
 
 @pytest.mark.parametrize("q", QS)
@@ -97,6 +108,15 @@ def test_projector_idempotent(q, k, n):
     ctx = FusedContext(k, n, q)
     p = projector_P(ctx)
     assert multiply(p, p) == p
+
+
+def test_projectors_obey_the_strand_bound(monkeypatch):
+    # P starts as an element of H_m, so the bound applies however few terms it has
+    monkeypatch.delenv("FUSED_HECKE_MAX_STRANDS", raising=False)
+    with pytest.raises(ResourceError, match="^10 strands exceeds the bound 9"):
+        projector_P(FusedContext(1, 10, F(2)))
+    with pytest.raises(ResourceError, match="^10 strands exceeds the bound 9"):
+        projector_mixed(2, 8, F(2))
 
 
 def test_projector_mixed():
@@ -441,10 +461,42 @@ def test_mixed_ybe_grid_pole_names_the_argument(monkeypatch, klm, u, v, name, ar
         verify_mixed_ybe(*klm, u, v, F(2))
 
 
-def test_comm_pr():
+def test_comm_pr(monkeypatch):
     assert verify_commPR(1, 1, F(3, 5), F(2))
     assert verify_commPR(2, 2, F(3, 7), F(2))
     assert verify_commPR(1, 2, F(2, 5), F(3, 2))
+    for q in (F(2), F(3, 2), F(-5, 7)):
+        for k, ell in itertools.product((1, 2, 3), repeat=2):
+            assert verify_commPR(k, ell, F(3, 5), q), (k, ell, q)
+    # G P^(ell,k) = P^(k,ell) G P^(ell,k) fails once one factor of the grid
+    # G is off: each factor's constant raised by one in turn, the same
+    # factor in both chains.  At (1, 1) both projectors are the unit, so no
+    # grid can fail there.
+    def bumped(size, at):
+        calls = itertools.count()
+
+        def make(q):
+            bax = _multiplicative(q)
+
+            def constant(arg, s):
+                # the grid asks for one constant per factor, in factor order
+                return bax.constant(arg, s) + (1 if next(calls) % size == at else 0)
+
+            return bax._replace(constant=constant)
+
+        return make
+
+    for k, ell in [(2, 2), (1, 2), (2, 1), (3, 3)]:
+        for at in range(k * ell):
+            monkeypatch.setattr(fused, "_multiplicative", bumped(k * ell, at))
+            assert not verify_commPR(k, ell, F(3, 5), F(2)), (k, ell, at)
+
+
+@pytest.mark.parametrize("k,ell,lo,hi", [(0, 1, 1, 0), (1, 0, 2, 1), (-1, 2, 1, -1)])
+def test_comm_pr_rejects_empty_blocks(k, ell, lo, hi):
+    # the first block of P^(k,ell) that is empty is named
+    with pytest.raises(DomainError, match=re.escape(f"invalid symmetriser interval [{lo},{hi}] in H_1")):
+        verify_commPR(k, ell, F(3, 5), F(2))
 
 
 def test_verify_result_reports_diff():
@@ -516,6 +568,22 @@ def test_fused_product_example():
     r32 = fused_product_example_check(F(3, 2))
     assert r2.ok and r32.ok
     assert r2.interpretation == r32.interpretation == "over"
+
+
+def test_fused_product_example_fails_on_a_wrong_coefficient(monkeypatch):
+    for q in (F(1), F(-1)):
+        assert fused_product_example_check(q) == (True, "degenerate")
+    coefficients = reference_data.reference_h22_product_coefficients
+    for at in range(3):
+
+        def bumped(q):
+            values = list(coefficients(q))
+            values[at] += 1
+            return tuple(values)
+
+        monkeypatch.setattr(reference_data, "reference_h22_product_coefficients", bumped)
+        for q in (F(2), F(3, 2)):
+            assert fused_product_example_check(q) == (False, None), (at, q)
 
 
 def test_fused_product_classical_degeneration():

@@ -409,11 +409,24 @@ def test_symmetriser_product_equals_sum(q):
 def test_symmetriser_product_single_factor():
     q = F(2)
     x = unit(3, q)
-    from fusedhecke.hecke import mul_r_check_right
-
-    got = mul_r_check_right(x, 1, q**2) / q_int(2, q)
+    got = oracles.mul_r_check_right(x, 1, q**2) / q_int(2, q)
     assert got == symmetriser_sum(1, 2, 3, q)
     assert got == symmetriser_product(1, 2, 3, q)
+
+
+@pytest.mark.parametrize("q", [F(2), F(3, 2), F(-5, 7), F(1), F(-1)], ids=str)
+def test_symmetriser_product_equals_its_element_per_factor_product(q):
+    # the library runs the factors as passes on one scaled vector; the
+    # oracle builds an element per factor
+    for m in range(1, 6):
+        for i in range(1, m + 1):
+            for j in range(i, m + 1):
+                if j > i and q * q == 1:
+                    with pytest.raises(PoleError):
+                        symmetriser_product(i, j, m, q)
+                    continue
+                got, want = symmetriser_product(i, j, m, q), oracles.symmetriser_product(i, j, m, q)
+                assert (got.nums, got.den) == (want.nums, want.den), (i, j, m)
 
 
 def test_symmetriser_product_pole_at_classical_q():
