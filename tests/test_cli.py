@@ -28,6 +28,22 @@ def test_qnum(capsys):
     code, out, _ = run(capsys, "qnum", "--fn", "pochhammer", "--a", "1/2",
                        "--q", "1/3", "--p", "2")
     assert code == 0 and out.strip() == "5/12"
+    code, out, _ = run(capsys, "qnum", "--fn", "brace", "--L", "3", "--q", "2")
+    assert code == 0 and out == "21\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--fn", "binomial", "--L", "4"), "binomial needs --p"),
+    (("--fn", "pochhammer", "--p", "2"), "pochhammer needs --a and --p"),
+], ids=["binomial", "pochhammer"])
+def test_qnum_missing_argument_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, "qnum", *argv, "--q", "2")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_compute_r_algebra_element_as_csv_exits_2(capsys):
+    code, out, err = run(capsys, "compute-r", "--k", "2", "--format", "csv")
+    assert (code, out, err) == (2, "", "error: algebra elements serialize as json only\n")
 
 
 def test_compute_r_matrix_json_roundtrip(capsys):
@@ -114,6 +130,17 @@ def test_verify_algebra(capsys):
     assert code == 0
     assert "minimal polynomial: ok" in out
     assert "FAILED" not in out
+
+
+def test_verify_algebra_reports_a_failing_check(capsys, monkeypatch):
+    import fusedhecke.cli as cli
+
+    monkeypatch.setattr(cli.fused, "minimal_polynomial_check", lambda *a, **k: False)
+    code, out, _ = run(capsys, "verify-algebra", "--k", "1", "--n", "2", "--trials", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert "minimal polynomial: FAILED" in lines
+    assert [line for line in lines if line.endswith("FAILED")] == ["minimal polynomial: FAILED"]
 
 
 def test_reproduce_all_examples(capsys):

@@ -216,6 +216,27 @@ def test_braiding_index_errors():
         partial_braiding(ctx, 2, 1)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: partial_braiding_mixed(3, 2, 0, F(2)), DomainError,
+     "mixed braidings need ell >= k"),
+    (lambda: partial_braiding_mixed(2, 3, 3, F(2)), DomainError,
+     "braiding order p=3 out of range 0..2"),
+    (lambda: baxter_coefficients(3, 2, F(3, 7), F(2)), DomainError,
+     "coefficients need k <= ell"),
+    (lambda: classical_baxter_R_factorized(2, -1), PoleError,
+     "classical grid factor has a pole: mu + 1 = 0"),
+    (lambda: verify_braided_ybe(FusedContext(1, 3, F(2)), F(3, 7), F(5, 9), i=2), DomainError,
+     "need 1 <= i <= n-2 for the braided relation"),
+    (lambda: minimal_polynomial_check(FusedContext(2, 1, F(2))), DomainError,
+     "full braidings need n >= 2"),
+], ids=["mixed ell<k", "mixed p>k", "coefficients k>ell", "classical grid pole",
+        "ybe i>n-2", "minimal polynomial n=1"])
+def test_invalid_input_raises_its_error(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
 # -- coefficients -----------------------------------------------------------------
 
 
@@ -532,6 +553,22 @@ def test_minimal_polynomial_k1_is_hecke_quadratic():
 @pytest.mark.parametrize("k,q", [(2, F(2)), (2, F(3, 2)), (3, F(3, 2))])
 def test_minimal_polynomial(k, q):
     assert minimal_polynomial_check(FusedContext(k, 2, q))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("q", [F(2), F(3, 2)])
+def test_minimal_polynomial_check_rejects_under_crossings(monkeypatch, k, q):
+    # the eigenvalues are those of the over-crossings: the full braiding
+    # built from under-crossings sigma_a^-1 = sigma_a - (q - 1/q) fails
+    ctx = FusedContext(k, 2, q)
+    assert minimal_polynomial_check(ctx)
+    braid = fused._braid_right
+
+    def under(x, k, ell, offset, p, q, c=0):
+        return braid(x, k, ell, offset, p, q, -(q - 1 / q))
+
+    monkeypatch.setattr(fused, "_braid_right", under)
+    assert minimal_polynomial_check(ctx) is False
 
 
 # -- classical degeneration ---------------------------------------------------------------

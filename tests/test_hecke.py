@@ -281,6 +281,26 @@ def test_multiply_mismatch_errors():
         multiply(unit(2, F(2)), unit(2, F(3)))
 
 
+def test_operators_multiply_and_scale():
+    q = F(2)
+    g1, g2 = generator(1, 3, q), generator(2, 3, q)
+    # sigma_{s_1} sigma_{s_2} = sigma_{s_1 s_2}: the length adds up
+    assert (g1 * g2).sorted_terms() == [((2, 3, 1), F(1))]
+    assert g1 * g2 == multiply(g1, g2)
+    assert (2 * g1).sorted_terms() == [((2, 1, 3), F(2))]
+    assert 2 * g1 == g1 * 2 == g1.scale(2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: right_mul_generator(unit(3, F(2)), 3), "generator index 3 out of range for m=3"),
+    (lambda: element_from_obj([]), "an element must be a JSON object, got []"),
+], ids=["generator index", "element not an object"])
+def test_invalid_input_raises_a_domain_error(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert type(err.value) is DomainError and str(err.value) == message
+
+
 def test_constructor_rejects_keys_that_are_not_permutations():
     # such a key would be ranked as a block word, which the standard basis
     # has no place for

@@ -69,6 +69,13 @@ def test_all_permutations():
         all_permutations(11)
 
 
+@pytest.mark.parametrize("call", [identity, all_permutations])
+def test_no_permutations_of_zero_strands(call):
+    with pytest.raises(DomainError) as err:
+        call(0)
+    assert type(err.value) is DomainError and str(err.value) == "m must be a positive integer"
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_simple_multiplication_changes_length_by_one(m):
     for w in all_permutations(m):

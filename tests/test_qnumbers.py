@@ -12,7 +12,7 @@ from fusedhecke import (
     q_int,
     q_pochhammer,
 )
-from fusedhecke.qnumbers import parse_rational
+from fusedhecke.qnumbers import as_fraction, parse_rational
 
 QS = [F(2), F(3, 2), F(5, 3)]
 
@@ -33,6 +33,16 @@ def test_q_int_classical_limits():
 def test_q_int_rejects_zero_q():
     with pytest.raises(ParameterError):
         q_int(2, F(0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: as_fraction(1.5), "cannot interpret 1.5 as an exact rational"),
+    (lambda: q_int(-1, 2), "q_int needs L >= 0"),
+], ids=["float", "negative L"])
+def test_invalid_scalar_raises_a_parameter_error(call, message):
+    with pytest.raises(ParameterError) as err:
+        call()
+    assert type(err.value) is ParameterError and str(err.value) == message
 
 
 def test_q_factorial():

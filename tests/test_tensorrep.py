@@ -217,6 +217,12 @@ def test_tensor_bound_messages_give_dimension():
         sigma_matrix(3, 1, 5, F(2))
 
 
+def test_first_matrix_diff_reports_a_shape_mismatch():
+    assert linalg.first_matrix_diff([[1, 2]], [[1], [2]]) == (-1, -1, (1, 2), (2, 1))
+    assert linalg.first_matrix_diff([], [[1]]) == (-1, -1, (0, 0), (1, 1))
+    assert linalg.first_matrix_diff([[1, 2]], [[1, 3]]) == (0, 1, 2, 3)
+
+
 # -- braiding matrices ----------------------------------------------------------
 
 
