@@ -56,7 +56,7 @@ from .hecke import (
     multiply,
 )
 from .permutations import identity
-from .qnumbers import as_fraction, brace_int, format_rational, q_int
+from .qnumbers import as_fraction, as_q, format_rational, q_int
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,10 @@ class FusedContext:
     q: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "q", as_fraction(self.q))
+        q = as_fraction(self.q)
         if self.k < 1 or self.n < 1:
             raise ParameterError("k and n must be positive")
-        if self.q == 0:
-            raise ParameterError("q must be nonzero")
-        for l in range(2, self.k + 1):
-            if brace_int(l, self.q) == 0:
-                raise ParameterError("degenerate q for this fusion level")
+        object.__setattr__(self, "q", as_q(q))
 
     @property
     def strands(self) -> int:
@@ -153,12 +149,12 @@ def _start(m: int, q, intervals) -> tuple:
     rank of its sorted word, each strand of [lo, hi] carrying the letter lo
     and every other strand its own position, with numerator 1 over 1.
     Every chain in word coordinates starts here, so this is where the
-    strand bound and q are checked."""
+    strand bound, q and then each interval are checked."""
     _check_strands(m)
-    if q == 0:
-        raise ParameterError("q must be nonzero")
+    as_q(q)
     word = list(range(1, m + 1))
     for (lo, hi) in intervals:
+        _check_interval(lo, hi, m)
         word[lo - 1 : hi] = [lo] * (hi - lo + 1)
     return _scaled({tuple(word): 1})
 
@@ -263,11 +259,16 @@ def _braid_right(x: tuple, k: int, ell: int, offset: int, p: int, q: Fraction,
     return _scaled_symmetriser(*x, offset + ell + 1, offset + k + ell, q)
 
 
+def _check_order(p: int, k: int):
+    """Reject a braiding order p outside 0..k, k the smaller block."""
+    if not 0 <= p <= k:
+        raise DomainError(f"braiding order p={p} out of range 0..{k}")
+
+
 @lru_cache(maxsize=None)
 def _partial_braiding_words(ctx: FusedContext, i: int, p: int) -> tuple:
     """partial_braiding as a scaled vector, its numerator map read-only."""
-    if not 0 <= p <= ctx.k:
-        raise DomainError(f"braiding order p={p} out of range 0..{ctx.k}")
+    _check_order(p, ctx.k)
     if not 1 <= i <= ctx.n - 1:
         raise DomainError(f"ellipse index i={i} out of range 1..{ctx.n - 1}")
     x = _start(ctx.strands, ctx.q, ctx.blocks())
@@ -293,8 +294,7 @@ def partial_braiding_mixed(k: int, ell: int, p: int, q) -> HeckeElement:
         raise DomainError("mixed braidings need ell >= k")
     if ell == k:
         return partial_braiding(FusedContext(k, 2, q), 1, p)
-    if not 0 <= p <= k:
-        raise DomainError(f"braiding order p={p} out of range 0..{k}")
+    _check_order(p, k)
     x = _start(k + ell, q, [(1, k), (k + 1, k + ell)])
     return _frozen(_expand(_braid_right(x, k, ell, 0, p, q), k + ell, q))
 
@@ -325,10 +325,8 @@ def baxter_coefficients(k: int, ell: int, u, q) -> BaxterCoefficients:
     >>> baxter_coefficients(1, 1, Fraction(3, 5), 2).values
     (Fraction(-15, 4), Fraction(1, 1))
     """
-    q = as_fraction(q)
+    q = as_q(q)
     u = as_fraction(u)
-    if q == 0:
-        raise ParameterError("q must be nonzero")
     if ell < k:
         raise DomainError("coefficients need k <= ell")
     qi2 = q**-2
@@ -566,16 +564,15 @@ def verify_mixed_ybe(k: int, l: int, m: int, u, v, q) -> VerifyResult:
 def verify_commPR(k: int, ell: int, u, q) -> VerifyResult:
     """Exact check of G P^(ell,k) = P^(k,ell) G P^(ell,k), G the k x ell
     grid of baxter_R_factorized at u: the fused product needs its right
-    projector only.  The sides run from the identity and from P^(k,ell),
-    and are compared expanded.  At k = ell = 1 both projectors are the unit,
-    so the check holds for any G."""
+    projector only.  The sides run from P^(k,ell), whose start checks the
+    strands, q and its blocks, and from the identity, and are compared
+    expanded.  At k = ell = 1 both projectors are the unit, so the check
+    holds for any G."""
     bax = _multiplicative(q)
     q, m, u = bax.q, k + ell, as_fraction(u)
-    one = _start(m, q, ())  # strand bound and q first
-    _check_interval(1, k, m)  # then the blocks of P^(k,ell)
-    _check_interval(k + 1, m, m)
-    lhs = _mul_grid_right(one, k, ell, u, 0, bax)
-    return _verdict(_expand(lhs, m, q), _expand(_factorised(k, ell, u, bax), m, q))
+    rhs = _factorised(k, ell, u, bax)
+    lhs = _mul_grid_right(_start(m, q, ()), k, ell, u, 0, bax)
+    return _verdict(_expand(lhs, m, q), _expand(rhs, m, q))
 
 
 # -- minimal polynomial -----------------------------------------------------------

@@ -77,13 +77,14 @@ from .permutations import (
     Perm,
     all_permutations,
     identity,
+    inverse,
     is_permutation,
     length,
     max_strands,
     reduced_word,
     simple_transposition,
 )
-from .qnumbers import as_fraction, format_rational, q_factorial
+from .qnumbers import as_fraction, as_q, format_rational, q_factorial
 
 
 def _check_strands(m: int):
@@ -134,9 +135,7 @@ class HeckeElement:
     def __init__(self, m: int, q, terms=None):
         _check_strands(m)
         self.m = m
-        self.q = as_fraction(q)
-        if self.q == 0:
-            raise ParameterError("q must be nonzero")
+        self.q = as_q(q)
         clean = {}
         for w, c in (terms or {}).items():
             c = as_fraction(c)
@@ -490,13 +489,7 @@ def _scaled_symmetriser(nums: dict, den: int, i: int, j: int, q: Fraction) -> tu
 
 def _by_inverse(terms: dict) -> dict:
     """The same coefficients keyed by the inverse permutations."""
-    out = {}
-    for w, c in terms.items():
-        inv = [0] * len(w)
-        for pos, val in enumerate(w, 1):
-            inv[val - 1] = pos
-        out[tuple(inv)] = c
-    return out
+    return {inverse(w): c for w, c in terms.items()}
 
 
 def left_mul_generator(i: int, nums: dict, factors: tuple) -> dict:
@@ -582,8 +575,11 @@ def _r_check_constant(u: Fraction, q: Fraction) -> Fraction:
 
 
 def _check_interval(i: int, j: int, m: int):
+    """Reject an interval [i, j] that is empty or leaves the strands of H_m,
+    then an H_m past the strand bound."""
     if not 1 <= i <= j <= m:
         raise DomainError(f"invalid symmetriser interval [{i},{j}] in H_{m}")
+    _check_strands(m)
 
 
 @lru_cache(maxsize=None)
@@ -599,8 +595,6 @@ def symmetriser_sum(i: int, j: int, m: int, q) -> HeckeElement:
     _check_interval(i, j, m)
     r = j - i + 1
     fact = q_factorial(r, q)
-    if fact == 0:
-        raise ParameterError(f"[{r}]_q! vanishes at q={q}")
     # at q = a/b and [r]_q! = f/g, q^(l - top) / [r]_q! = a^l b^(top-l) g / (a^top f)
     a, b = q.numerator, q.denominator
     top = r * (r - 1) // 2
@@ -625,7 +619,7 @@ def symmetriser_product(i: int, j: int, m: int, q) -> HeckeElement:
     """
     q = as_fraction(q)
     _check_interval(i, j, m)
-    x = _ranked(unit(m, q).nums), 1  # unit checks the strand bound and q
+    x = _ranked(unit(m, q).nums), 1  # unit checks q
     for a in range(i, j):
         for t in range(a - i + 1):
             c = _r_check_constant(q ** (2 * (a - i + 1 - t)), q)

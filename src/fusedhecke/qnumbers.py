@@ -38,6 +38,15 @@ def as_fraction(x) -> Fraction:
     raise ParameterError(f"cannot interpret {x!r} as an exact rational")
 
 
+def as_q(x) -> Fraction:
+    """The deformation parameter q as a Fraction (see as_fraction); every
+    input q enters here, where q = 0 is rejected."""
+    q = as_fraction(x)
+    if q == 0:
+        raise ParameterError("q must be nonzero")
+    return q
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" (decimal digits, sign on the numerator only).
 
@@ -84,9 +93,7 @@ def q_int(L: int, q) -> Fraction:
     >>> q_int(4, 1), q_int(4, -1)
     (Fraction(4, 1), Fraction(-4, 1))
     """
-    q = as_fraction(q)
-    if q == 0:
-        raise ParameterError("q must be nonzero")
+    q = as_q(q)
     if L < 0:
         raise ParameterError("q_int needs L >= 0")
     if q * q == 1:
@@ -116,12 +123,7 @@ def q_binomial(L: int, p: int, q) -> Fraction:
     q = as_fraction(q)
     if not 0 <= p <= L:
         raise ParameterError(f"q_binomial needs 0 <= p <= L, got L={L}, p={p}")
-    denom = q_factorial(L - p, q) * q_factorial(p, q)
-    if denom == 0:
-        # unreachable for rational q != 0 (q-integers only vanish at other
-        # roots of unity), kept as a guard for the stated precondition
-        raise ParameterError("vanishing q-factorial in q_binomial denominator")
-    return q_factorial(L, q) / denom
+    return q_factorial(L, q) / (q_factorial(L - p, q) * q_factorial(p, q))
 
 
 def q_pochhammer(a, q, p: int) -> Fraction:
@@ -144,9 +146,7 @@ def brace_int(L: int, q) -> Fraction:
     >>> brace_int(3, Fraction(2))
     Fraction(21, 1)
     """
-    q = as_fraction(q)
-    if q == 0:
-        raise ParameterError("q must be nonzero")
+    q = as_q(q)
     if q * q == 1:
         return Fraction(L)
     return (q ** (2 * L) - 1) / (q * q - 1)

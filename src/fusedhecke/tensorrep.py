@@ -38,12 +38,13 @@ from functools import lru_cache
 from math import comb, prod
 from types import MappingProxyType
 
-from .errors import DomainError, InternalConsistencyError, ParameterError, ResourceError
+from .errors import InternalConsistencyError, ParameterError, ResourceError
 from .fused import (
     _ADDITIVE,
     VerifyResult,
     _Baxterisation,
     _braid_right,
+    _check_order,
     _multiplicative,
 )
 from .hecke import (
@@ -58,7 +59,7 @@ from .hecke import (
     _scaled_symmetriser,
     _unscaled,
 )
-from .qnumbers import as_fraction, format_rational
+from .qnumbers import as_fraction, as_q, format_rational
 
 MAX_TENSOR_DIM = 6561
 MAX_YBE_DIM = 4096
@@ -114,11 +115,9 @@ def w_basis(k: int, N: int, q) -> WBasis:
     """The basis of W; raises if a column leaves the rearrangements of its
     own tensor t_a or vanishes there, which would make the columns (whose
     supports are then disjoint) dependent."""
-    q = as_fraction(q)
     _check_fusion_args(k, N)
     _check_tensor_dim(N, k)
-    if q == 0:
-        raise ParameterError("q must be nonzero")
+    q = as_q(q)
     indices = tuple(itertools.combinations_with_replacement(range(1, N + 1), k))
     columns = tuple(
         _reversed(_unscaled(*_scaled_symmetriser(*_scaled({_flip(t, N): 1}), 1, k, q)), N)
@@ -165,8 +164,7 @@ def _sigma_columns(k: int, p: int, N: int, q) -> tuple:
     """
     q = as_fraction(q)
     _check_fusion_args(k, N)
-    if not 0 <= p <= k:
-        raise DomainError(f"braiding order p={p} out of range 0..{k}")
+    _check_order(p, k)
     _check_tensor_dim(N, 2 * k)
     wb = w_basis(k, N, q)
     dim = _dim(k, N)

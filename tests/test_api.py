@@ -127,3 +127,48 @@ def test_src_builds_no_element_per_baxterised_factor():
         for node in ast.walk(_tree(path)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 assert node.name != "mul_r_check_right", (path.name, node.lineno)
+
+
+def _raising_functions(accepts) -> set:
+    """(file, innermost function) of each raise in src/ of a call that
+    accepts takes, such as DomainError("...")."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, (where[0], child.name))
+                continue
+            if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
+                    and accepts(child.exc)):
+                found.add(where)
+            visit(child, where)
+
+    for path in sorted((ROOT / "src" / "fusedhecke").glob("*.py")):
+        visit(_tree(path), (path.name, None))
+    return found
+
+
+def _message_head(call: ast.Call) -> str:
+    """The leading literal text of the call's first argument, a string or
+    an f-string."""
+    arg = call.args[0] if call.args else None
+    if isinstance(arg, ast.JoinedStr) and arg.values:
+        arg = arg.values[0]
+    return arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str) else ""
+
+
+def test_each_input_rule_is_checked_in_one_function():
+    """q = 0 is rejected by qnumbers.as_q alone, a braiding order outside
+    0..k by fused._check_order alone, and every chain's intervals are
+    checked where it starts, in fused._start."""
+    q_zero = _raising_functions(
+        lambda c: _callee(c) == "ParameterError" and _message_head(c) == "q must be nonzero")
+    assert q_zero == {("qnumbers.py", "as_q")}
+    order = _raising_functions(
+        lambda c: _callee(c) == "DomainError" and _message_head(c).startswith("braiding order"))
+    assert order == {("fused.py", "_check_order")}
+    start = next(node for node in _tree(ROOT / "src" / "fusedhecke" / "fused.py").body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_start")
+    assert any(isinstance(node, ast.Call) and _callee(node) == "_check_interval"
+               for node in ast.walk(start))

@@ -520,6 +520,19 @@ def test_comm_pr_rejects_empty_blocks(k, ell, lo, hi):
         verify_commPR(k, ell, F(3, 5), F(2))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: baxter_R_factorized(1, 0, F(1, 3), F(2)), "invalid symmetriser interval [2,1] in H_1"),
+    (lambda: baxter_R_factorized(0, 1, F(1, 3), F(2)), "invalid symmetriser interval [1,0] in H_1"),
+    (lambda: baxter_R_factorized(-1, 2, F(1, 3), F(2)), "invalid symmetriser interval [1,-1] in H_1"),
+    (lambda: partial_braiding_mixed(0, 2, 0, F(2)), "invalid symmetriser interval [1,0] in H_2"),
+], ids=["R(1,0)", "R(0,1)", "R(-1,2)", "mixed(0,2)"])
+def test_chains_reject_an_empty_block(call, message):
+    # fused._start checks every interval of the projector a chain starts at
+    with pytest.raises(DomainError) as err:
+        call()
+    assert type(err.value) is DomainError and str(err.value) == message
+
+
 def test_verify_result_reports_diff():
     ctx = FusedContext(2, 2, F(2))
     d = element_diff(projector_P(ctx), partial_braiding(ctx, 1, 2))

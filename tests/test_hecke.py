@@ -15,6 +15,7 @@ from fusedhecke import (
     HeckeElement,
     ParameterError,
     PoleError,
+    ResourceError,
     element_from_obj,
     element_to_obj,
     generator,
@@ -408,6 +409,14 @@ def test_symmetriser_sum_two_strands():
     s = symmetriser_sum(1, 2, 2, q)
     two = q_int(2, q)
     assert s.terms == {(1, 2): 1 / (q * two), (2, 1): 1 / two}
+
+
+def test_symmetrisers_check_the_strand_bound(monkeypatch):
+    monkeypatch.delenv("FUSED_HECKE_MAX_STRANDS", raising=False)
+    for build in (symmetriser_sum, symmetriser_product):
+        with pytest.raises(ResourceError) as err:
+            build(1, 2, 12, 2)
+        assert str(err.value) == "12 strands exceeds the bound 9 (override with FUSED_HECKE_MAX_STRANDS)"
 
 
 @pytest.mark.parametrize("q", QS)
