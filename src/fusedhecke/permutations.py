@@ -69,8 +69,8 @@ def inverse(w: Perm) -> Perm:
     (3, 1, 2)
     """
     inv = [0] * len(w)
-    for i, x in enumerate(w):
-        inv[x - 1] = i + 1
+    for i, x in enumerate(w, 1):
+        inv[x - 1] = i
     return tuple(inv)
 
 
