@@ -7,18 +7,19 @@ code with the library's product (the symmetriser recursion check uses it
 too), exact zero matrices, matrix equality and a matrix read back from its
 JSON form, a dense exact Gauss-Jordan solver, the q = 1 partial braiding
 matrices obtained with it, the matrix Yang-Baxter equation as dense
-Kronecker factors and dense products, and the fused chains of right
-multiplications (projectors, partial braidings, factorised R-elements and
-the braided and mixed Yang-Baxter chains) run in the standard basis of H_m,
-each symmetriser applied term by term from its sum formula; also the
-baxterised generator and the product-form symmetriser built from it one
-element per factor, the left symmetriser recursion, the one-projector form
-of the factorised R-element, the standard basis element and the library's
-scaled symmetriser pass wrapped on elements, which only the tests use."""
+Kronecker factors and dense products of integer-scaled R-matrices, and the
+fused chains of right multiplications (projectors, partial braidings,
+factorised R-elements and the braided and mixed Yang-Baxter chains) run in
+the standard basis of H_m, each symmetriser applied term by term from its
+sum formula; also the baxterised generator and the product-form symmetriser
+built from it one element per factor, the left symmetriser recursion, the
+one-projector form of the factorised R-element, the standard basis element
+and the library's scaled symmetriser pass wrapped on elements, which only
+the tests use."""
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -235,12 +236,23 @@ def classical_sigma_direct(k: int, p: int, N: int):
     return solve_exact(basis_mat, images)
 
 
+def _integer_scaled(mat: np.ndarray) -> tuple:
+    """An exact matrix times the lcm s of its entries' denominators, as an
+    object array of ints, and s."""
+    s = lcm(*(v.denominator for v in mat.flat))
+    return np.array([[int(v * s) for v in row] for row in mat], dtype=object), s
+
+
 def dense_matrix_ybe(k: int, N: int, x, y, bax) -> VerifyResult:
     """The braided relation on W^(tensor 3) with middle argument
     bax.middle(x, y), as products of dense Kronecker factors, with the
-    row-major-first differing entry as the diff."""
+    row-major-first differing entry as the diff.  Each R is scaled to
+    integers first, so both sides are the products over the same product
+    of the three scales, by which the diff's two values are divided."""
     d = comb(k + N - 1, k)
-    r_x, r_w, r_y = (_R_matrix(k, N, a, bax) for a in (x, bax.middle(x, y), y))
+    (r_x, s_x), (r_w, s_w), (r_y, s_y) = (
+        _integer_scaled(_R_matrix(k, N, a, bax)) for a in (x, bax.middle(x, y), y)
+    )
     lhs = linalg.matmul(
         linalg.matmul(np.kron(r_x, eye(d)), np.kron(eye(d), r_w)), np.kron(r_y, eye(d))
     )
@@ -248,7 +260,11 @@ def dense_matrix_ybe(k: int, N: int, x, y, bax) -> VerifyResult:
         linalg.matmul(np.kron(eye(d), r_y), np.kron(r_w, eye(d))), np.kron(eye(d), r_x)
     )
     diff = linalg.first_matrix_diff(lhs, rhs)
-    return VerifyResult(diff is None, diff)
+    if diff is None:
+        return VerifyResult(True, None)
+    i, j, a, b = diff
+    scale = s_x * s_w * s_y
+    return VerifyResult(False, (i, j, Fraction(a, scale), Fraction(b, scale)))
 
 
 # -- fused chains in the standard basis -------------------------------------------
