@@ -391,17 +391,21 @@ def _letters(k, N, q, index, factors):
     return letters
 
 
-def test_verify_matrix_ybe_perturbed_sigma_fails(monkeypatch):
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+@pytest.mark.parametrize("point", MATRIX_YBE_POINTS)
+@pytest.mark.parametrize("k,N", [(1, 2), (1, 3), (2, 2), (3, 2), (2, 3)])
+def test_verify_matrix_ybe_perturbed_sigma_fails(monkeypatch, k, N, point, at):
     # sigma_1 raised by one at an entry inside the support; the dense
     # reference multiplies the same perturbed R-matrices
-    k, N, q, u, v = 2, 2, F(2), F(3, 5), F(7, 11)
+    bax, x, y = MATRIX_YBE_POINTS[point]
+    q = bax.q
     columns = tensorrep._sigma_columns
     dim = comb(k + N - 1, k) ** 2
-    # the middle one, in row-major order, of the entries where some sigma_p
-    # is nonzero
+    # the first, middle or last one, in row-major order, of the entries
+    # where some sigma_p is nonzero
     entries = sorted({divmod(key, dim)[::-1] for p in range(k + 1)
                       for key in columns(k, p, N, q)[0]})
-    r, c = entries[len(entries) // 2]
+    r, c = entries[{"first": 0, "middle": len(entries) // 2, "last": -1}[at]]
 
     def raised(k, p, N, q):
         nums, den = columns(k, p, N, q)
@@ -413,9 +417,9 @@ def test_verify_matrix_ybe_perturbed_sigma_fails(monkeypatch):
         return nums, den
 
     monkeypatch.setattr(tensorrep, "_sigma_columns", raised)
-    got = verify_matrix_ybe(k, N, u, v, q)
+    got = tensorrep._verify_matrix_ybe(k, N, x, y, bax)
     assert not got.ok
-    assert got == dense_matrix_ybe(k, N, u, v, _multiplicative(q))
+    assert got == dense_matrix_ybe(k, N, x, y, bax)
     # the diff stays in one weight block, which holds the perturbed column
     i, j, lhs, rhs = got.diff
     assert lhs != rhs
