@@ -285,7 +285,7 @@ def partial_braiding(ctx: FusedContext, i: int, p: int) -> HeckeElement:
     return _frozen(_expand(_partial_braiding_words(ctx, i, p), ctx.strands, ctx.q))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def partial_braiding_mixed(k: int, ell: int, p: int, q) -> HeckeElement:
     """The mixed partial braiding P^(k,ell) (word) P^(ell,k) in H_{k+ell};
     for ell = k it is the two-ellipse partial_braiding."""

@@ -582,7 +582,7 @@ def _check_interval(i: int, j: int, m: int):
     _check_strands(m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def symmetriser_sum(i: int, j: int, m: int, q) -> HeckeElement:
     """Partial q-symmetriser on strands i..j by the weighted sum formula:
 

@@ -129,6 +129,21 @@ def test_src_builds_no_element_per_baxterised_factor():
                 assert node.name != "mul_r_check_right", (path.name, node.lineno)
 
 
+def test_matrix_ybe_applies_each_R_once_per_side():
+    """The matrix YBE starts each side at the whole identity block of
+    W^(tensor 3) and applies each R to it in one pass: neither
+    _verify_matrix_ybe nor _apply_pair holds a for or while statement
+    (comprehensions are allowed)."""
+    tree = _tree(ROOT / "src" / "fusedhecke" / "tensorrep.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name in ("_verify_matrix_ybe", "_apply_pair")}
+    assert len(functions) == 2
+    for name, function in functions.items():
+        loops = [node.lineno for node in ast.walk(function)
+                 if isinstance(node, (ast.For, ast.AsyncFor, ast.While))]
+        assert loops == [], name
+
+
 def _raising_functions(accepts) -> set:
     """(file, innermost function) of each raise in src/ of a call that
     accepts takes, such as DomainError("...")."""

@@ -7,10 +7,14 @@ from fusedhecke import (
     ParameterError,
     brace_int,
     format_rational,
+    partial_braiding_mixed,
     q_binomial,
     q_factorial,
     q_int,
     q_pochhammer,
+    sigma_matrix,
+    symmetriser_sum,
+    w_basis,
 )
 from fusedhecke.qnumbers import as_fraction, parse_rational
 
@@ -43,6 +47,20 @@ def test_invalid_scalar_raises_a_parameter_error(call, message):
     with pytest.raises(ParameterError) as err:
         call()
     assert type(err.value) is ParameterError and str(err.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    lambda q: symmetriser_sum(1, 2, 3, q),
+    lambda q: partial_braiding_mixed(1, 2, 1, q),
+    lambda q: w_basis(2, 2, q),
+    lambda q: sigma_matrix(2, 1, 2, q),
+], ids=["symmetriser_sum", "partial_braiding_mixed", "w_basis", "sigma_matrix"])
+def test_cached_function_rejects_a_float_q_after_its_fraction(call):
+    # 13/8 is a binary fraction: the float 1.625 equals it and hashes alike
+    call(F(13, 8))
+    with pytest.raises(ParameterError) as err:
+        call(1.625)
+    assert str(err.value) == "cannot interpret 1.625 as an exact rational"
 
 
 def test_q_factorial():
