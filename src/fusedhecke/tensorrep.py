@@ -22,11 +22,11 @@ coordinates read off the braided images by integer cross-multiplication;
 an R-matrix is one scaled sum of the sigma_p with a nonzero coefficient;
 and the matrix Yang-Baxter equation applies the numerators of R through
 R's columns to the whole identity block of W^(tensor 3), one pass per
-factor and side, and compares both sides as integer maps.  Fractions are built only where a matrix is
-read: the public numpy object arrays (_dense), the rows that the CLI prints
-(_rows) and the Diff of a failing matrix YBE.  numpy is imported only in
-_dense, so importing this module, the matrix YBE and the serialisation of
-rows do not load it.
+factor and side, and compares both sides as integer maps.  Fractions are
+built only where a matrix is read: the public numpy object arrays
+(_dense), the rows that the CLI prints (_rows) and the Diff of a failing
+matrix YBE.  numpy is imported only in _dense, so importing this module,
+the matrix YBE and the serialisation of rows do not load it.
 """
 
 from __future__ import annotations
