@@ -293,13 +293,10 @@ def _cmd_verify_algebra(args) -> int:
         ok = ok and hecke.multiply(p, sig) == sig and hecke.multiply(sig, p) == sig
     report("partial braidings sandwiched", ok)
 
-    # at q**2 == 1 the roots for l and l + 2 coincide, so for k >= 2 no
-    # product of k + 1 distinct factors is minimal
-    if q * q == 1 and k >= 2:
-        report("minimal polynomial (minimality degenerate at q^2 = 1)",
-               fused.minimal_polynomial_check(ctx, check_minimality=False))
-    else:
-        report("minimal polynomial", fused.minimal_polynomial_check(ctx))
+    # at q**2 == 1 the roots for l and l + 2 coincide, so for k >= 2 the
+    # polynomial has two distinct roots only
+    degenerate = " (minimality degenerate at q^2 = 1)" if q * q == 1 and k >= 2 else ""
+    report(f"minimal polynomial{degenerate}", fused.minimal_polynomial_check(ctx))
     report("projector commutation with R(u)", bool(fused.verify_commPR(k, k, u, q)))
 
     ok = True

@@ -22,6 +22,11 @@ is itself made by symmetriser passes from the identity.  Only the Diff of
 _word_verdict turns numerators into Fractions, and only the
 method="direct" oracle of the Yang-Baxter verifiers multiplies elements in
 the standard basis.
+
+Every R-factor runs on one chain, _braid_right: a crossing word with one
+constant per letter.  The k x ell grid of the factorised R is the full
+crossing word braiding_word(k, ell, k) with the baxterised constants, and
+a partial braiding sigma_p is its word of order p with every constant 0.
 """
 
 from __future__ import annotations
@@ -230,6 +235,13 @@ def _projector_idempotent(ctx: FusedContext) -> bool:
     return _word_verdict(x, p, ctx.strands, ctx.q).ok
 
 
+def _idempotent_start(ctx: FusedContext) -> tuple:
+    """P's scaled vector; a P that is not idempotent is a kernel fault."""
+    if not _projector_idempotent(ctx):
+        raise InternalConsistencyError(f"projector not idempotent for {ctx}")
+    return _start(ctx.strands, ctx.q, ctx.blocks())
+
+
 # -- partial elementary braidings ---------------------------------------------
 
 
@@ -238,7 +250,14 @@ def braiding_word(k: int, ell: int, p: int) -> tuple[int, ...]:
 
         (s_k ... s_{ell+p-1}) (s_{k-1} ... s_{ell+p-2}) ... (s_{k-p+1} ... s_ell)
 
-    each group a consecutive run; empty for p = 0.
+    each group a consecutive run; empty for p = 0.  At p = k it is the full
+    crossing word, whose letters are those a + t of the k x ell grid of the
+    factorised R, rows a = k..1 and columns t = 0..ell-1:
+
+    >>> braiding_word(2, 3, 2)
+    (2, 3, 4, 1, 2, 3)
+    >>> braiding_word(3, 2, 3)
+    (3, 4, 2, 3, 1, 2)
     """
     word = []
     for t in range(p):
@@ -247,13 +266,14 @@ def braiding_word(k: int, ell: int, p: int) -> tuple[int, ...]:
 
 
 def _braid_right(x: tuple, k: int, ell: int, offset: int, p: int, q: Fraction,
-                 c: Fraction = 0) -> tuple:
-    """The scaled vector x * (the (k, ell; p) braiding word at the strand
-    offset, each letter a taken as sigma_a + c) * P^(ell,k) on the two blocks
-    there.  For x = x P^(k,ell) on those blocks and c = 0 this is x times the
-    partial braiding; c = -(q - 1/q) takes the under-crossings
-    sigma_a^-1 instead.  Blocks the word does not touch stay projected."""
-    for a in braiding_word(k, ell, p):
+                 constants=None) -> tuple:
+    """x * (the (k, ell; p) braiding word at the strand offset, each letter a
+    taken as sigma_a + c with its own constant c) * P^(ell,k) on the two
+    blocks there.  For x = x P^(k,ell) there: no constants (all 0) give x
+    times the partial braiding, repeat(-(q - 1/q)) its under-crossings, and
+    at p = k _grid's constants x times the factorised R^(k,ell), the grid's
+    word being braiding_word(k, ell, k).  Untouched blocks stay projected."""
+    for a, c in zip(braiding_word(k, ell, p), repeat(0) if constants is None else constants):
         x = _scaled_affine(*x, offset + a, c, q)
     x = _scaled_symmetriser(*x, offset + 1, offset + ell, q)
     return _scaled_symmetriser(*x, offset + ell + 1, offset + k + ell, q)
@@ -437,30 +457,19 @@ def baxter_R_expansion(ctx: FusedContext, i: int, u) -> HeckeElement:
     return _expansion(ctx, i, baxter_coefficients(ctx.k, ctx.k, u, ctx.q).values)
 
 
-def _mul_grid_right(x: tuple, k: int, ell: int, arg, offset: int,
-                    bax: _Baxterisation) -> tuple:
-    """Right-multiply by the k x ell grid of baxterised generators
-
-        prod_{a=k..1} prod_{t=0..ell-1} (sigma_{offset+a+t} + c(arg, t+1-a)),
-
-    the outer factors ordered right to left as the row index a increases;
-    c(u, s) = -(q - 1/q)/(1 - u q^{2s}), or 1/(mu + s) at q = 1; then by
-    P^(ell,k) on the two blocks at the offset.  For x = x P^(k,ell) there
-    this is x * R^(k,ell)(arg) in its factorised form, on scaled vectors.
-    """
-    q = bax.q
-    for a in range(k, 0, -1):
-        for t in range(ell):
-            x = _scaled_affine(*x, offset + a + t, bax.constant(arg, t + 1 - a), q)
-    x = _scaled_symmetriser(*x, offset + 1, offset + ell, q)
-    return _scaled_symmetriser(*x, offset + ell + 1, offset + k + ell, q)
+def _grid(k: int, ell: int, arg, bax: _Baxterisation) -> tuple:
+    """The constants c(arg, t+1-a) of the grid prod_{a=k..1} prod_{t=0..ell-1}
+    (sigma_{a+t} + c), in the order of its letters braiding_word(k, ell, k);
+    c(u, s) = -(q - 1/q)/(1 - u q^{2s}), or 1/(mu + s) at q = 1.  The
+    first factor with a pole raises it."""
+    return tuple(bax.constant(arg, t + 1 - a) for a in range(k, 0, -1) for t in range(ell))
 
 
 def _factorised(k: int, ell: int, arg, bax: _Baxterisation) -> tuple:
     """P^(k,ell) * (grid of k*ell baxterised generators) * P^(ell,k), as a
     scaled vector."""
     x = _start(k + ell, bax.q, [(1, k), (k + 1, k + ell)])
-    return _mul_grid_right(x, k, ell, arg, 0, bax)
+    return _braid_right(x, k, ell, 0, k, bax.q, _grid(k, ell, arg, bax))
 
 
 def baxter_R_factorized(k: int, ell: int, u, q) -> HeckeElement:
@@ -492,8 +501,7 @@ def _verify_ybe(ctx: FusedContext, u, v, i: int, method: str, bax: _Baxterisatio
         lhs = multiply(multiply(r(i, u), r(i + 1, w)), r(i, v))
         rhs = multiply(multiply(r(i + 1, v), r(i, w)), r(i + 1, u))
         return _verdict(lhs, rhs)
-    if not _projector_idempotent(ctx):
-        raise InternalConsistencyError(f"projector not idempotent for {ctx}")
+    start = _idempotent_start(ctx)
     k = ctx.k
 
     # x * R_j(arg) = sum_p a_p(arg) x (braiding word p) P for x = x P
@@ -503,7 +511,6 @@ def _verify_ybe(ctx: FusedContext, u, v, i: int, method: str, bax: _Baxterisatio
             for p, a in enumerate(coefficients[arg])
         )
 
-    start = _start(ctx.strands, ctx.q, ctx.blocks())
     lhs = times_R(times_R(times_R(start, i, u), i + 1, w), i, v)
     rhs = times_R(times_R(times_R(start, i + 1, v), i, w), i + 1, u)
     return _word_verdict(lhs, rhs, ctx.strands, ctx.q)
@@ -547,17 +554,16 @@ def verify_mixed_ybe(k: int, l: int, m: int, u, v, q) -> VerifyResult:
     n = k + l + m
     start = _start(n, q, [(1, k), (k + 1, k + l), (k + l + 1, n)])  # strand bound and q first
     bax = _multiplicative(q)
-    # every grid constant first, so that a pole names its argument; the
-    # a x b grid takes the shifts 1 - a .. b - 1
+    # the three grids before any chain, so that a pole names its factor
+    grids = {}
     for name, arg, a, b in (("u", u, k, l), ("uv", u * v, k, m), ("v", v, l, m)):
-        for s in range(1 - a, b):
-            try:
-                bax.constant(arg, s)
-            except PoleError as err:
-                raise PoleError(f"R^({a},{b})({name}): {err}") from None
-    times_R = lambda x, a, b, arg, offset: _mul_grid_right(x, a, b, arg, offset, bax)
-    lhs = times_R(times_R(times_R(start, k, l, u, 0), k, m, u * v, l), l, m, v, 0)
-    rhs = times_R(times_R(times_R(start, l, m, v, k), k, m, u * v, 0), k, l, u, m)
+        try:
+            grids[name] = _grid(a, b, arg, bax)
+        except PoleError as err:
+            raise PoleError(f"R^({a},{b})({name}): {err}") from None
+    times_R = lambda x, a, b, name, offset: _braid_right(x, a, b, offset, a, q, grids[name])
+    lhs = times_R(times_R(times_R(start, k, l, "u", 0), k, m, "uv", l), l, m, "v", 0)
+    rhs = times_R(times_R(times_R(start, l, m, "v", k), k, m, "uv", 0), k, l, "u", m)
     return _word_verdict(lhs, rhs, n, q)
 
 
@@ -570,27 +576,26 @@ def verify_commPR(k: int, ell: int, u, q) -> VerifyResult:
     holds for any G."""
     bax = _multiplicative(q)
     q, m, u = bax.q, k + ell, as_fraction(u)
-    rhs = _factorised(k, ell, u, bax)
-    lhs = _mul_grid_right(_start(m, q, ()), k, ell, u, 0, bax)
+    projected = _start(m, q, [(1, k), (k + 1, m)])
+    grid = _grid(k, ell, u, bax)
+    lhs, rhs = (_braid_right(x, k, ell, 0, k, q, grid) for x in (_start(m, q, ()), projected))
     return _verdict(_expand(lhs, m, q), _expand(rhs, m, q))
 
 
 # -- minimal polynomial -----------------------------------------------------------
 
 
-def minimal_polynomial_check(ctx: FusedContext, check_minimality: bool = True) -> bool:
-    """True iff prod_{l=0..k} (full braiding - (-1)^(k+l) q^(-k+l(l+1)) P) = 0,
-    and (for k <= 3 when requested) no drop-one subproduct already vanishes.
-    """
+def minimal_polynomial_check(ctx: FusedContext) -> bool:
+    """True iff prod_c (full braiding - c P) = 0 over the distinct c among
+    (-1)^(k+l) q^(-k+l(l+1)), l = 0..k (only -1 and 1 at q^2 = 1 for
+    k >= 2), and (for k <= 3) no drop-one subproduct already vanishes."""
     if ctx.n < 2:
         raise DomainError("full braidings need n >= 2")
     k, q = ctx.k, ctx.q
-    if not _projector_idempotent(ctx):
-        return False
-    powers = [_start(ctx.strands, q, ctx.blocks())]
-    for _ in range(k + 1):
+    powers = [_idempotent_start(ctx)]
+    eigen = list(dict.fromkeys((-1) ** (k + l) * q ** (-k + l * (l + 1)) for l in range(k + 1)))
+    for _ in eigen:
         powers.append(_braid_right(powers[-1], k, k, 0, k, q))
-    eigen = [(-1) ** (k + l) * q ** (-k + l * (l + 1)) for l in range(k + 1)]
 
     def vanishes(values) -> bool:
         # expand prod (Sigma - c P) over elementary symmetric polynomials
@@ -606,8 +611,8 @@ def minimal_polynomial_check(ctx: FusedContext, check_minimality: bool = True) -
 
     if not vanishes(eigen):
         return False
-    if check_minimality and k <= 3:
-        for drop in range(k + 1):
+    if k <= 3:
+        for drop in range(len(eigen)):
             if vanishes(eigen[:drop] + eigen[drop + 1 :]):
                 return False
     return True
@@ -670,10 +675,10 @@ def fused_product_example_check(q) -> ExampleCheck:
     lam = q - 1 / q
     start = _start(4, q, ctx.blocks())
     matches = []
-    for sign, c in (("over", 0), ("under", -lam)):
-        x1, x2 = (_braid_right(start, 2, 2, 0, p, q, c) for p in (1, 2))
+    for sign, constants in (("over", None), ("under", repeat(-lam))):
+        x1, x2 = (_braid_right(start, 2, 2, 0, p, q, constants) for p in (1, 2))
         # x1 = x1 P, so x1 * x1 is x1 times the crossing and P
-        square = _braid_right(x1, 2, 2, 0, 1, q, c)
+        square = _braid_right(x1, 2, 2, 0, 1, q, constants)
         rhs = _scaled_sum(zip(reference_h22_product_coefficients(q), (start, x1, x2)))
         if _word_verdict(square, rhs, 4, q).ok:
             matches.append(sign)

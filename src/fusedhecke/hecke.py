@@ -374,7 +374,7 @@ def right_mul_generator(x: HeckeElement, i: int) -> HeckeElement:
     with weight q - 1/q."""
     if not 1 <= i <= x.m - 1:
         raise DomainError(f"generator index {i} out of range for m={x.m}")
-    nums, den = _scaled_generator(_ranked(x.nums), x.den, i, x.q)
+    nums, den = _scaled_affine(_ranked(x.nums), x.den, i, 0, x.q)
     return _element(x.m, x.q, _unranked(nums), den)
 
 
@@ -423,21 +423,16 @@ def _scaled_factors(q: Fraction) -> tuple:
     return a * a, a * b, a * a - b * b
 
 
-def _scaled_generator(nums: dict, den: int, i: int, q: Fraction) -> tuple:
-    """(nums / den) * sigma_i in scaled-integer form."""
-    equal, swap, descent = _scaled_factors(q)
-    return _generator_rule(nums, i - 1, equal, swap, descent), den * swap
-
-
 def _scaled_affine(nums: dict, den: int, i: int, c: Fraction, q: Fraction) -> tuple:
     """(nums / den) * (sigma_i + c) in scaled-integer form.  With the
     generator pass y over den ab and c = cn/cd, the numerators are
     cd y + ab cn nums over den ab cd; c = 0 is the generator pass alone."""
-    y, yden = _scaled_generator(nums, den, i, q)
+    equal, swap, descent = _scaled_factors(q)
+    y, yden = _generator_rule(nums, i - 1, equal, swap, descent), den * swap
     if not c:
         return y, yden
     cn, cd = c.numerator, c.denominator
-    f = q.numerator * q.denominator * cn
+    f = swap * cn
     y = {w: cd * n for w, n in y.items()}
     return _accumulate(y, ((w, f * n) for w, n in nums.items())), yden * cd
 

@@ -1,21 +1,21 @@
 """Independent reference computations that the tests compare the library
-against: the action on V^(tensor m) applied term by term over Fraction (the
-standard R-matrix at adjacent slots, each Hecke element applied along the
-reduced words of its terms), the product of H_m one left term at a time
-over Fraction, by an element-level sigma_i * x of its own that shares no
-code with the library's product (the symmetriser recursion check uses it
-too), exact zero matrices, matrix equality and a matrix read back from its
-JSON form, a dense exact Gauss-Jordan solver, the q = 1 partial braiding
-matrices obtained with it, the matrix Yang-Baxter equation as dense
-Kronecker factors and dense products of integer-scaled R-matrices, and the
-fused chains of right multiplications (projectors, partial braidings,
-factorised R-elements and the braided and mixed Yang-Baxter chains) run in
-the standard basis of H_m, each symmetriser applied term by term from its
-sum formula; also the baxterised generator and the product-form symmetriser
-built from it one element per factor, the left symmetriser recursion, the
-one-projector form of the factorised R-element, the standard basis element
-and the library's scaled symmetriser pass wrapped on elements, which only
-the tests use."""
+against: the action on V^(tensor m) applied term by term on integer
+numerators (the standard R-matrix at adjacent slots, each Hecke element
+applied along the reduced words of its terms), the product of H_m one left
+term at a time over Fraction, by an element-level sigma_i * x of its own
+that shares no code with the library's product (the symmetriser recursion
+check uses it too), exact zero matrices, matrix equality and a matrix read
+back from its JSON form, a dense exact Gauss-Jordan solver, the q = 1
+partial braiding matrices obtained with it, the matrix Yang-Baxter equation
+as dense Kronecker factors and dense products of integer-scaled R-matrices,
+and the fused chains of right multiplications (projectors, partial
+braidings, factorised R-elements and the braided and mixed Yang-Baxter
+chains) run in the standard basis of H_m, each symmetriser applied term by
+term from its sum formula; also the baxterised generator and the
+product-form symmetriser built from it one element per factor, the left
+symmetriser recursion, the one-projector form of the factorised R-element,
+the standard basis element and the library's scaled symmetriser pass wrapped
+on elements, which only the tests use."""
 
 import itertools
 from fractions import Fraction
@@ -46,36 +46,65 @@ from fusedhecke.tensorrep import _check_tensor_dim, _R_matrix
 
 # -- the action on V^(tensor m), term by term ----------------------------------
 
-# a vector is a dict {multi-index tuple: Fraction}; letters run 1..N
+# a vector is a dict {multi-index tuple: Fraction}; letters run 1..N.  The
+# action runs on integer numerators, scaled by ab per generator at q = a/b.
+
+
+def _numerators(vec: dict) -> tuple:
+    """Fraction values as integer numerators over their least common
+    denominator."""
+    den = lcm(*(c.denominator for c in vec.values()))
+    return {key: c.numerator * (den // c.denominator) for key, c in vec.items()}, den
+
+
+def _scaled_gen(nums: dict, pos: int, a: int, b: int) -> dict:
+    """ab times the standard R-matrix at tensor slots (pos, pos+1), on
+    integer numerators at q = a/b: e_x e_y goes to a^2 e_x e_y if x = y,
+    else to ab e_y e_x, plus (a^2 - b^2) e_x e_y if x < y.  Entries past
+    the m slots ride along unchanged."""
+    out = {}
+    for idx, n in nums.items():
+        x, y = idx[pos - 1], idx[pos]
+        if x == y:
+            out[idx] = out.get(idx, 0) + a * a * n
+            continue
+        swapped = idx[: pos - 1] + (y, x) + idx[pos + 1 :]
+        out[swapped] = out.get(swapped, 0) + a * b * n
+        if x < y:
+            out[idx] = out.get(idx, 0) + (a * a - b * b) * n
+    return {key: n for key, n in out.items() if n}
 
 
 def _apply_gen(vec: dict, pos: int, q) -> dict:
     """Apply the standard R-matrix at tensor slots (pos, pos+1): e_a e_b goes
     to q e_a e_b if a = b, else to e_b e_a, plus (q - 1/q) e_a e_b if a < b."""
-    out = {}
-    for idx, c in vec.items():
-        a, b = idx[pos - 1], idx[pos]
-        terms = [(idx[: pos - 1] + (b, a) + idx[pos + 1 :], q * c if a == b else c)]
-        if a < b:
-            terms.append((idx, (q - 1 / q) * c))
-        _accumulate(out, terms)
-    return out
-
-
-def _apply_word(vec: dict, word, q) -> dict:
-    """Apply the operator sigma_{word} (word read left to right)."""
-    for a in reversed(word):
-        vec = _apply_gen(vec, a, q)
-    return vec
+    q = as_fraction(q)
+    nums, den = _numerators(vec)
+    a, b = q.numerator, q.denominator
+    return {key: Fraction(n, den * a * b) for key, n in _scaled_gen(nums, pos, a, b).items()}
 
 
 def _apply_element(vec: dict, x: HeckeElement) -> dict:
-    """Apply a Hecke algebra element (acting on m = x.m tensor slots)."""
+    """Apply a Hecke algebra element (acting on m = x.m tensor slots), each
+    term along the reduced word of its permutation, on integer numerators:
+    a word of length L scales by (ab)^L at q = a/b, and the terms are summed
+    over the common denominator of the vector, the coefficients and
+    (ab)^(longest L)."""
+    nums, den = _numerators(vec)
+    a, b = x.q.numerator, x.q.denominator
+    words = {w: reduced_word(w) for w in x.terms}
+    top = max(map(len, words.values()), default=0)
+    cden = lcm(*(c.denominator for c in x.terms.values()))
     out = {}
     for w, c in x.terms.items():
-        img = _apply_word(vec, reduced_word(w), x.q)
-        _accumulate(out, ((key, c * val) for key, val in img.items()))
-    return out
+        img = nums
+        for pos in reversed(words[w]):
+            img = _scaled_gen(img, pos, a, b)
+        f = c.numerator * (cden // c.denominator) * (a * b) ** (top - len(words[w]))
+        for key, n in img.items():
+            out[key] = out.get(key, 0) + f * n
+    scale = den * cden * (a * b) ** top
+    return {key: Fraction(n, scale) for key, n in out.items() if n}
 
 
 def _multi_indices(N: int, m: int):
@@ -101,16 +130,17 @@ def hecke_rmatrix(N: int, q) -> np.ndarray:
 
 
 def represent(x: HeckeElement, N: int) -> np.ndarray:
-    """Matrix of x on V^(tensor m) with the local R-matrix action."""
+    """Matrix of x on V^(tensor m) with the local R-matrix action, applied
+    to every basis vector at once: the basis vector of column c is the
+    multi-index with c appended, which the action carries along."""
     _check_tensor_dim(N, x.m)
     dim = N**x.m
     idxs = _multi_indices(N, x.m)
     index_of = {t: r for r, t in enumerate(idxs)}
     mat = zeros(dim, dim)
-    for c, idx in enumerate(idxs):
-        img = _apply_element({idx: Fraction(1)}, x)
-        for key, val in img.items():
-            mat[index_of[key], c] = val
+    img = _apply_element({idx + (c,): Fraction(1) for c, idx in enumerate(idxs)}, x)
+    for key, val in img.items():
+        mat[index_of[key[:-1]], key[-1]] = val
     return mat
 
 

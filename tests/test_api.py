@@ -129,6 +129,28 @@ def test_src_builds_no_element_per_baxterised_factor():
                 assert node.name != "mul_r_check_right", (path.name, node.lineno)
 
 
+def test_every_R_factor_runs_on_one_crossing_word_chain():
+    """fused has one chain builder: _braid_right zips a crossing word with
+    one constant per letter, which gives sigma_p, the under-crossings and
+    the k x ell grid of the factorised R alike, so it is the only function
+    of fused.py that calls hecke._scaled_affine; hecke keeps no separate
+    generator pass beside _scaled_affine at c = 0."""
+    callers = {
+        top.name
+        for top in _tree(ROOT / "src" / "fusedhecke" / "fused.py").body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and _callee(node) == "_scaled_affine"
+    }
+    assert callers == {"_braid_right"}
+    defined = {
+        node.name
+        for path in sorted((ROOT / "src" / "fusedhecke").glob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert not defined & {"_mul_grid_right", "_scaled_generator"}
+
+
 def test_matrix_ybe_applies_each_R_once_per_side():
     """The matrix YBE starts each side at the whole identity block of
     W^(tensor 3) and applies each R to it in one pass: neither

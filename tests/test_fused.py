@@ -13,6 +13,7 @@ from fusedhecke import (
     DomainError,
     FusedContext,
     HeckeElement,
+    InternalConsistencyError,
     ParameterError,
     PoleError,
     ResourceError,
@@ -47,7 +48,7 @@ from fusedhecke.fused import (
     fused_product_example_check,
     projector_mixed,
 )
-from fusedhecke.hecke import _scaled, _scaled_generator, zero
+from fusedhecke.hecke import _scaled, _scaled_affine, zero
 from fusedhecke.permutations import (
     all_permutations,
     compose,
@@ -475,7 +476,7 @@ def test_mixed_ybe_grid_pole_names_the_argument(monkeypatch, klm, u, v, name, ar
     def no_chain(*args):
         raise AssertionError("a chain started")
 
-    monkeypatch.setattr(fused, "_mul_grid_right", no_chain)
+    monkeypatch.setattr(fused, "_braid_right", no_chain)
     a, b = {"u": klm[:2], "uv": klm[::2], "v": klm[1:]}[name]
     with pytest.raises(PoleError, match=rf"^R\^\({a},{b}\)\({name}\): grid factor has a "
                        rf"pole at spectral argument {arg}, shift s = {s} "):
@@ -577,11 +578,50 @@ def test_minimal_polynomial_check_rejects_under_crossings(monkeypatch, k, q):
     assert minimal_polynomial_check(ctx)
     braid = fused._braid_right
 
-    def under(x, k, ell, offset, p, q, c=0):
-        return braid(x, k, ell, offset, p, q, -(q - 1 / q))
+    def under(x, k, ell, offset, p, q, constants=None):
+        return braid(x, k, ell, offset, p, q, itertools.repeat(-(q - 1 / q)))
 
     monkeypatch.setattr(fused, "_braid_right", under)
     assert minimal_polynomial_check(ctx) is False
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("q", [F(1), F(-1)], ids=str)
+def test_minimal_polynomial_over_the_distinct_eigenvalues_at_q_squared_one(k, q):
+    # lambda_l and lambda_(l+2) coincide at q^2 = 1, so the product runs over
+    # -1 and 1: (Sigma + P)(Sigma - P) vanishes, neither factor alone does
+    ctx = FusedContext(k, 2, q)
+    assert minimal_polynomial_check(ctx) is True
+    sigma = partial_braiding(ctx, 1, k)
+    p = projector_P(ctx)
+    assert multiply(sigma + p, sigma - p).is_zero()
+    assert not (sigma + p).is_zero() and not (sigma - p).is_zero()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("q", [F(1), F(-1), F(2)], ids=str)
+def test_minimal_polynomial_check_rejects_a_partial_braiding(monkeypatch, k, q):
+    # the order-(k-1) braiding in place of the full one fails
+    braid = fused._braid_right
+
+    def partial(x, k, ell, offset, p, q, constants=None):
+        return braid(x, k, ell, offset, p - 1, q, constants)
+
+    monkeypatch.setattr(fused, "_braid_right", partial)
+    assert minimal_polynomial_check(FusedContext(k, 2, q)) is False
+
+
+@pytest.mark.parametrize("call", [
+    lambda: minimal_polynomial_check(FusedContext(2, 2, F(2))),
+    lambda: verify_braided_ybe(FusedContext(1, 3, F(2)), F(3, 5), F(7, 11)),
+    lambda: verify_classical_ybe(1, 3, F(7, 2), F(-5, 3)),
+], ids=["minimal_polynomial", "braided_ybe", "classical_ybe"])
+def test_a_projector_that_is_not_idempotent_is_a_kernel_fault(monkeypatch, call):
+    # every chain that relies on P * P == P raises, rather than reporting
+    # the fault as a failed verdict
+    monkeypatch.setattr(fused, "_projector_idempotent", lambda ctx: False)
+    with pytest.raises(InternalConsistencyError, match="^projector not idempotent for "):
+        call()
 
 
 # -- classical degeneration ---------------------------------------------------------------
@@ -825,12 +865,13 @@ def test_mixed_ybe_wrong_constant_gives_the_standard_basis_diff(monkeypatch):
 @pytest.mark.parametrize("q", [F(2), F(3, 2), F(-5, 7), F(1), F(-1)], ids=str)
 def test_word_kernel_is_the_action_on_the_module(q):
     # P * sigma_d * sigma_i for every word of the blocks [1, 2], [3, 4], by
-    # the scaled generator pass that every word chain takes, on the word's rank
+    # the generator pass (the affine pass at c = 0) that every word chain
+    # takes, on the word's rank
     for word in sorted(set(itertools.permutations((1, 1, 3, 3)))):
         x = _scaled({word: 1})
         for i in (1, 2, 3):
             want = multiply(_expand(x, 4, q), generator(i, 4, q))
-            assert _expand(_scaled_generator(*x, i, q), 4, q) == want
+            assert _expand(_scaled_affine(*x, i, 0, q), 4, q) == want
     # sums over the words of five-strand modules against the oracle's product
     rng = random.Random(41)
     for letters in ((1, 1, 1, 4, 5), (1, 1, 3, 3, 3)):
@@ -839,13 +880,17 @@ def test_word_kernel_is_the_action_on_the_module(q):
             x = _scaled({w: F(rng.randint(-9, 9) or 1, rng.randint(1, 7)) for w in keys})
             for i in range(1, 5):
                 want = oracles.multiply(_expand(x, 5, q), generator(i, 5, q))
-                assert _expand(_scaled_generator(*x, i, q), 5, q) == want, (letters, i)
+                assert _expand(_scaled_affine(*x, i, 0, q), 5, q) == want, (letters, i)
 
 
 @pytest.mark.parametrize("q", [F(2), F(3, 2), F(1)], ids=str)
-@pytest.mark.parametrize("k,ell", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("k,ell", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3),
+                                   (2, 1), (3, 1), (3, 2)])
 def test_word_path_matches_standard_chain(k, ell, q):
-    for p in range(k + 1):
+    # the grid runs as the crossing word braiding_word(k, ell, k) on either
+    # side of the diagonal; the oracle keeps the explicit row and column loop.
+    # Mixed braidings need ell >= k.
+    for p in range(k + 1) if k <= ell else ():
         assert partial_braiding_mixed(k, ell, p, q) == oracles.partial_braiding_mixed(
             k, ell, p, q
         )

@@ -155,7 +155,7 @@ def test_scaled_kernel_matches_term_by_term_action(N, m, q):
     rng = random.Random(100 * N + m)
     for vec in _random_tensors(rng, N, m, 10):
         for pos in range(1, m):
-            got = _through_kernel(vec, N, lambda n, d: hecke._scaled_generator(n, d, pos, q))
+            got = _through_kernel(vec, N, lambda n, d: hecke._scaled_affine(n, d, pos, 0, q))
             assert got == _apply_gen(vec, pos, q)
             assert all(type(c) is F for c in got.values())
         for i in range(1, m):
