@@ -38,7 +38,6 @@ from .hecke import (
     element_to_obj,
     generator,
     multiply,
-    right_mul_generator,
     symmetriser_product,
     symmetriser_sum,
     unit,

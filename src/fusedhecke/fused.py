@@ -18,10 +18,10 @@ in P*H_m is equality in H_m, so verdicts compare words.  Public elements
 are expanded to the standard basis only on the way out: the word beta with
 coefficient c becomes sum_b P_b c sigma_{b o d_beta}, where d_beta numbers
 the strands of each block from left to right, on integer numerators.  P
-is itself made by symmetriser passes from the identity.  Only the Diff of
-_word_verdict turns numerators into Fractions, and only the
-method="direct" oracle of the Yang-Baxter verifiers multiplies elements in
-the standard basis.
+is itself made by symmetriser passes from the identity.  Only a Diff turns
+numerators into Fractions: a failing _word_verdict expands both sides and
+takes the Diff that element_diff gives.  Only the method="direct" oracle of
+the Yang-Baxter verifiers multiplies elements in the standard basis.
 
 Every R-factor runs on one chain, _braid_right: a crossing word with one
 constant per letter.  The k x ell grid of the factorised R is the full
@@ -56,11 +56,9 @@ from .hecke import (
     _scaled_sum,
     _scaled_symmetriser,
     _unranked,
-    _unscaled,
     element_to_obj,
     multiply,
 )
-from .permutations import identity
 from .qnumbers import as_fraction, as_q, format_rational, q_int
 
 
@@ -211,19 +209,13 @@ def _expand(x: tuple, m: int, q) -> HeckeElement:
 
 
 def _word_verdict(a: tuple, b: tuple, m: int, q) -> VerifyResult:
-    """a == b for two scaled vectors of one P*H_m in H_m(q), with the Diff
-    that element_diff gives on their expansions: the lexicographically
-    first differing permutation is the least d_beta over the differing
-    words beta, with the coefficients c_beta P_id."""
+    """a == b for two scaled vectors of one P*H_m in H_m(q), compared on
+    integer numerators; on a mismatch, the verdict of their expansions, so
+    that the Diff is the one element_diff gives."""
     (na, da), (nb, db) = a, b
     if all(na.get(r, 0) * db == nb.get(r, 0) * da for r in na.keys() | nb.keys()):
         return VerifyResult(True, None)
-    fa, fb = _unscaled(na, da), _unscaled(nb, db)
-    d, word = min(
-        (_distinguished(w), w) for w in fa.keys() | fb.keys() if fa.get(w, 0) != fb.get(w, 0)
-    )
-    p_id = _left_projector(next(iter(fa or fb)), m, q).coefficient(identity(m))
-    return VerifyResult(False, Diff(d, fa.get(word, 0) * p_id, fb.get(word, 0) * p_id))
+    return _verdict(_expand(a, m, q), _expand(b, m, q))
 
 
 def _projector_idempotent(ctx: FusedContext) -> bool:

@@ -58,8 +58,8 @@ rank and whether it is an equal pair, an ascent or a descent) is computed
 from the word once, on first use.  So the index holds only the words that
 some pass has reached, and words are taken apart only there; tuples appear
 at the boundaries alone: _ranked, _unranked, _scaled, _unscaled,
-fused._start, fused._expand and the Diff of fused._word_verdict.  The
-symmetriser passes reduce by the gcd once per grown strand.
+fused._start and fused._expand.  The symmetriser passes reduce by the gcd
+once per grown strand.
 """
 
 from __future__ import annotations
@@ -209,9 +209,6 @@ class HeckeElement:
     def __repr__(self):
         return f"HeckeElement(m={self.m}, q={self.q}, {len(self.nums)} terms)"
 
-    def is_zero(self) -> bool:
-        return not self.nums
-
     def coefficient(self, w: Perm) -> Fraction:
         return Fraction(self.nums.get(tuple(w), 0), self.den)
 
@@ -276,10 +273,6 @@ def _accumulate(out: dict, items) -> dict:
 
 
 # -- basis constructors -----------------------------------------------------
-
-
-def zero(m: int, q) -> HeckeElement:
-    return HeckeElement(m, q, {})
 
 
 def unit(m: int, q) -> HeckeElement:
@@ -366,16 +359,6 @@ def _generator_rule(nums: dict, i0: int, equal, swap, descent) -> dict:
     if descent:
         _accumulate(out, ((r, descent * nums[r]) for r in down))
     return out
-
-
-def right_mul_generator(x: HeckeElement, i: int) -> HeckeElement:
-    """x * sigma_i: w * s_i swaps the entries at positions i, i+1 of w, and
-    where the length goes down (a descent at i) the term also stays put
-    with weight q - 1/q."""
-    if not 1 <= i <= x.m - 1:
-        raise DomainError(f"generator index {i} out of range for m={x.m}")
-    nums, den = _scaled_affine(_ranked(x.nums), x.den, i, 0, x.q)
-    return _element(x.m, x.q, _unranked(nums), den)
 
 
 # -- the scaled-integer form: (numerators, denominator) at q = a/b -------------

@@ -246,21 +246,15 @@ def _R_columns(k: int, N: int, arg, bax: _Baxterisation) -> tuple:
     )
 
 
-def _R_matrix(k: int, N: int, arg, bax: _Baxterisation) -> np.ndarray:
-    """sum_p coefficient_p(arg) * sigma_matrix(p) on W tensor W, as a dense
-    matrix filled at its nonzero entries."""
-    return _dense(_R_columns(k, N, arg, bax), k, N)
-
-
 def fused_R_matrix(k: int, N: int, u, q) -> np.ndarray:
     """The baxterised solution on W tensor W: sum_p a_p(u) sigma_matrix(p)."""
-    return _R_matrix(k, N, u, _multiplicative(q))
+    return _dense(_R_columns(k, N, u, _multiplicative(q)), k, N)
 
 
 def classical_fused_R_matrix(k: int, N: int, mu) -> np.ndarray:
     """The additive-parameter solution at q = 1 with the classical
     coefficients over the same partial-braiding matrices."""
-    return _R_matrix(k, N, mu, _ADDITIVE)
+    return _dense(_R_columns(k, N, mu, _ADDITIVE), k, N)
 
 
 def _columns(nums, dim: int) -> list:

@@ -11,13 +11,16 @@ as dense Kronecker factors and dense products of integer-scaled R-matrices,
 and the fused chains of right multiplications (projectors, partial
 braidings, factorised R-elements and the braided and mixed Yang-Baxter
 chains) run in the standard basis of H_m, each symmetriser applied term by
-term from its sum formula; also the baxterised generator and the
-product-form symmetriser built from it one element per factor, the left
-symmetriser recursion, the one-projector form of the factorised R-element,
-the standard basis element and the library's scaled symmetriser pass wrapped
-on elements, which only the tests use."""
+term from its sum formula, on an element-level x * sigma_i of its own (the
+R-matrix rule on integer numerators with descents staying in place of
+ascents), so that these chains share no kernel with the library; also the
+baxterised generator and the product-form symmetriser built from it one
+element per factor, the left symmetriser recursion, the one-projector form
+of the factorised R-element, the standard basis element and the library's
+scaled symmetriser pass wrapped on elements, which only the tests use."""
 
 import itertools
+import operator
 from fractions import Fraction
 from math import comb, lcm
 
@@ -35,13 +38,11 @@ from fusedhecke.hecke import (
     _scaled,
     _scaled_symmetriser,
     _unscaled,
-    right_mul_generator,
     unit,
-    zero,
 )
 from fusedhecke.permutations import reduced_word
 from fusedhecke.qnumbers import as_fraction, q_factorial, q_int
-from fusedhecke.tensorrep import _check_tensor_dim, _R_matrix
+from fusedhecke.tensorrep import _check_tensor_dim, _dense, _R_columns
 
 
 # -- the action on V^(tensor m), term by term ----------------------------------
@@ -57,11 +58,13 @@ def _numerators(vec: dict) -> tuple:
     return {key: c.numerator * (den // c.denominator) for key, c in vec.items()}, den
 
 
-def _scaled_gen(nums: dict, pos: int, a: int, b: int) -> dict:
+def _scaled_gen(nums: dict, pos: int, a: int, b: int, stays=operator.lt) -> dict:
     """ab times the standard R-matrix at tensor slots (pos, pos+1), on
     integer numerators at q = a/b: e_x e_y goes to a^2 e_x e_y if x = y,
-    else to ab e_y e_x, plus (a^2 - b^2) e_x e_y if x < y.  Entries past
-    the m slots ride along unchanged."""
+    else to ab e_y e_x, plus (a^2 - b^2) e_x e_y if stays(x, y), x < y by
+    default.  Entries past the m slots ride along unchanged.  With
+    stays = operator.gt it is ab times the right multiplication by
+    sigma_pos on permutations or words (see right_mul_generator)."""
     out = {}
     for idx, n in nums.items():
         x, y = idx[pos - 1], idx[pos]
@@ -70,7 +73,7 @@ def _scaled_gen(nums: dict, pos: int, a: int, b: int) -> dict:
             continue
         swapped = idx[: pos - 1] + (y, x) + idx[pos + 1 :]
         out[swapped] = out.get(swapped, 0) + a * b * n
-        if x < y:
+        if stays(x, y):
             out[idx] = out.get(idx, 0) + (a * a - b * b) * n
     return {key: n for key, n in out.items() if n}
 
@@ -84,27 +87,32 @@ def _apply_gen(vec: dict, pos: int, q) -> dict:
     return {key: Fraction(n, den * a * b) for key, n in _scaled_gen(nums, pos, a, b).items()}
 
 
-def _apply_element(vec: dict, x: HeckeElement) -> dict:
-    """Apply a Hecke algebra element (acting on m = x.m tensor slots), each
-    term along the reduced word of its permutation, on integer numerators:
-    a word of length L scales by (ab)^L at q = a/b, and the terms are summed
-    over the common denominator of the vector, the coefficients and
-    (ab)^(longest L)."""
-    nums, den = _numerators(vec)
+def _along_words(nums: dict, x: HeckeElement, stays, order) -> tuple:
+    """sum_w c_w (nums taken along the reduced word of w, its letters in
+    the given order, one _scaled_gen pass each) over the terms c_w sigma_w
+    of x, on integer numerators: a word of length L scales by (ab)^L at
+    q = a/b, so each term is weighted by (ab)^(top - L), top the longest L,
+    and the sum is returned with the factor x.den (ab)^top that it is over."""
     a, b = x.q.numerator, x.q.denominator
-    words = {w: reduced_word(w) for w in x.terms}
+    words = {w: reduced_word(w) for w in x.nums}
     top = max(map(len, words.values()), default=0)
-    cden = lcm(*(c.denominator for c in x.terms.values()))
     out = {}
-    for w, c in x.terms.items():
+    for w, c in x.nums.items():
         img = nums
-        for pos in reversed(words[w]):
-            img = _scaled_gen(img, pos, a, b)
-        f = c.numerator * (cden // c.denominator) * (a * b) ** (top - len(words[w]))
+        for pos in order(words[w]):
+            img = _scaled_gen(img, pos, a, b, stays)
+        f = c * (a * b) ** (top - len(words[w]))
         for key, n in img.items():
             out[key] = out.get(key, 0) + f * n
-    scale = den * cden * (a * b) ** top
-    return {key: Fraction(n, scale) for key, n in out.items() if n}
+    return {key: n for key, n in out.items() if n}, x.den * (a * b) ** top
+
+
+def _apply_element(vec: dict, x: HeckeElement) -> dict:
+    """Apply a Hecke algebra element (acting on m = x.m tensor slots), each
+    term along the reduced word of its permutation, last letter first."""
+    nums, den = _numerators(vec)
+    out, scale = _along_words(nums, x, operator.lt, reversed)
+    return {key: Fraction(n, den * scale) for key, n in out.items()}
 
 
 def _multi_indices(N: int, m: int):
@@ -281,7 +289,8 @@ def dense_matrix_ybe(k: int, N: int, x, y, bax) -> VerifyResult:
     of the three scales, by which the diff's two values are divided."""
     d = comb(k + N - 1, k)
     (r_x, s_x), (r_w, s_w), (r_y, s_y) = (
-        _integer_scaled(_R_matrix(k, N, a, bax)) for a in (x, bax.middle(x, y), y)
+        _integer_scaled(_dense(_R_columns(k, N, a, bax), k, N))
+        for a in (x, bax.middle(x, y), y)
     )
     lhs = linalg.matmul(
         linalg.matmul(np.kron(r_x, eye(d)), np.kron(eye(d), r_w)), np.kron(r_y, eye(d))
@@ -349,15 +358,22 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     return from_fractions(a.m, a.q, total)
 
 
+def right_mul_generator(x: HeckeElement, i: int) -> HeckeElement:
+    """x * sigma_i on integer numerators: w s_i swaps the entries at i, i+1
+    of w, and where the length goes down (a descent, w(i) > w(i+1)) the
+    term also stays put with weight q - 1/q; on a word, an equal pair of
+    letters stays put times q."""
+    if not 1 <= i <= x.m - 1:
+        raise DomainError(f"generator index {i} out of range for m={x.m}")
+    a, b = x.q.numerator, x.q.denominator
+    return _element(x.m, x.q, _scaled_gen(x.nums, i, a, b, operator.gt), x.den * a * b)
+
+
 def mul_element_right(x: HeckeElement, y: HeckeElement) -> HeckeElement:
-    """x * y, each x * sigma_w taken along the canonical reduced word of w."""
-    total: dict = {}
-    for w, c in y.terms.items():
-        z = x
-        for idx in reduced_word(w):
-            z = right_mul_generator(z, idx)
-        _accumulate(total, ((wz, c * cz) for wz, cz in z.terms.items()))
-    return from_fractions(x.m, x.q, total)
+    """x * y, each x * sigma_w taken along the canonical reduced word of w
+    by the rule of right_mul_generator, first letter first."""
+    out, scale = _along_words(x.nums, y, operator.gt, tuple)
+    return _element(x.m, x.q, out, x.den * scale)
 
 
 def mul_projector_right(x: HeckeElement, intervals) -> HeckeElement:
@@ -402,7 +418,7 @@ def factorised(k: int, ell: int, arg, bax) -> HeckeElement:
 
 def expansion(ctx, i: int, arg, bax) -> HeckeElement:
     """R_i(arg) = sum_p a_p(arg) (partial braiding p at ellipse i)."""
-    out = zero(ctx.strands, ctx.q)
+    out = HeckeElement(ctx.strands, ctx.q)
     for p, a in enumerate(bax.coefficients(ctx.k, arg)):
         out = out + partial_braiding(ctx, i, p).scale(a)
     return out
@@ -480,7 +496,7 @@ def symmetriser_recursion_check(i: int, j: int, m: int, q) -> bool:
         raise DomainError(f"recursion needs 1 <= i <= j < m, got [{i},{j}]")
     lhs = symmetriser_sum(i, j + 1, m, q)
     s = symmetriser_sum(i, j, m, q)
-    rhs = zero(m, q)
+    rhs = HeckeElement(m, q)
     for a in range(i, j + 2):
         y = s
         for idx in range(j, a - 1, -1):

@@ -11,6 +11,7 @@ import pytest
 
 from fusedhecke import (
     FusedContext,
+    HeckeElement,
     baxter_R_factorized,
     baxter_coefficients,
     classical_baxter_R,
@@ -29,7 +30,6 @@ from fusedhecke import (
     verify_mixed_ybe,
 )
 from fusedhecke.fused import classical_baxter_R_factorized, fused_product_example_check
-from fusedhecke.hecke import zero
 from fusedhecke.reference_data import (
     reference_coefficients_k1,
     reference_coefficients_k2,
@@ -110,7 +110,7 @@ def test_criterion_04_factorised_vs_expanded():
         for q, u, _ in TRIPLES:
             fac = baxter_R_factorized(k, ell, u, q)
             coeffs = baxter_coefficients(k, ell, u, q).values
-            exp = zero(k + ell, q)
+            exp = HeckeElement(k + ell, q)
             for p, a in enumerate(coeffs):
                 exp = exp + partial_braiding_mixed(k, ell, p, q).scale(a)
             assert fac == exp, (k, ell, q, u)

@@ -56,6 +56,46 @@ def test_demo_names_are_exported():
     assert _missing(names) == []
 
 
+def _exported() -> list:
+    """The names fusedhecke/__init__.py imports from its modules."""
+    return [alias.asname or alias.name
+            for node in _tree(ROOT / "src" / "fusedhecke" / "__init__.py").body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def _references(tree: ast.Module) -> set:
+    """The names and attributes a module reads, strings not included, each
+    outside the function or class of the same name."""
+    found = set()
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, inside | {child.name})
+                continue
+            if isinstance(child, ast.Name) and child.id not in inside:
+                found.add(child.id)
+            elif isinstance(child, ast.Attribute) and child.attr not in inside:
+                found.add(child.attr)
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_export_has_a_use_outside_the_tests():
+    """Each exported name is read in src/ outside its own definition, in
+    demos/ or in perfbench/: no library name lives only for the tests.  A
+    metric string such as "hecke.right_mul_generator.calls" is no use."""
+    exported = _exported()
+    assert exported and len(exported) == len(set(exported))
+    used = set()
+    for folder in ("src/fusedhecke", "demos", "perfbench"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            used |= _references(_tree(path))
+    assert sorted(set(exported) - used) == []
+
+
 def test_traced_caches_are_lru_cached():
     tree = _tree(ROOT / "perfbench" / "tracing.py")
     cached = next(

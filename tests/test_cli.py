@@ -4,10 +4,18 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from fusedhecke import element_from_obj, fused_R_matrix, reference_data, sigma_matrix
+from fusedhecke import (
+    element_from_obj,
+    fused,
+    fused_R_matrix,
+    hecke,
+    reference_data,
+    sigma_matrix,
+)
 from fusedhecke.cli import main
 from fusedhecke.fused import VerifyResult
 from oracles import mat_equal, matrix_from_obj
@@ -141,6 +149,76 @@ def test_verify_algebra_reports_a_failing_check(capsys, monkeypatch):
     lines = out.splitlines()
     assert "minimal polynomial: FAILED" in lines
     assert [line for line in lines if line.endswith("FAILED")] == ["minimal polynomial: FAILED"]
+
+
+def _cli_view(monkeypatch, name: str, **attrs):
+    """Give the CLI its own view of the module fusedhecke.<name> with attrs
+    replaced, so that the library's internal calls stay unchanged."""
+    import fusedhecke.cli as cli
+
+    module = getattr(cli, name)
+    monkeypatch.setattr(cli, name, SimpleNamespace(**{**vars(module), **attrs}))
+
+
+class _Trial(hecke.HeckeElement):
+    """The elements of the associativity trials, told apart by their type."""
+
+    __slots__ = ()
+
+
+def _break_unit(monkeypatch):
+    _cli_view(monkeypatch, "hecke", unit=lambda m, q: hecke.unit(m, q).scale(2))
+
+
+def _break_symmetriser(monkeypatch):
+    _cli_view(monkeypatch, "hecke",
+              symmetriser_sum=lambda i, j, m, q: hecke.symmetriser_sum(i, j, m, q).scale(2))
+
+
+def _break_idempotence(monkeypatch):
+    # 2 - P is not idempotent, but fixes every partial braiding on both sides
+    _cli_view(monkeypatch, "fused", projector_P=lambda ctx: (
+        hecke.unit(ctx.strands, ctx.q).scale(2) - fused.projector_P(ctx)))
+
+
+def _break_sandwich(monkeypatch):
+    _cli_view(monkeypatch, "fused", partial_braiding=lambda ctx, i, p: (
+        fused.partial_braiding(ctx, i, p) + hecke.unit(ctx.strands, ctx.q)))
+
+
+def _break_commutation(monkeypatch):
+    grid = fused._grid
+
+    def raised(*args):
+        constants = grid(*args)
+        return (constants[0] + 1,) + constants[1:]
+
+    monkeypatch.setattr(fused, "_grid", raised)
+
+
+def _break_associativity(monkeypatch):
+    # a product that doubles when its left factor is a trial element:
+    # (a b) c comes out 2abc and a (b c) 4abc
+    _cli_view(monkeypatch, "hecke", HeckeElement=_Trial, multiply=lambda a, b: (
+        hecke.multiply(a, b).scale(2 if type(a) is _Trial else 1)))
+
+
+@pytest.mark.parametrize("perturb, line", [
+    (_break_unit, "defining relations in H_4"),
+    (_break_symmetriser, "symmetriser identities in H_4"),
+    (_break_idempotence, "projector idempotent"),
+    (_break_sandwich, "partial braidings sandwiched"),
+    (_break_commutation, "projector commutation with R(u)"),
+    (_break_associativity, "random associativity (3 trials, seed 20240)"),
+], ids=["defining relations", "symmetriser identities", "projector idempotent",
+        "partial braidings sandwiched", "projector commutation", "random associativity"])
+def test_verify_algebra_line_fails_alone_on_a_perturbed_input(capsys, monkeypatch, perturb, line):
+    code, out, _ = run(capsys, "verify-algebra", "--k", "2", "--n", "2", "--trials", "3")
+    assert code == 0 and f"{line}: ok" in out.splitlines()
+    perturb(monkeypatch)
+    code, out, _ = run(capsys, "verify-algebra", "--k", "2", "--n", "2", "--trials", "3")
+    assert code == 1
+    assert [row for row in out.splitlines() if row.endswith("FAILED")] == [f"{line}: FAILED"]
 
 
 def test_reproduce_all_examples(capsys):
@@ -317,12 +395,13 @@ def test_compute_r_nonpositive_k_or_N_exits_2(capsys, argv):
 
 @pytest.mark.parametrize("q", ["1", "-1"])
 def test_verify_algebra_at_q_squared_one_marks_minimality_degenerate(capsys, q):
-    # the degree-(k+1) product vanishes, but the roots for l and l + 2
-    # coincide, so no drop-one subproduct can be nonzero for k >= 2
+    # the roots for l and l + 2 coincide, so the check runs over the
+    # distinct eigenvalues -1 and 1, minimality included, under the plain label
     code, out, _ = run(capsys, "verify-algebra", "--k", "2", "--n", "2",
                        "--q", q, "--u", "3/5", "--trials", "2")
     assert code == 0 and "FAILED" not in out
-    assert "minimal polynomial (minimality degenerate at q^2 = 1): ok" in out
+    assert "minimal polynomial: ok" in out.splitlines()
+    assert "degenerate" not in out
 
 
 @pytest.mark.parametrize("argv", [
