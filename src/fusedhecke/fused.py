@@ -19,9 +19,10 @@ are expanded to the standard basis only on the way out: the word beta with
 coefficient c becomes sum_b P_b c sigma_{b o d_beta}, where d_beta numbers
 the strands of each block from left to right, on integer numerators.  P
 is itself made by symmetriser passes from the identity.  Only a Diff turns
-numerators into Fractions: a failing _word_verdict expands both sides and
-takes the Diff that element_diff gives.  Only the method="direct" oracle of
-the Yang-Baxter verifiers multiplies elements in the standard basis.
+numerators into Fractions: a failing _word_verdict expands the words on
+which the two sides differ and takes the Diff that element_diff gives.
+Only the method="direct" oracle of the Yang-Baxter verifiers multiplies
+elements in the standard basis.
 
 Every R-factor runs on one chain, _braid_right: a crossing word with one
 constant per letter.  The k x ell grid of the factorised R is the full
@@ -50,7 +51,7 @@ from .hecke import (
     _element,
     _frozen,
     _INDEX,
-    _r_check_constant,
+    _baxterised_constant,
     _scaled,
     _scaled_affine,
     _scaled_sum,
@@ -59,7 +60,7 @@ from .hecke import (
     element_to_obj,
     multiply,
 )
-from .qnumbers import as_fraction, as_q, format_rational, q_int
+from .qnumbers import as_fraction, as_q, q_int
 
 
 @dataclass(frozen=True)
@@ -210,11 +211,14 @@ def _expand(x: tuple, m: int, q) -> HeckeElement:
 
 def _word_verdict(a: tuple, b: tuple, m: int, q) -> VerifyResult:
     """a == b for two scaled vectors of one P*H_m in H_m(q), compared on
-    integer numerators; on a mismatch, the verdict of their expansions, so
-    that the Diff is the one element_diff gives."""
+    integer numerators; on a mismatch, the verdict of the expansions of the
+    differing words alone.  No two words' expansions share a key, so that
+    is the Diff that element_diff gives on the full expansions."""
     (na, da), (nb, db) = a, b
-    if all(na.get(r, 0) * db == nb.get(r, 0) * da for r in na.keys() | nb.keys()):
+    differ = [r for r in na.keys() | nb.keys() if na.get(r, 0) * db != nb.get(r, 0) * da]
+    if not differ:
         return VerifyResult(True, None)
+    a, b = (({r: nums[r] for r in differ if r in nums}, den) for nums, den in (a, b))
     return _verdict(_expand(a, m, q), _expand(b, m, q))
 
 
@@ -366,14 +370,14 @@ def baxter_coefficients(k: int, ell: int, u, q) -> BaxterCoefficients:
 
 def classical_coefficients(k: int, mu) -> tuple:
     """q = 1 degeneration: c_p = C(k,p)^2 (k-p)! / ((mu-p)(mu-p-1)...(mu-k+1)),
-    defined for mu outside {0, 1, ..., k-1}."""
+    defined for mu outside {0, 1, ..., k-1}; a pole raises PoleError."""
     mu = as_fraction(mu)
     values = []
     for p in range(k + 1):
         denom = Fraction(1)
         for j in range(p, k):
             if mu == j:
-                raise ParameterError(f"classical coefficient pole at mu = {j}")
+                raise PoleError(f"classical coefficient pole at mu = {j}")
             denom *= mu - j
         values.append(
             Fraction(math.comb(k, p) ** 2 * math.factorial(k - p)) / denom
@@ -387,8 +391,8 @@ class _Baxterisation(NamedTuple):
     braidings, the constant c(arg, s) of the grid factor sigma_j + c at
     shift s, and the argument of the middle factor of the braided relation.
 
-    The coefficient functions look the module's coefficient functions up at
-    call time, so that a replacement of the module attribute applies.
+    The functions look the module's coefficient and constant functions up
+    at call time, so that a replacement of the module attribute applies.
     """
 
     q: Fraction
@@ -397,23 +401,14 @@ class _Baxterisation(NamedTuple):
     middle: Callable[[Fraction, Fraction], Fraction]
 
 
-def _grid_constant(u: Fraction, s: int, q: Fraction) -> Fraction:
-    """c(u, s) = -(q - 1/q)/(1 - u q^(2s)); a pole names u and s."""
-    arg = u * q ** (2 * s)
-    if arg == 1:
-        raise PoleError(
-            f"grid factor has a pole at spectral argument {format_rational(u)}, "
-            f"shift s = {s} (argument * q^(2s) = 1)"
-        )
-    return _r_check_constant(arg, q)
-
-
 def _multiplicative(q) -> _Baxterisation:
+    """The (q, u) Baxterisation: its grid constants are hecke's baxterised
+    constant, the one that symmetriser_product reads at u = 1."""
     q = as_fraction(q)
     return _Baxterisation(
         q,
         lambda k, u: baxter_coefficients(k, k, u, q).values,
-        lambda u, s: _grid_constant(u, s, q),
+        lambda u, s: _baxterised_constant(u, s, q),
         operator.mul,
     )
 
@@ -580,7 +575,7 @@ def verify_commPR(k: int, ell: int, u, q) -> VerifyResult:
 def minimal_polynomial_check(ctx: FusedContext) -> bool:
     """True iff prod_c (full braiding - c P) = 0 over the distinct c among
     (-1)^(k+l) q^(-k+l(l+1)), l = 0..k (only -1 and 1 at q^2 = 1 for
-    k >= 2), and (for k <= 3) no drop-one subproduct already vanishes."""
+    k >= 2), and no drop-one subproduct already vanishes."""
     if ctx.n < 2:
         raise DomainError("full braidings need n >= 2")
     k, q = ctx.k, ctx.q
@@ -601,13 +596,9 @@ def minimal_polynomial_check(ctx: FusedContext) -> bool:
         nums, _ = _scaled_sum(((-1) ** (d - j) * esym[d - j], powers[j]) for j in range(d + 1))
         return not nums
 
-    if not vanishes(eigen):
-        return False
-    if k <= 3:
-        for drop in range(len(eigen)):
-            if vanishes(eigen[:drop] + eigen[drop + 1 :]):
-                return False
-    return True
+    return vanishes(eigen) and not any(
+        vanishes(eigen[:drop] + eigen[drop + 1 :]) for drop in range(len(eigen))
+    )
 
 
 # -- classical (q = 1) degeneration -------------------------------------------------

@@ -541,12 +541,18 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
 # -- baxterised generators ------------------------------------------------------
 
 
-def _r_check_constant(u: Fraction, q: Fraction) -> Fraction:
-    """The constant c of the baxterised generator sigma_i + c, that is
-    sigma_i - (q - 1/q)/(1 - u)."""
-    if u == 1:
-        raise PoleError("baxterised generator has a pole at spectral argument 1")
-    return (1 / q - q) / (1 - u)
+def _baxterised_constant(u: Fraction, s: int, q: Fraction) -> Fraction:
+    """The constant c of the baxterised generator sigma_i + c at the
+    argument u q^(2s), that is sigma_i - (q - 1/q)/(1 - u q^(2s)): every
+    factor of symmetriser_product (u = 1) and of the fused grids; a pole
+    names u and s."""
+    arg = u * q ** (2 * s)
+    if arg == 1:
+        raise PoleError(
+            f"grid factor has a pole at spectral argument {format_rational(u)}, "
+            f"shift s = {s} (argument * q^(2s) = 1)"
+        )
+    return (1 / q - q) / (1 - arg)
 
 
 # -- q-symmetrisers ----------------------------------------------------------
@@ -591,16 +597,16 @@ def symmetriser_product(i: int, j: int, m: int, q) -> HeckeElement:
         S_[i,j] = 1/[r]_q! * prod_{a=i..j-1} R_a(q^{2(a-i+1)}) ... R_i(q^2),
 
     the factors within each group running down to index i, each factor
-    R_a(u) = sigma_a + c one affine pass on a scaled vector from the
-    identity.  Fails with a pole error at q**2 == 1 (all spectral arguments
-    degenerate to 1).
+    R_a(q^(2s)) = sigma_a + c, c the baxterised constant at argument 1 and
+    shift s, one affine pass on a scaled vector from the identity.  Fails
+    with a pole error at q**2 == 1, first at the shift s = 1.
     """
     q = as_fraction(q)
     _check_interval(i, j, m)
     x = _ranked(unit(m, q).nums), 1  # unit checks q
     for a in range(i, j):
         for t in range(a - i + 1):
-            c = _r_check_constant(q ** (2 * (a - i + 1 - t)), q)
+            c = _baxterised_constant(1, a - i + 1 - t, q)
             x = _scaled_affine(*x, a - t, c, q)
     return _element(m, q, _unranked(x[0]), x[1]) / q_factorial(j - i + 1, q)
 

@@ -33,8 +33,8 @@ from fusedhecke.hecke import (
     HeckeElement,
     _accumulate,
     _element,
+    _baxterised_constant,
     _integral,
-    _r_check_constant,
     _scaled,
     _scaled_symmetriser,
     _unscaled,
@@ -461,7 +461,7 @@ def mixed_ybe(k: int, l: int, m: int, u, v, q) -> VerifyResult:
 def mul_r_check_right(x: HeckeElement, i: int, u) -> HeckeElement:
     """x * (sigma_i - (q - 1/q)/(1 - u)) on elements: the generator pass
     plus the scaled copy of x, one element per factor."""
-    c = _r_check_constant(as_fraction(u), x.q)
+    c = _baxterised_constant(as_fraction(u), 0, x.q)
     return right_mul_generator(x, i) + x.scale(c)
 
 

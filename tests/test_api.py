@@ -226,13 +226,13 @@ def _raising_functions(accepts) -> set:
     return found
 
 
-def _message_head(call: ast.Call) -> str:
-    """The leading literal text of the call's first argument, a string or
-    an f-string."""
+def _message_text(call: ast.Call) -> str:
+    """The literal text of the call's first argument, a string or an
+    f-string, with the formatted fields left out."""
     arg = call.args[0] if call.args else None
-    if isinstance(arg, ast.JoinedStr) and arg.values:
-        arg = arg.values[0]
-    return arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str) else ""
+    parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
+    return "".join(p.value for p in parts
+                   if isinstance(p, ast.Constant) and isinstance(p.value, str))
 
 
 def test_each_input_rule_is_checked_in_one_function():
@@ -240,12 +240,68 @@ def test_each_input_rule_is_checked_in_one_function():
     0..k by fused._check_order alone, and every chain's intervals are
     checked where it starts, in fused._start."""
     q_zero = _raising_functions(
-        lambda c: _callee(c) == "ParameterError" and _message_head(c) == "q must be nonzero")
+        lambda c: _callee(c) == "ParameterError" and _message_text(c) == "q must be nonzero")
     assert q_zero == {("qnumbers.py", "as_q")}
     order = _raising_functions(
-        lambda c: _callee(c) == "DomainError" and _message_head(c).startswith("braiding order"))
+        lambda c: _callee(c) == "DomainError" and _message_text(c).startswith("braiding order"))
     assert order == {("fused.py", "_check_order")}
     start = next(node for node in _tree(ROOT / "src" / "fusedhecke" / "fused.py").body
                  if isinstance(node, ast.FunctionDef) and node.name == "_start")
     assert any(isinstance(node, ast.Call) and _callee(node) == "_check_interval"
                for node in ast.walk(start))
+
+
+def test_every_pole_is_a_pole_error():
+    """A raise whose message reports a pole (a vanishing factor) raises
+    PoleError, so that one `except PoleError` catches every pole of the
+    coefficients and of the grid factors, multiplicative and additive."""
+    reports_pole = lambda c: any(w in _message_text(c) for w in ("pole", "vanishes"))
+    poles = _raising_functions(reports_pole)
+    assert {("fused.py", "baxter_coefficients"), ("fused.py", "classical_coefficients"),
+            ("fused.py", "_additive_constant"), ("hecke.py", "_baxterised_constant")} <= poles
+    assert _raising_functions(lambda c: reports_pole(c) and _callee(c) != "PoleError") == set()
+
+
+def _divides_by_one_minus(node) -> bool:
+    """node is x / (1 - y) with 1/q inside x: the shape of the multiplicative
+    baxterised constant -(q - 1/q)/(1 - u q^(2s))."""
+    def is_inverse_q(n):
+        return (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)
+                and isinstance(n.left, ast.Constant) and n.left.value == 1
+                and isinstance(n.right, ast.Name) and n.right.id == "q")
+
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Sub)
+            and isinstance(node.right.left, ast.Constant) and node.right.left.value == 1
+            and any(is_inverse_q(n) for n in ast.walk(node.left)))
+
+
+def test_one_function_computes_the_baxterised_constant():
+    """The constant of sigma_i + c at the argument u q^(2s) is computed by
+    hecke._baxterised_constant alone: symmetriser_product reads it at u = 1
+    and every fused grid through fused._multiplicative.  reference_data's
+    hand-entered closed forms are independent references, not library
+    constants, and are left out."""
+    sites = set()
+    for path in sorted((ROOT / "src" / "fusedhecke").glob("*.py")):
+        if path.name == "reference_data.py":
+            continue
+        for top in ast.walk(_tree(path)):
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert top.name not in ("_r_check_constant", "_grid_constant"), path.name
+                if any(_divides_by_one_minus(n) for n in ast.walk(top)):
+                    sites.add((path.name, top.name))
+    assert sites == {("hecke.py", "_baxterised_constant")}
+
+
+def test_minimality_is_checked_at_every_k():
+    """minimal_polynomial_check compares nothing with k: no size cutoff
+    decides whether the drop-one subproducts are checked."""
+    function = next(node for node in _tree(ROOT / "src" / "fusedhecke" / "fused.py").body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "minimal_polynomial_check")
+    on_k = [node.lineno for node in ast.walk(function) if isinstance(node, ast.Compare)
+            and any(isinstance(n, ast.Name) and n.id == "k"
+                    or isinstance(n, ast.Attribute) and n.attr == "k"
+                    for n in ast.walk(node))]
+    assert on_k == []

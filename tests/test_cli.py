@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -38,6 +39,14 @@ def test_qnum(capsys):
     assert code == 0 and out.strip() == "5/12"
     code, out, _ = run(capsys, "qnum", "--fn", "brace", "--L", "3", "--q", "2")
     assert code == 0 and out == "21\n"
+
+
+def test_output_to_a_text_only_stdout(monkeypatch):
+    # a stdout with no .buffer, such as io.StringIO, is written as text
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["qnum", "--fn", "int", "--L", "3", "--q", "2"]) == 0
+    assert out.getvalue() == "21/4\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -48,7 +48,7 @@ from fusedhecke.fused import (
     fused_product_example_check,
     projector_mixed,
 )
-from fusedhecke.hecke import _scaled, _scaled_affine
+from fusedhecke.hecke import _scaled, _scaled_affine, _scaled_sum
 from fusedhecke.permutations import (
     all_permutations,
     compose,
@@ -314,7 +314,7 @@ def test_word_chains_check_the_strand_bound(monkeypatch, k):
 def test_classical_coefficients():
     assert classical_coefficients(2, F(7, 2)) == (F(8, 35), F(8, 5), F(1))
     assert classical_coefficients(3, F(9, 2))[3] == F(1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(PoleError, match="^classical coefficient pole at mu = 1$"):
         classical_coefficients(2, F(1))
 
 
@@ -408,7 +408,7 @@ def test_ybe_at_a_coefficient_pole_names_the_coefficient(form):
             with pytest.raises(PoleError, match="^coefficient a_0"):
                 verify_braided_ybe(FusedContext(2, 3, F(2)), F(4), F(3, 5), method=method)
         else:
-            with pytest.raises(ParameterError, match="^classical coefficient pole at mu = 1"):
+            with pytest.raises(PoleError, match="^classical coefficient pole at mu = 1$"):
                 verify_classical_ybe(2, 3, F(1), F(3, 5), method=method)
 
 
@@ -564,12 +564,25 @@ def test_minimal_polynomial_k1_is_hecke_quadratic():
     assert not prod
 
 
-@pytest.mark.parametrize("k,q", [(2, F(2)), (2, F(3, 2)), (3, F(3, 2))])
+@pytest.mark.parametrize("k,q", [(2, F(2)), (2, F(3, 2)), (3, F(3, 2)), (4, F(2)),
+                                 (4, F(3, 2)), (4, F(-5, 7))])
 def test_minimal_polynomial(k, q):
     assert minimal_polynomial_check(FusedContext(k, 2, q))
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("q", [F(2), F(1)], ids=str)
+def test_minimal_polynomial_check_rejects_a_product_with_a_superfluous_factor(monkeypatch, k, q):
+    # the full braiding replaced by c P, c one of its eigenvalues: the whole
+    # product vanishes, and so does every drop-one subproduct that keeps the
+    # factor (c P - c P), at every k
+    c = (-1) ** k * q ** -k
+    monkeypatch.setattr(fused, "_braid_right",
+                        lambda x, k, ell, offset, p, q, constants=None: _scaled_sum([(c, x)]))
+    assert minimal_polynomial_check(FusedContext(k, 2, q)) is False
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("q", [F(2), F(3, 2)])
 def test_minimal_polynomial_check_rejects_under_crossings(monkeypatch, k, q):
     # the eigenvalues are those of the over-crossings: the full braiding
@@ -585,7 +598,7 @@ def test_minimal_polynomial_check_rejects_under_crossings(monkeypatch, k, q):
     assert minimal_polynomial_check(ctx) is False
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("q", [F(1), F(-1)], ids=str)
 def test_minimal_polynomial_over_the_distinct_eigenvalues_at_q_squared_one(k, q):
     # lambda_l and lambda_(l+2) coincide at q^2 = 1, so the product runs over
@@ -598,7 +611,7 @@ def test_minimal_polynomial_over_the_distinct_eigenvalues_at_q_squared_one(k, q)
     assert sigma + p and sigma - p
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("q", [F(1), F(-1), F(2)], ids=str)
 def test_minimal_polynomial_check_rejects_a_partial_braiding(monkeypatch, k, q):
     # the order-(k-1) braiding in place of the full one fails
@@ -846,17 +859,64 @@ def test_ybe_fast_matches_direct_on_a_bumped_coefficient(monkeypatch, form, k, p
     assert res.ok or res.diff.left != res.diff.right
 
 
+def _raise_grid_constant(monkeypatch, u):
+    # the baxterised constant at the argument u raised by one
+    orig = fused._baxterised_constant
+    monkeypatch.setattr(
+        fused, "_baxterised_constant",
+        lambda w, s, q: orig(w, s, q) + (1 if w * q ** (2 * s) == u else 0),
+    )
+
+
+MIXED_POINT = (1, 2, 2, F(2, 7), F(3, 8), F(3, 2))
+
+
 def test_mixed_ybe_wrong_constant_gives_the_standard_basis_diff(monkeypatch):
     # the grid constant at shift 0 of R(u) raised by one, on both sides
-    k, l, m, q, u, v = 1, 2, 2, F(3, 2), F(2, 7), F(3, 8)
-    orig = fused._r_check_constant
-    monkeypatch.setattr(
-        fused, "_r_check_constant", lambda arg, q: orig(arg, q) + (1 if arg == u else 0)
-    )
+    k, l, m, u, v, q = MIXED_POINT
+    _raise_grid_constant(monkeypatch, u)
     res = verify_mixed_ybe(k, l, m, u, v, q)
     assert not res.ok
     assert res.diff.left != res.diff.right
     assert res == oracles.mixed_ybe(k, l, m, u, v, q)
+
+
+def _recorded_word_verdicts(monkeypatch) -> list:
+    # (Diff of each fused._word_verdict, element_diff of both sides expanded
+    # in full), one pair per call
+    seen = []
+    orig = fused._word_verdict
+
+    def recording(a, b, m, q):
+        res = orig(a, b, m, q)
+        seen.append((res.diff, element_diff(_expand(a, m, q), _expand(b, m, q))))
+        return res
+
+    monkeypatch.setattr(fused, "_word_verdict", recording)
+    return seen
+
+
+@pytest.mark.parametrize("k,n,p", [
+    # in H_9 each case expands both sides in full, about 2 s: one in tier-1
+    pytest.param(k, n, p, marks=[pytest.mark.slow] if k == 3 and p > 0 else [])
+    for k, n in ((2, 3), (2, 4), (3, 3)) for p in range(k + 1)
+])
+def test_a_failing_word_verdict_gives_the_diff_of_the_full_expansions(monkeypatch, k, n, p):
+    # a failing verdict expands the differing words only; no two words'
+    # expansions share a key, so its Diff is the one of the full expansions
+    _bump_baxter(monkeypatch, p)
+    seen = _recorded_word_verdicts(monkeypatch)
+    res = verify_braided_ybe(FusedContext(k, n, F(2)), F(3, 7), F(5, 9))
+    assert not res.ok and seen[-1][0] == res.diff
+    assert all(diff == full for diff, full in seen)
+
+
+def test_a_failing_mixed_word_verdict_gives_the_diff_of_the_full_expansions(monkeypatch):
+    k, l, m, u, v, q = MIXED_POINT
+    _raise_grid_constant(monkeypatch, u)
+    seen = _recorded_word_verdicts(monkeypatch)
+    res = verify_mixed_ybe(k, l, m, u, v, q)
+    assert not res.ok and seen == [(res.diff, res.diff)]
 
 
 # -- the word path against the standard-basis chains ----------------------------------------------

@@ -291,7 +291,8 @@ def test_operators_multiply_and_scale():
 @pytest.mark.parametrize("call, message", [
     (lambda: unit(3, F(2)) * generator(3, 3, F(2)), "generator index 3 out of range for m=3"),
     (lambda: element_from_obj([]), "an element must be a JSON object, got []"),
-], ids=["generator index", "element not an object"])
+    (lambda: HeckeElement(0, F(2)), "strand count must be positive"),
+], ids=["generator index", "element not an object", "no strands"])
 def test_invalid_input_raises_a_domain_error(call, message):
     with pytest.raises(DomainError) as err:
         call()
@@ -455,8 +456,13 @@ def test_symmetriser_product_equals_its_element_per_factor_product(q):
 
 
 def test_symmetriser_product_pole_at_classical_q():
-    with pytest.raises(PoleError):
-        symmetriser_product(1, 2, 2, F(1))
+    # the first factor, R_1(q^2), is the baxterised constant at argument 1
+    # and shift 1, as in a fused grid
+    for q, m in itertools.product((F(1), F(-1)), (2, 4)):
+        with pytest.raises(PoleError) as err:
+            symmetriser_product(1, m, m, q)
+        assert str(err.value) == (
+            "grid factor has a pole at spectral argument 1, shift s = 1 (argument * q^(2s) = 1)")
 
 
 def test_symmetriser_nesting():
