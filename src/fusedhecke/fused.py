@@ -32,7 +32,6 @@ a partial braiding sigma_p is its word of order p with every constant 0.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -40,18 +39,20 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from types import MappingProxyType
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import DomainError, InternalConsistencyError, ParameterError, PoleError
 from .hecke import (
+    _ADDITIVE,
     HeckeElement,
+    _Baxterisation,
     _check_interval,
     _check_strands,
     _coprime_factors,
     _element,
     _frozen,
     _INDEX,
-    _baxterised_constant,
+    _multiplicative,
     _scaled,
     _scaled_affine,
     _scaled_sum,
@@ -60,14 +61,14 @@ from .hecke import (
     element_to_obj,
     multiply,
 )
-from .qnumbers import as_fraction, as_q, q_int
+from .qnumbers import as_fraction, as_q
 
 
 @dataclass(frozen=True)
 class FusedContext:
     """Fusion data: k strands per ellipse, n ellipses, the rational q; the
     ambient algebra is H_{nk}.  Mixed block sizes have their own functions
-    (projector_mixed, partial_braiding_mixed, verify_mixed_ybe)."""
+    (partial_braiding_mixed, baxter_R_factorized, verify_mixed_ybe)."""
 
     k: int
     n: int
@@ -137,12 +138,6 @@ def _blocks_product(m: int, q: Fraction, intervals: tuple) -> HeckeElement:
 def projector_P(ctx: FusedContext) -> HeckeElement:
     """The idempotent P = S_[1,k] S_[k+1,2k] ... on the context's strands."""
     return _blocks_product(ctx.strands, ctx.q, tuple(ctx.blocks()))
-
-
-def projector_mixed(k: int, ell: int, q):
-    """The ordered pair (P^(k,ell), P^(ell,k)) inside H_{k+ell}(q)."""
-    q, m = as_fraction(q), k + ell
-    return tuple(_blocks_product(m, q, ((1, a), (a + 1, m))) for a in (k, ell))
 
 
 # -- scaled vectors of P*H_m in block-word coordinates -----------------------------
@@ -332,99 +327,29 @@ class BaxterCoefficients:
 
 def baxter_coefficients(k: int, ell: int, u, q) -> BaxterCoefficients:
     """Coefficients a_p(u) = (-q)^(k-p) (q^-2; q^-2)_{k-p} / (u q^-2p; q^-2)_{k-p}
-    * [k, p]_q [ell, k-p]_q for p = 0..k (requires k <= ell).
-
-    The q-factorials [0]_q! .. [ell]_q!, the (q^-2; q^-2)_j and the factors
-    1 - u q^(-2s) are each formed once, and the q-binomials and the
-    denominators are read off them.
+    * [k, p]_q [ell, k-p]_q for p = 0..k (requires k <= ell): hecke's one
+    Baxterisation formula on the (q, u) bracket h(u, s) = 1 - u q^(2s), in
+    which (q^-2; q^-2)_{k-p} = prod_{j=1..k-p} h(1, -j) and
+    (u q^-2p; q^-2)_{k-p} = prod_{s=p..k-1} h(u, -s).  A pole names u and the
+    shift of the first vanishing bracket.  The scale g = 1/q - q of the grid
+    constants g/h is kept out of h, which so stays defined at q^2 = 1.
 
     >>> baxter_coefficients(1, 1, Fraction(3, 5), 2).values
     (Fraction(-15, 4), Fraction(1, 1))
     """
-    q = as_q(q)
+    bax = _multiplicative(q)
     u = as_fraction(u)
     if ell < k:
         raise DomainError("coefficients need k <= ell")
-    qi2 = q**-2
-    # (u q^-2p; q^-2)_{k-p} is the product of the factors s = p..k-1, so a
-    # pole is reported at a_0, whose denominator holds every factor
-    factors = [1 - u * qi2**s for s in range(k)]
-    if 0 in factors:
-        raise PoleError(f"coefficient a_0: factor (1 - u q^(-2*{factors.index(0)})) vanishes")
-    fac, poch, denom = [Fraction(1)], [Fraction(1)], [Fraction(1)]
-    for r in range(1, ell + 1):
-        fac.append(fac[-1] * q_int(r, q))
-    for j in range(1, k + 1):
-        poch.append(poch[-1] * (1 - qi2**j))
-        denom.append(denom[-1] * factors[k - j])
-    values = tuple(
-        (-q) ** (k - p)
-        * poch[k - p]
-        / denom[k - p]
-        * (fac[k] / (fac[k - p] * fac[p]))
-        * (fac[ell] / (fac[ell - k + p] * fac[k - p]))
-        for p in range(k + 1)
-    )
-    return BaxterCoefficients(k, ell, u, q, values)
+    return BaxterCoefficients(k, ell, u, bax.q, bax.coefficients(k, ell, u))
 
 
 def classical_coefficients(k: int, mu) -> tuple:
     """q = 1 degeneration: c_p = C(k,p)^2 (k-p)! / ((mu-p)(mu-p-1)...(mu-k+1)),
-    defined for mu outside {0, 1, ..., k-1}; a pole raises PoleError."""
-    mu = as_fraction(mu)
-    values = []
-    for p in range(k + 1):
-        denom = Fraction(1)
-        for j in range(p, k):
-            if mu == j:
-                raise PoleError(f"classical coefficient pole at mu = {j}")
-            denom *= mu - j
-        values.append(
-            Fraction(math.comb(k, p) ** 2 * math.factorial(k - p)) / denom
-        )
-    return tuple(values)
-
-
-class _Baxterisation(NamedTuple):
-    """What the multiplicative (q, u) Baxterisation and its additive q = 1
-    limit differ in: the expansion coefficients of R(arg) over the partial
-    braidings, the constant c(arg, s) of the grid factor sigma_j + c at
-    shift s, and the argument of the middle factor of the braided relation.
-
-    The functions look the module's coefficient and constant functions up
-    at call time, so that a replacement of the module attribute applies.
-    """
-
-    q: Fraction
-    coefficients: Callable[[int, Fraction], tuple]
-    constant: Callable[[Fraction, int], Fraction]
-    middle: Callable[[Fraction, Fraction], Fraction]
-
-
-def _multiplicative(q) -> _Baxterisation:
-    """The (q, u) Baxterisation: its grid constants are hecke's baxterised
-    constant, the one that symmetriser_product reads at u = 1."""
-    q = as_fraction(q)
-    return _Baxterisation(
-        q,
-        lambda k, u: baxter_coefficients(k, k, u, q).values,
-        lambda u, s: _baxterised_constant(u, s, q),
-        operator.mul,
-    )
-
-
-def _additive_constant(mu: Fraction, s: int) -> Fraction:
-    if mu + s == 0:
-        raise PoleError(f"classical grid factor has a pole: mu + {s} = 0")
-    return 1 / (mu + s)
-
-
-_ADDITIVE = _Baxterisation(
-    Fraction(1),
-    lambda k, mu: classical_coefficients(k, mu),
-    _additive_constant,
-    operator.add,
-)
+    hecke's one Baxterisation formula on the additive bracket
+    h(mu, s) = mu + s; defined for mu outside {0, 1, ..., k-1}, and a pole
+    raises PoleError."""
+    return _ADDITIVE.coefficients(k, k, mu)
 
 
 # -- baxterised R-elements ------------------------------------------------------
@@ -447,8 +372,8 @@ def baxter_R_expansion(ctx: FusedContext, i: int, u) -> HeckeElement:
 def _grid(k: int, ell: int, arg, bax: _Baxterisation) -> tuple:
     """The constants c(arg, t+1-a) of the grid prod_{a=k..1} prod_{t=0..ell-1}
     (sigma_{a+t} + c), in the order of its letters braiding_word(k, ell, k);
-    c(u, s) = -(q - 1/q)/(1 - u q^{2s}), or 1/(mu + s) at q = 1.  The
-    first factor with a pole raises it."""
+    c(arg, s) = g/h(arg, s), that is -(q - 1/q)/(1 - u q^{2s}), or
+    1/(mu + s) at q = 1.  The first factor with a pole raises it."""
     return tuple(bax.constant(arg, t + 1 - a) for a in range(k, 0, -1) for t in range(ell))
 
 
@@ -482,7 +407,7 @@ def _verify_ybe(ctx: FusedContext, u, v, i: int, method: str, bax: _Baxterisatio
     w = bax.middle(u, v)
     # a coefficient pole is a pole of R itself: report it before any product,
     # and compute each argument's coefficients once
-    coefficients = {arg: bax.coefficients(ctx.k, arg) for arg in (u, w, v)}
+    coefficients = {arg: bax.coefficients(ctx.k, ctx.k, arg) for arg in (u, w, v)}
     if method == "direct":
         r = lambda j, arg: _expansion(ctx, j, coefficients[arg])
         lhs = multiply(multiply(r(i, u), r(i + 1, w)), r(i, v))

@@ -60,10 +60,17 @@ some pass has reached, and words are taken apart only there; tuples appear
 at the boundaries alone: _ranked, _unranked, _scaled, _unscaled,
 fused._start and fused._expand.  The symmetriser passes reduce by the gcd
 once per grown strand.
+
+Baxterisation is one formula over one bracket h(arg, s) for the (q, u) path
+and its additive q = 1 limit (_Baxterisation): the constant c of every
+baxterised generator sigma_i + c, which symmetriser_product and every fused
+grid read, and the expansion coefficients of the R-elements, with every pole
+a zero of h.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
@@ -71,6 +78,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from threading import Lock
 from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, ParameterError, PoleError, ResourceError
 from .permutations import (
@@ -84,7 +92,7 @@ from .permutations import (
     reduced_word,
     simple_transposition,
 )
-from .qnumbers import as_fraction, as_q, format_rational, q_factorial
+from .qnumbers import as_fraction, as_q, format_rational, q_binomial, q_factorial
 
 
 def _check_strands(m: int):
@@ -538,21 +546,88 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     return _element(a.m, q, total, a.den * b.den * rs**longest)
 
 
-# -- baxterised generators ------------------------------------------------------
+# -- Baxterisation -----------------------------------------------------------
 
 
-def _baxterised_constant(u: Fraction, s: int, q: Fraction) -> Fraction:
-    """The constant c of the baxterised generator sigma_i + c at the
-    argument u q^(2s), that is sigma_i - (q - 1/q)/(1 - u q^(2s)): every
-    factor of symmetriser_product (u = 1) and of the fused grids; a pole
-    names u and s."""
-    arg = u * q ** (2 * s)
-    if arg == 1:
-        raise PoleError(
-            f"grid factor has a pole at spectral argument {format_rational(u)}, "
-            f"shift s = {s} (argument * q^(2s) = 1)"
-        )
-    return (1 / q - q) / (1 - arg)
+class _Baxterisation(NamedTuple):
+    """One Baxterisation formula (Jones, Baxterization, 1990) over one
+    bracket h(arg, s) and a scale g, for the multiplicative (q, u) path and
+    its additive q = 1 limit:
+
+        (q, u):  h(u, s) = 1 - u q^(2s),  g = 1/q - q,  unit argument e = 1
+        q = 1:   h(mu, s) = mu + s,       g = 1,        unit argument e = 0
+
+    The baxterised generator at shift s is sigma_i + g/h(arg, s) (constant),
+    and the expansion coefficients of R(arg) over the partial braidings of
+    blocks of k and ell >= k strands are, for p = 0..k (coefficients),
+
+        a_p = (-q)^(k-p) prod_{j=1..k-p} h(e, -j) / prod_{s=p..k-1} h(arg, -s)
+              * [k, p]_q [ell, k-p]_q,
+
+    the q-binomials being the binomials at q = 1.  h is called with q
+    first, h(q, arg, s), so that equal q give equal instances, which share
+    their cached numerators.  Every pole is a zero of h in a denominator,
+    raised by denominator alone.  g is kept out of h:
+    g = 1/q - q is 0 at q^2 = 1, where verify_braided_ybe runs and
+    symmetriser_product reaches its pole, so a bracket h/g would divide by
+    zero there.  middle(u, v) is the middle argument of the braided
+    relation, uv or mu + nu.
+    """
+
+    q: Fraction
+    h: Callable[[Fraction, Fraction, int], Fraction]
+    g: Fraction
+    e: Fraction
+    middle: Callable[[Fraction, Fraction], Fraction]
+
+    def denominator(self, arg: Fraction, s: int) -> Fraction:
+        """h(arg, s), which the constants and the coefficients divide by; a
+        zero is the one pole, named by its argument and shift."""
+        h = self.h(self.q, arg, s)
+        if not h:
+            raise PoleError(f"pole at argument {format_rational(arg)}, shift s = {s}")
+        return h
+
+    def constant(self, arg: Fraction, s: int) -> Fraction:
+        """The constant g/h(arg, s) of the baxterised generator at shift s."""
+        return self.g / self.denominator(arg, s)
+
+    @lru_cache(maxsize=None)
+    def numerators(self, k: int, ell: int) -> tuple:
+        """(-q)^(k-p) prod_{j=1..k-p} h(e, -j) [k, p]_q [ell, k-p]_q for
+        p = 0..k: the part of a_p that does not depend on the argument."""
+        q, units = self.q, [Fraction(1)]
+        for j in range(1, k + 1):
+            units.append(units[-1] * self.h(q, self.e, -j))
+        return tuple((-q) ** (k - p) * units[k - p] * q_binomial(k, p, q)
+                     * q_binomial(ell, k - p, q) for p in range(k + 1))
+
+    def coefficients(self, k: int, ell: int, arg) -> tuple:
+        """a_0 .. a_k at the rational arg (see the class docstring); the
+        brackets h(arg, -s), s = 0..k-1, are checked for a pole first, in
+        that order."""
+        arg = as_fraction(arg)
+        brackets = [self.denominator(arg, -s) for s in range(k)]
+        values, den = list(self.numerators(k, ell)), 1
+        for p in range(k - 1, -1, -1):
+            den *= brackets[p]
+            values[p] /= den
+        return tuple(values)
+
+
+def _q_bracket(q: Fraction, u: Fraction, s: int) -> Fraction:
+    """The (q, u) bracket h(u, s) = 1 - u q^(2s)."""
+    return 1 - u * q ** (2 * s)
+
+
+def _multiplicative(q) -> _Baxterisation:
+    """The (q, u) Baxterisation."""
+    q = as_q(q)
+    return _Baxterisation(q, _q_bracket, 1 / q - q, Fraction(1), operator.mul)
+
+
+_ADDITIVE = _Baxterisation(Fraction(1), lambda q, mu, s: mu + s, Fraction(1), Fraction(0),
+                           operator.add)
 
 
 # -- q-symmetrisers ----------------------------------------------------------
@@ -604,10 +679,10 @@ def symmetriser_product(i: int, j: int, m: int, q) -> HeckeElement:
     q = as_fraction(q)
     _check_interval(i, j, m)
     x = _ranked(unit(m, q).nums), 1  # unit checks q
+    bax = _multiplicative(q)
     for a in range(i, j):
         for t in range(a - i + 1):
-            c = _baxterised_constant(1, a - i + 1 - t, q)
-            x = _scaled_affine(*x, a - t, c, q)
+            x = _scaled_affine(*x, a - t, bax.constant(1, a - i + 1 - t), q)
     return _element(m, q, _unranked(x[0]), x[1]) / q_factorial(j - i + 1, q)
 
 

@@ -1,11 +1,10 @@
 """Permutations of {1, ..., m} in one-line notation.
 
 A permutation is a plain tuple `w` with `w[i-1] = w(i)`; tuples are hashable
-and index the standard basis of the Hecke algebra.  The composition
-convention is (a o b)(i) = a(b(i)).
+and index the standard basis of the Hecke algebra.
 
->>> compose((2, 1, 3), (1, 3, 2))
-(2, 3, 1)
+>>> inverse((2, 3, 1))
+(3, 1, 2)
 >>> length((3, 2, 1))
 3
 >>> reduced_word((3, 2, 1))
@@ -53,13 +52,6 @@ def identity(m: int) -> Perm:
     if m < 1:
         raise DomainError("m must be a positive integer")
     return tuple(range(1, m + 1))
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    """(a o b)(i) = a(b(i)); both factors must have the same size."""
-    if len(a) != len(b):
-        raise DomainError(f"size mismatch: {len(a)} vs {len(b)}")
-    return tuple(a[x - 1] for x in b)
 
 
 def inverse(w: Perm) -> Perm:

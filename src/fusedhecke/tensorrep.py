@@ -39,19 +39,15 @@ from math import comb, prod
 from types import MappingProxyType
 
 from .errors import InternalConsistencyError, ParameterError, ResourceError
-from .fused import (
-    _ADDITIVE,
-    VerifyResult,
-    _Baxterisation,
-    _braid_right,
-    _check_order,
-    _multiplicative,
-)
+from .fused import VerifyResult, _braid_right, _check_order
 from .hecke import (
+    _ADDITIVE,
     _INDEX,
+    _Baxterisation,
     _accumulate,
     _fractions,
     _integral,
+    _multiplicative,
     _normalised,
     _ranked,
     _scaled,
@@ -242,7 +238,7 @@ def _R_columns(k: int, N: int, arg, bax: _Baxterisation) -> tuple:
     not zero (the top one is 1)."""
     _check_fusion_args(k, N)
     return _scaled_sum(
-        (a, _sigma_columns(k, p, N, bax.q)) for p, a in enumerate(bax.coefficients(k, arg)) if a
+        (a, _sigma_columns(k, p, N, bax.q)) for p, a in enumerate(bax.coefficients(k, k, arg)) if a
     )
 
 

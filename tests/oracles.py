@@ -17,7 +17,8 @@ ascents), so that these chains share no kernel with the library; also the
 baxterised generator and the product-form symmetriser built from it one
 element per factor, the left symmetriser recursion, the one-projector form
 of the factorised R-element, the standard basis element and the library's
-scaled symmetriser pass wrapped on elements, which only the tests use."""
+scaled symmetriser pass wrapped on elements, the mixed projector pair and
+the composition of permutations, which only the tests use."""
 
 import itertools
 import operator
@@ -33,8 +34,8 @@ from fusedhecke.hecke import (
     HeckeElement,
     _accumulate,
     _element,
-    _baxterised_constant,
     _integral,
+    _multiplicative,
     _scaled,
     _scaled_symmetriser,
     _unscaled,
@@ -419,7 +420,7 @@ def factorised(k: int, ell: int, arg, bax) -> HeckeElement:
 def expansion(ctx, i: int, arg, bax) -> HeckeElement:
     """R_i(arg) = sum_p a_p(arg) (partial braiding p at ellipse i)."""
     out = HeckeElement(ctx.strands, ctx.q)
-    for p, a in enumerate(bax.coefficients(ctx.k, arg)):
+    for p, a in enumerate(bax.coefficients(ctx.k, ctx.k, arg)):
         out = out + partial_braiding(ctx, i, p).scale(a)
     return out
 
@@ -458,10 +459,25 @@ def mixed_ybe(k: int, l: int, m: int, u, v, q) -> VerifyResult:
 # -- test-only forms of library elements ---------------------------------------------
 
 
+def compose(a, b) -> tuple:
+    """(a o b)(i) = a(b(i)) on permutations in one-line notation; both
+    factors must have the same size."""
+    if len(a) != len(b):
+        raise DomainError(f"size mismatch: {len(a)} vs {len(b)}")
+    return tuple(a[x - 1] for x in b)
+
+
+def projector_mixed(k: int, ell: int, q) -> tuple:
+    """The ordered pair (P^(k,ell), P^(ell,k)) inside H_{k+ell}(q), each the
+    library's product of block symmetrisers."""
+    q, m = as_fraction(q), k + ell
+    return tuple(fused._blocks_product(m, q, ((1, a), (a + 1, m))) for a in (k, ell))
+
+
 def mul_r_check_right(x: HeckeElement, i: int, u) -> HeckeElement:
     """x * (sigma_i - (q - 1/q)/(1 - u)) on elements: the generator pass
     plus the scaled copy of x, one element per factor."""
-    c = _baxterised_constant(as_fraction(u), 0, x.q)
+    c = _multiplicative(x.q).constant(as_fraction(u), 0)
     return right_mul_generator(x, i) + x.scale(c)
 
 

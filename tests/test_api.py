@@ -84,16 +84,21 @@ def _references(tree: ast.Module) -> set:
 
 
 def test_every_export_has_a_use_outside_the_tests():
-    """Each exported name is read in src/ outside its own definition, in
-    demos/ or in perfbench/: no library name lives only for the tests.  A
+    """Each exported name, and each function or class defined at the top of
+    a module of src/fusedhecke, is read in src/ outside its own definition,
+    in demos/ or in perfbench/: no library name lives only for the tests.  A
     metric string such as "hecke.right_mul_generator.calls" is no use."""
     exported = _exported()
     assert exported and len(exported) == len(set(exported))
+    defined = {node.name for path in sorted((ROOT / "src" / "fusedhecke").glob("*.py"))
+               for node in _tree(path).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert {"projector_P", "_Baxterisation"} <= defined
     used = set()
     for folder in ("src/fusedhecke", "demos", "perfbench"):
         for path in sorted((ROOT / folder).glob("*.py")):
             used |= _references(_tree(path))
-    assert sorted(set(exported) - used) == []
+    assert sorted((set(exported) | defined) - used) == []
 
 
 def test_traced_caches_are_lru_cached():
@@ -252,14 +257,16 @@ def test_each_input_rule_is_checked_in_one_function():
 
 
 def test_every_pole_is_a_pole_error():
-    """A raise whose message reports a pole (a vanishing factor) raises
-    PoleError, so that one `except PoleError` catches every pole of the
-    coefficients and of the grid factors, multiplicative and additive."""
+    """Every pole of the coefficients and of the grid factors, multiplicative
+    and additive, is a zero of the one bracket h, raised as PoleError by
+    hecke._Baxterisation.denominator alone, so that one `except PoleError`
+    catches them all; verify_mixed_ybe only re-raises it with the name of
+    its factor in front.  No other raise reports a pole (a vanishing
+    factor)."""
     reports_pole = lambda c: any(w in _message_text(c) for w in ("pole", "vanishes"))
-    poles = _raising_functions(reports_pole)
-    assert {("fused.py", "baxter_coefficients"), ("fused.py", "classical_coefficients"),
-            ("fused.py", "_additive_constant"), ("hecke.py", "_baxterised_constant")} <= poles
-    assert _raising_functions(lambda c: reports_pole(c) and _callee(c) != "PoleError") == set()
+    assert _raising_functions(reports_pole) == {("hecke.py", "denominator")}
+    assert _raising_functions(lambda c: _callee(c) == "PoleError") == {
+        ("hecke.py", "denominator"), ("fused.py", "verify_mixed_ybe")}
 
 
 def _divides_by_one_minus(node) -> bool:
@@ -277,21 +284,45 @@ def _divides_by_one_minus(node) -> bool:
 
 
 def test_one_function_computes_the_baxterised_constant():
-    """The constant of sigma_i + c at the argument u q^(2s) is computed by
-    hecke._baxterised_constant alone: symmetriser_product reads it at u = 1
-    and every fused grid through fused._multiplicative.  reference_data's
+    """One Baxterisation formula over one bracket serves both paths.  Of
+    hecke._Baxterisation, constant alone divides by the bracket for a grid
+    constant, and coefficients alone for the expansion coefficients, whose
+    argument-free part (numerators) it alone reads; the (q, u) path and the
+    q = 1 path are the two constructions of the class.  symmetriser_product
+    reads the constant at argument 1, every fused grid through _grid, and
+    baxter_coefficients and classical_coefficients are calls of coefficients
+    without a loop of their own.  No inline form of the multiplicative
+    constant -(q - 1/q)/(1 - u q^(2s)) is left.  reference_data's
     hand-entered closed forms are independent references, not library
     constants, and are left out."""
-    sites = set()
+    inline, calls, functions, constructions = set(), {}, {}, []
     for path in sorted((ROOT / "src" / "fusedhecke").glob("*.py")):
         if path.name == "reference_data.py":
             continue
-        for top in ast.walk(_tree(path)):
+        tree = _tree(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _callee(node) == "_Baxterisation":
+                constructions.append(path.name)
+        for top in ast.walk(tree):
             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                assert top.name not in ("_r_check_constant", "_grid_constant"), path.name
+                assert top.name not in ("_r_check_constant", "_grid_constant",
+                                        "_baxterised_constant", "_additive_constant"), path.name
+                functions[path.name, top.name] = top
                 if any(_divides_by_one_minus(n) for n in ast.walk(top)):
-                    sites.add((path.name, top.name))
-    assert sites == {("hecke.py", "_baxterised_constant")}
+                    inline.add((path.name, top.name))
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call):
+                        calls.setdefault(_callee(node), set()).add((path.name, top.name))
+    assert inline == set()
+    assert constructions == ["hecke.py", "hecke.py"]
+    assert calls["denominator"] == {("hecke.py", "constant"), ("hecke.py", "coefficients")}
+    assert calls["numerators"] == {("hecke.py", "coefficients")}
+    assert {("hecke.py", "symmetriser_product"), ("fused.py", "_grid")} <= calls["constant"]
+    for name in ("baxter_coefficients", "classical_coefficients"):
+        assert ("fused.py", name) in calls["coefficients"]
+        loops = [node.lineno for node in ast.walk(functions["fused.py", name])
+                 if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+        assert loops == [], name
 
 
 def test_minimality_is_checked_at_every_k():

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import math
@@ -46,12 +45,10 @@ from fusedhecke.fused import (
     braiding_word,
     fused_element_to_obj,
     fused_product_example_check,
-    projector_mixed,
 )
 from fusedhecke.hecke import _scaled, _scaled_affine, _scaled_sum
 from fusedhecke.permutations import (
     all_permutations,
-    compose,
     identity,
     length,
     simple_transposition,
@@ -59,7 +56,7 @@ from fusedhecke.permutations import (
 from fusedhecke.qnumbers import q_binomial, q_pochhammer
 
 import oracles
-from oracles import baxter_R_one_sided, r_check_generator
+from oracles import baxter_R_one_sided, compose, projector_mixed, r_check_generator
 
 QS = [F(2), F(3, 2), F(5, 3)]
 
@@ -225,7 +222,7 @@ def test_braiding_index_errors():
     (lambda: baxter_coefficients(3, 2, F(3, 7), F(2)), DomainError,
      "coefficients need k <= ell"),
     (lambda: classical_baxter_R_factorized(2, -1), PoleError,
-     "classical grid factor has a pole: mu + 1 = 0"),
+     "pole at argument -1, shift s = 1"),
     (lambda: verify_braided_ybe(FusedContext(1, 3, F(2)), F(3, 7), F(5, 9), i=2), DomainError,
      "need 1 <= i <= n-2 for the braided relation"),
     (lambda: minimal_polynomial_check(FusedContext(2, 1, F(2))), DomainError,
@@ -283,14 +280,14 @@ def test_coefficients_match_the_q_binomial_formula(k, q):
 @pytest.mark.parametrize("s", [0, 1, 2])
 def test_coefficient_pole_names_the_first_vanishing_factor(s):
     q = F(3, 2)
-    with pytest.raises(PoleError, match=rf"^coefficient a_0: factor \(1 - u q\^\(-2\*{s}\)\) vanishes$"):
+    with pytest.raises(PoleError, match=rf"^pole at argument {q ** (2 * s)}, shift s = {-s}$"):
         baxter_coefficients(3, 4, q ** (2 * s), q)
 
 
 def test_coefficient_pole_names_factor():
     with pytest.raises(PoleError) as err:
         baxter_coefficients(2, 2, F(4), F(2))  # u = q^2
-    assert "q^(-2*" in str(err.value)
+    assert str(err.value) == "pole at argument 4, shift s = -1"
 
 
 def test_baxter_coefficients_reject_q_zero():
@@ -314,8 +311,79 @@ def test_word_chains_check_the_strand_bound(monkeypatch, k):
 def test_classical_coefficients():
     assert classical_coefficients(2, F(7, 2)) == (F(8, 35), F(8, 5), F(1))
     assert classical_coefficients(3, F(9, 2))[3] == F(1)
-    with pytest.raises(PoleError, match="^classical coefficient pole at mu = 1$"):
+    with pytest.raises(PoleError, match="^pole at argument 1, shift s = -1$"):
         classical_coefficients(2, F(1))
+
+
+# the closed forms of the two paths, written out apart from the library's one
+# formula over one bracket; a zero denominator is a ZeroDivisionError here
+
+
+def _classical_by_formula(k, mu):
+    """c_p(mu) = C(k,p)^2 (k-p)! / prod_{j=p..k-1} (mu - j), term by term."""
+    return tuple(F(math.comb(k, p) ** 2 * math.factorial(k - p))
+                 / math.prod((mu - j for j in range(p, k)), start=F(1)) for p in range(k + 1))
+
+
+def _multiplicative_constant(u, s, q):
+    return -(q - 1 / q) / (1 - u * q ** (2 * s))
+
+
+def _additive_constant(mu, s):
+    return 1 / (mu + s)
+
+
+def _outcome(call, *args, pole=PoleError):
+    """call(*args), or "pole" where it raises the error pole: PoleError for
+    the library, ZeroDivisionError for a closed form."""
+    try:
+        return call(*args)
+    except pole:
+        return "pole"
+
+
+ORACLE_QS = [F(2), F(3, 2), F(-5, 7), F(1), F(-1)]
+SHIFTS = range(-4, 5)
+MUS = [F(7, 2), F(-9, 4), *map(F, SHIFTS)]
+
+
+def _us(q):
+    """Three generic arguments and every q^(2s), |s| <= 4: each pole of the
+    brackets at shifts -4..4."""
+    return [F(3, 5), F(-7, 4), F(5), *dict.fromkeys(q ** (2 * s) for s in SHIFTS)]
+
+
+@pytest.mark.parametrize("q", ORACLE_QS, ids=str)
+def test_grid_constants_match_their_closed_forms(q):
+    bax = _multiplicative(q)
+    for s in SHIFTS:
+        for u in _us(q):
+            want = _outcome(_multiplicative_constant, u, s, q, pole=ZeroDivisionError)
+            assert _outcome(bax.constant, u, s) == want, (u, s)
+    for s in SHIFTS:
+        for mu in MUS:
+            want = _outcome(_additive_constant, mu, s, pole=ZeroDivisionError)
+            assert _outcome(_ADDITIVE.constant, mu, s) == want, (mu, s)
+    with pytest.raises(PoleError, match="^pole at argument -3, shift s = 3$"):
+        _ADDITIVE.constant(F(-3), 3)
+
+
+@pytest.mark.parametrize("q", ORACLE_QS, ids=str)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_coefficients_and_their_poles_match_the_closed_forms(k, q):
+    poles = 0
+    for u in _us(q):
+        for ell in range(k, 6):
+            got = _outcome(lambda: baxter_coefficients(k, ell, u, q).values)
+            want = _outcome(_coefficients_by_formula, k, ell, u, q, pole=ZeroDivisionError)
+            assert got == want, (u, ell)
+            poles += got == "pole"
+    assert poles
+    for mu in MUS:
+        want = _outcome(_classical_by_formula, k, mu, pole=ZeroDivisionError)
+        assert _outcome(classical_coefficients, k, mu) == want, mu
+    assert [mu for mu in MUS if _outcome(classical_coefficients, k, mu) == "pole"] == [
+        F(j) for j in range(k)]
 
 
 # -- baxterised elements ------------------------------------------------------------
@@ -360,8 +428,7 @@ def test_one_sided_form_equals_two_sided(k):
 
 def test_factorized_pole_reports_strand():
     # u q^(2s) hits 1 at the shift s = 1; the message names u, not u q^2
-    with pytest.raises(PoleError, match=r"^grid factor has a pole at spectral "
-                       r"argument 1/4, shift s = 1 \(argument \* q\^\(2s\) = 1\)$"):
+    with pytest.raises(PoleError, match=r"^pole at argument 1/4, shift s = 1$"):
         baxter_R_factorized(1, 2, F(1, 4), F(2))
 
 
@@ -402,13 +469,13 @@ def test_ybe_at_a_pole_the_projectors_cancel(form, n, i):
 @pytest.mark.parametrize("form", ["braided", "classical"])
 def test_ybe_at_a_coefficient_pole_names_the_coefficient(form):
     # u = q^2 (mu = 1) is a pole of R itself: every method reports the
-    # coefficient, not a grid factor
+    # coefficients' vanishing bracket h(arg, -1) before any product
     for method in ("auto", "fast", "direct"):
         if form == "braided":
-            with pytest.raises(PoleError, match="^coefficient a_0"):
+            with pytest.raises(PoleError, match="^pole at argument 4, shift s = -1$"):
                 verify_braided_ybe(FusedContext(2, 3, F(2)), F(4), F(3, 5), method=method)
         else:
-            with pytest.raises(PoleError, match="^classical coefficient pole at mu = 1$"):
+            with pytest.raises(PoleError, match="^pole at argument 1, shift s = -1$"):
                 verify_classical_ybe(2, 3, F(1), F(3, 5), method=method)
 
 
@@ -478,8 +545,8 @@ def test_mixed_ybe_grid_pole_names_the_argument(monkeypatch, klm, u, v, name, ar
 
     monkeypatch.setattr(fused, "_braid_right", no_chain)
     a, b = {"u": klm[:2], "uv": klm[::2], "v": klm[1:]}[name]
-    with pytest.raises(PoleError, match=rf"^R\^\({a},{b}\)\({name}\): grid factor has a "
-                       rf"pole at spectral argument {arg}, shift s = {s} "):
+    with pytest.raises(PoleError, match=rf"^R\^\({a},{b}\)\({name}\): pole at argument "
+                       rf"{arg}, shift s = {s}$"):
         verify_mixed_ybe(*klm, u, v, F(2))
 
 
@@ -494,23 +561,20 @@ def test_comm_pr(monkeypatch):
     # G is off: each factor's constant raised by one in turn, the same
     # factor in both chains.  At (1, 1) both projectors are the unit, so no
     # grid can fail there.
+    orig = hecke._Baxterisation.constant
+
     def bumped(size, at):
         calls = itertools.count()
 
-        def make(q):
-            bax = _multiplicative(q)
+        def constant(bax, arg, s):
+            # the grid asks for one constant per factor, in factor order
+            return orig(bax, arg, s) + (1 if next(calls) % size == at else 0)
 
-            def constant(arg, s):
-                # the grid asks for one constant per factor, in factor order
-                return bax.constant(arg, s) + (1 if next(calls) % size == at else 0)
-
-            return bax._replace(constant=constant)
-
-        return make
+        return constant
 
     for k, ell in [(2, 2), (1, 2), (2, 1), (3, 3)]:
         for at in range(k * ell):
-            monkeypatch.setattr(fused, "_multiplicative", bumped(k * ell, at))
+            monkeypatch.setattr(hecke._Baxterisation, "constant", bumped(k * ell, at))
             assert not verify_commPR(k, ell, F(3, 5), F(2)), (k, ell, at)
 
 
@@ -745,21 +809,23 @@ def _raised(values: tuple, p: int) -> tuple:
     return values[:p] + (values[p] + 1,) + values[p + 1 :]
 
 
+def _bump_coefficient(monkeypatch, additive: bool, p: int):
+    # a_p raised by one at every argument, on one path of the one formula
+    orig = hecke._Baxterisation.coefficients
+
+    def bumped(bax, k, ell, arg):
+        values = orig(bax, k, ell, arg)
+        return _raised(values, p) if (bax is _ADDITIVE) == additive else values
+
+    monkeypatch.setattr(hecke._Baxterisation, "coefficients", bumped)
+
+
 def _bump_baxter(monkeypatch, p=0):
-    # a_p(u) raised by one at every argument
-    orig = fused.baxter_coefficients
-
-    def bumped(k, ell, u, q):
-        c = orig(k, ell, u, q)
-        return dataclasses.replace(c, values=_raised(c.values, p))
-
-    monkeypatch.setattr(fused, "baxter_coefficients", bumped)
+    _bump_coefficient(monkeypatch, False, p)
 
 
 def _bump_classical(monkeypatch, p=0):
-    orig = fused.classical_coefficients
-    monkeypatch.setattr(fused, "classical_coefficients",
-                        lambda k, mu: _raised(orig(k, mu), p))
+    _bump_coefficient(monkeypatch, True, p)
 
 
 # (perturbation, verifier taking the method)
@@ -861,10 +927,10 @@ def test_ybe_fast_matches_direct_on_a_bumped_coefficient(monkeypatch, form, k, p
 
 def _raise_grid_constant(monkeypatch, u):
     # the baxterised constant at the argument u raised by one
-    orig = fused._baxterised_constant
+    orig = hecke._Baxterisation.constant
     monkeypatch.setattr(
-        fused, "_baxterised_constant",
-        lambda w, s, q: orig(w, s, q) + (1 if w * q ** (2 * s) == u else 0),
+        hecke._Baxterisation, "constant",
+        lambda bax, w, s: orig(bax, w, s) + (1 if w * bax.q ** (2 * s) == u else 0),
     )
 
 
@@ -917,6 +983,22 @@ def test_a_failing_mixed_word_verdict_gives_the_diff_of_the_full_expansions(monk
     seen = _recorded_word_verdicts(monkeypatch)
     res = verify_mixed_ybe(k, l, m, u, v, q)
     assert not res.ok and seen == [(res.diff, res.diff)]
+
+
+@pytest.mark.parametrize("q", [F(2), F(-5, 7), F(1)], ids=str)
+@pytest.mark.parametrize("m,blocks", [(2, ()), (4, ((1, 2), (3, 4)))], ids=["P=1", "P(2,2)"])
+def test_a_word_verdict_compares_words_that_one_side_lacks(q, m, blocks):
+    # P against P (sigma_i + 1) = P + P sigma_i, i the strand between the
+    # first two blocks: the word of P sigma_i is on one side only, with
+    # coefficient 1, so reading a missing word as anything but 0 passes it
+    p = fused._start(m, q, blocks)
+    both = _scaled_affine(*p, m // 2, F(1), q)
+    assert len(both[0]) == 2 and set(p[0]) < set(both[0])
+    for a, b in ((p, both), (both, p)):
+        res = fused._word_verdict(a, b, m, q)
+        assert not res.ok
+        assert res.diff == element_diff(_expand(a, m, q), _expand(b, m, q))
+        assert res.diff.left != res.diff.right
 
 
 # -- the word path against the standard-basis chains ----------------------------------------------

@@ -30,7 +30,6 @@ from fusedhecke import (
 from fusedhecke import hecke
 from fusedhecke.permutations import (
     all_permutations,
-    compose,
     inverse,
     length,
     simple_transposition,
@@ -38,6 +37,7 @@ from fusedhecke.permutations import (
 import oracles
 from oracles import (
     basis_element,
+    compose,
     left_mul_generator,
     mul_element_right,
     mul_symmetriser_right,
@@ -461,8 +461,7 @@ def test_symmetriser_product_pole_at_classical_q():
     for q, m in itertools.product((F(1), F(-1)), (2, 4)):
         with pytest.raises(PoleError) as err:
             symmetriser_product(1, m, m, q)
-        assert str(err.value) == (
-            "grid factor has a pole at spectral argument 1, shift s = 1 (argument * q^(2s) = 1)")
+        assert str(err.value) == "pole at argument 1, shift s = 1"
 
 
 def test_symmetriser_nesting():

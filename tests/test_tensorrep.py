@@ -217,6 +217,18 @@ def test_tensor_bound_messages_give_dimension():
         sigma_matrix(3, 1, 5, F(2))
 
 
+def test_tensor_bounds_admit_their_edge_and_reject_past_it():
+    # N^k = 3^8 = 6561 = MAX_TENSOR_DIM and d^3 = 16^3 = 4096 = MAX_YBE_DIM
+    # are admitted; one more letter or one more dimension is not
+    q = F(2)
+    assert w_basis(8, 3, q).dim == 45
+    assert verify_matrix_ybe(1, 16, F(3, 5), F(7, 11), q)
+    with pytest.raises(ResourceError, match=r"^V\^\(tensor 5\) has dimension 7776 > 6561$"):
+        w_basis(5, 6, q)
+    with pytest.raises(ResourceError, match=r"^W\^\(tensor 3\) has dimension 4913 > 4096$"):
+        verify_matrix_ybe(1, 17, F(3, 5), F(7, 11), q)
+
+
 def test_first_matrix_diff_reports_a_shape_mismatch():
     assert linalg.first_matrix_diff([[1, 2]], [[1], [2]]) == (-1, -1, (1, 2), (2, 1))
     assert linalg.first_matrix_diff([], [[1]]) == (-1, -1, (0, 0), (1, 1))
@@ -358,6 +370,16 @@ def test_classical_fused_R_matrix_coefficients():
     for p in range(3):
         manual = manual + sigma_matrix(2, p, 2, F(1)) * c[p]
     assert mat_equal(classical_fused_R_matrix(2, 2, mu), manual)
+
+
+def test_R_matrices_read_their_arguments_as_rationals():
+    # the spectral argument reaches the coefficients as given: a string is
+    # parsed, a float is rejected
+    assert mat_equal(fused_R_matrix(2, 2, "3/5", "2"), fused_R_matrix(2, 2, F(3, 5), F(2)))
+    assert mat_equal(classical_fused_R_matrix(2, 2, "7/2"), classical_fused_R_matrix(2, 2, F(7, 2)))
+    for call in (lambda: fused_R_matrix(1, 2, 0.5, F(2)), lambda: classical_fused_R_matrix(1, 2, 0.5)):
+        with pytest.raises(ParameterError, match="cannot interpret 0.5 as an exact rational"):
+            call()
 
 
 def test_classical_matrix_additive_ybe():

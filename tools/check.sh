@@ -1,7 +1,8 @@
 #!/bin/sh
 # The repository's checks, in order, stopping at the first failure: the
 # tier-1 suite, the same suite under `python3 -X dev -W error`, the slow
-# stretch checks, the benchmark's own tests and every demo.  Run it from
+# stretch checks, the benchmark's own tests and every demo.  It ends by
+# printing the line totals of the library and of the tests.  Run it from
 # anywhere, with no arguments:
 #
 #     tools/check.sh
@@ -23,3 +24,4 @@ for demo in demos/*.py; do
     python3 "$demo" > /dev/null
 done
 echo "== all checks passed"
+echo "== lines: src/fusedhecke $(cat src/fusedhecke/*.py | wc -l), tests $(cat tests/*.py | wc -l)"
