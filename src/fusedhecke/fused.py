@@ -61,7 +61,7 @@ from .hecke import (
     element_to_obj,
     multiply,
 )
-from .qnumbers import as_fraction, as_q
+from .qnumbers import _cached_on_q, as_fraction, as_q
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def _verdict(a: HeckeElement, b: HeckeElement) -> VerifyResult:
 # -- projectors ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_cached_on_q
 def _blocks_product(m: int, q: Fraction, intervals: tuple) -> HeckeElement:
     """The product of the q-symmetrisers on pairwise disjoint intervals of
     strands, one symmetriser pass each from the identity; cached, read-only."""
@@ -276,12 +276,19 @@ def _check_order(p: int, k: int):
         raise DomainError(f"braiding order p={p} out of range 0..{k}")
 
 
+def _check_ellipse(ctx: FusedContext, i: int):
+    """Reject an ellipse index i outside 1..n-1, then a context past the
+    strand bound."""
+    if not 1 <= i <= ctx.n - 1:
+        raise DomainError(f"ellipse index i={i} out of range 1..{ctx.n - 1}")
+    _check_strands(ctx.strands)
+
+
 @lru_cache(maxsize=None)
 def _partial_braiding_words(ctx: FusedContext, i: int, p: int) -> tuple:
     """partial_braiding as a scaled vector, its numerator map read-only."""
     _check_order(p, ctx.k)
-    if not 1 <= i <= ctx.n - 1:
-        raise DomainError(f"ellipse index i={i} out of range 1..{ctx.n - 1}")
+    _check_ellipse(ctx, i)
     x = _start(ctx.strands, ctx.q, ctx.blocks())
     nums, den = _braid_right(x, ctx.k, ctx.k, (i - 1) * ctx.k, p, ctx.q)
     return MappingProxyType(nums), den
@@ -296,11 +303,10 @@ def partial_braiding(ctx: FusedContext, i: int, p: int) -> HeckeElement:
     return _frozen(_expand(_partial_braiding_words(ctx, i, p), ctx.strands, ctx.q))
 
 
-@lru_cache(maxsize=None, typed=True)
+@_cached_on_q
 def partial_braiding_mixed(k: int, ell: int, p: int, q) -> HeckeElement:
     """The mixed partial braiding P^(k,ell) (word) P^(ell,k) in H_{k+ell};
     for ell = k it is the two-ellipse partial_braiding."""
-    q = as_fraction(q)
     if ell < k:
         raise DomainError("mixed braidings need ell >= k")
     if ell == k:
@@ -365,7 +371,9 @@ def _expansion(ctx: FusedContext, i: int, coefficients) -> HeckeElement:
 
 
 def baxter_R_expansion(ctx: FusedContext, i: int, u) -> HeckeElement:
-    """The baxterised element at ellipse i: sum_p a_p(u) * (partial braiding p)."""
+    """The baxterised element at ellipse i: sum_p a_p(u) * (partial braiding p);
+    the ellipse index and the strand bound are checked before any coefficient."""
+    _check_ellipse(ctx, i)
     return _expansion(ctx, i, baxter_coefficients(ctx.k, ctx.k, u, ctx.q).values)
 
 
@@ -531,8 +539,10 @@ def minimal_polynomial_check(ctx: FusedContext) -> bool:
 
 def classical_baxter_R(k: int, n: int, i: int, mu) -> HeckeElement:
     """The additive-parameter solution in the q = 1 fused algebra:
-    sum_p c_p(mu) * (partial braiding p) with the classical coefficients."""
+    sum_p c_p(mu) * (partial braiding p) with the classical coefficients;
+    the ellipse index and the strand bound are checked before any coefficient."""
     ctx = FusedContext(k, n, Fraction(1))
+    _check_ellipse(ctx, i)
     return _expansion(ctx, i, classical_coefficients(k, mu))
 
 

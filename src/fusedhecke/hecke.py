@@ -92,7 +92,7 @@ from .permutations import (
     reduced_word,
     simple_transposition,
 )
-from .qnumbers import as_fraction, as_q, format_rational, q_binomial, q_factorial
+from .qnumbers import _cached_on_q, as_fraction, as_q, format_rational, q_binomial, q_factorial
 
 
 def _check_strands(m: int):
@@ -641,7 +641,7 @@ def _check_interval(i: int, j: int, m: int):
     _check_strands(m)
 
 
-@lru_cache(maxsize=None, typed=True)
+@_cached_on_q
 def symmetriser_sum(i: int, j: int, m: int, q) -> HeckeElement:
     """Partial q-symmetriser on strands i..j by the weighted sum formula:
 
@@ -650,7 +650,6 @@ def symmetriser_sum(i: int, j: int, m: int, q) -> HeckeElement:
     with r = j - i + 1 and w ranging over the permutations of {i, ..., j}.
     The degenerate interval i == j gives the unit.
     """
-    q = as_fraction(q)
     _check_interval(i, j, m)
     r = j - i + 1
     fact = q_factorial(r, q)

@@ -13,9 +13,11 @@ q-numbers take their continuous limit values there instead of failing on
 
 from __future__ import annotations
 
+import inspect
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache, wraps
 from math import log10
 
 from .errors import ParameterError, ResourceError
@@ -27,11 +29,11 @@ def as_fraction(x) -> Fraction:
     """Coerce an int, string or Fraction into a Fraction.
 
     Strings must match the serialization grammar "p" or "p/q" with the sign
-    on the numerator only.
+    on the numerator only.  A bool is not read as 0 or 1.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return parse_rational(x)
@@ -45,6 +47,24 @@ def as_q(x) -> Fraction:
     if q == 0:
         raise ParameterError("q must be nonzero")
     return q
+
+
+def _cached_on_q(fn):
+    """fn behind one typed lru_cache keyed on q as as_q parses it: bound to fn's
+    signature first, every spelling of one q, positional or keyword, shares an
+    entry, and a bad or unhashable q raises ParameterError before the lookup."""
+    signature = inspect.signature(fn)
+    arity, at = len(signature.parameters), list(signature.parameters).index("q")
+    cached = lru_cache(maxsize=None, typed=True)(fn)
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        if kwargs or len(args) != arity:
+            args = signature.bind(*args, **kwargs).args
+        return cached(*args[:at], as_q(args[at]), *args[at + 1:])
+
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
 
 
 def parse_rational(text: str) -> Fraction:

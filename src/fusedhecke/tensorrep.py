@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, prod
 from types import MappingProxyType
 
@@ -55,7 +54,7 @@ from .hecke import (
     _scaled_symmetriser,
     _unscaled,
 )
-from .qnumbers import as_fraction, as_q, format_rational
+from .qnumbers import _cached_on_q, as_fraction, format_rational
 
 MAX_TENSOR_DIM = 6561
 MAX_YBE_DIM = 4096
@@ -106,14 +105,13 @@ class WBasis:
         return len(self.indices)
 
 
-@lru_cache(maxsize=None, typed=True)
+@_cached_on_q
 def w_basis(k: int, N: int, q) -> WBasis:
     """The basis of W; raises if a column leaves the rearrangements of its
     own tensor t_a or vanishes there, which would make the columns (whose
     supports are then disjoint) dependent."""
     _check_fusion_args(k, N)
     _check_tensor_dim(N, k)
-    q = as_q(q)
     indices = tuple(itertools.combinations_with_replacement(range(1, N + 1), k))
     columns = tuple(
         _reversed(_unscaled(*_scaled_symmetriser(*_scaled({_flip(t, N): 1}), 1, k, q)), N)
@@ -134,7 +132,7 @@ def _dim(k: int, N: int) -> int:
     return comb(k + N - 1, k) ** 2
 
 
-@lru_cache(maxsize=None)
+@_cached_on_q
 def _sigma_columns(k: int, p: int, N: int, q) -> tuple:
     """The order-p partial braiding on W tensor W, in the basis w_a tensor
     w_b ordered lexicographically, as (nums, den): its nonzero entries as
@@ -158,7 +156,6 @@ def _sigma_columns(k: int, p: int, N: int, q) -> tuple:
     on integer numerators, and the image holds every key of each w_r it
     meets.  Raises if not, which no admissible parameter can trigger.
     """
-    q = as_fraction(q)
     _check_fusion_args(k, N)
     _check_order(p, k)
     _check_tensor_dim(N, 2 * k)
@@ -223,11 +220,11 @@ def _dense(x: tuple, k: int, N: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None, typed=True)
+@_cached_on_q
 def sigma_matrix(k: int, p: int, N: int, q) -> np.ndarray:
     """Matrix of the order-p partial braiding on W tensor W, in the basis
     w_a tensor w_b ordered lexicographically (read-only)."""
-    mat = _dense(_sigma_columns(k, p, N, as_fraction(q)), k, N)
+    mat = _dense(_sigma_columns(k, p, N, q), k, N)
     mat.setflags(write=False)
     return mat
 

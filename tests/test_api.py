@@ -6,6 +6,7 @@ demo.  Reads those files, edits none.
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -114,6 +115,76 @@ def test_traced_caches_are_lru_cached():
         layer, attr = qualname.split(".")
         module = importlib.import_module(f"fusedhecke.{layer}")
         getattr(module, attr).cache_info()
+
+
+def _decorator_name(node) -> str | None:
+    """lru_cache for @lru_cache, @lru_cache(...) and @functools.lru_cache(...)."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_no_cache_keys_on_a_raw_q():
+    """Every cache whose key holds q is made by qnumbers._cached_on_q, which
+    parses q before the lookup: no lru_cache sits directly on a function
+    with a parameter q, and only _cached_on_q decides whether a key is typed."""
+    typed = set()
+    for path in sorted((ROOT / "src" / "fusedhecke").glob("*.py")):
+        for top in ast.walk(_tree(path)):
+            if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            params = {a.arg for a in top.args.posonlyargs + top.args.args + top.args.kwonlyargs}
+            if "q" in params:
+                names = {_decorator_name(d) for d in top.decorator_list}
+                assert "lru_cache" not in names, (path.name, top.name)
+            for node in top.decorator_list + top.body:
+                if any(isinstance(n, ast.keyword) and n.arg == "typed" for n in ast.walk(node)):
+                    typed.add((path.name, top.name))
+    assert typed == {("qnumbers.py", "_cached_on_q")}
+
+
+def _module_caches() -> dict:
+    """{(module, function): decorator} of each top-level cached function of src/."""
+    found = {}
+    for path in sorted((ROOT / "src" / "fusedhecke").glob("*.py")):
+        for node in _tree(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for d in node.decorator_list:
+                    if _decorator_name(d) in ("lru_cache", "_cached_on_q"):
+                        found[path.stem, node.name] = _decorator_name(d)
+    return found
+
+
+# one call per q-keyed cache, with a q spelled as an int
+Q_KEYED_CALLS = {
+    ("hecke", "symmetriser_sum"): (1, 2, 3, 2),
+    ("fused", "_blocks_product"): (3, 2, ((1, 2),)),
+    ("fused", "partial_braiding_mixed"): (1, 2, 1, 2),
+    ("tensorrep", "w_basis"): (2, 2, 2),
+    ("tensorrep", "_sigma_columns"): (1, 1, 2, 2),
+    ("tensorrep", "sigma_matrix"): (1, 1, 2, 2),
+}
+
+
+def test_every_cache_clears_through_the_benchmark():
+    """Every top-level cache of src/ exposes cache_info and cache_clear, and
+    perfbench's tracing.clear_caches() empties each q-keyed one, so each
+    set-up of the benchmark starts from empty caches."""
+    caches = _module_caches()
+    assert {name for name, d in caches.items() if d == "_cached_on_q"} == set(Q_KEYED_CALLS)
+    for module, name in caches:
+        fn = getattr(importlib.import_module(f"fusedhecke.{module}"), name)
+        assert callable(fn.cache_info) and callable(fn.cache_clear), (module, name)
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    cached = {}
+    for (module, name), args in Q_KEYED_CALLS.items():
+        cached[module, name] = getattr(importlib.import_module(f"fusedhecke.{module}"), name)
+        cached[module, name](*args)
+        assert cached[module, name].cache_info().currsize >= 1, (module, name)
+    tracing.clear_caches()
+    assert {key: fn.cache_info().currsize for key, fn in cached.items()} == dict.fromkeys(
+        Q_KEYED_CALLS, 0)
 
 
 def test_benchmark_test_names_exist():

@@ -10,7 +10,9 @@ from types import SimpleNamespace
 import pytest
 
 from fusedhecke import (
+    baxter_coefficients,
     element_from_obj,
+    format_rational,
     fused,
     fused_R_matrix,
     hecke,
@@ -195,6 +197,13 @@ def _break_sandwich(monkeypatch):
         fused.partial_braiding(ctx, i, p) + hecke.unit(ctx.strands, ctx.q)))
 
 
+def _break_symmetriser_product(monkeypatch):
+    # the library's own product form, not the CLI's view of it
+    product = hecke.symmetriser_product
+    monkeypatch.setattr(hecke, "symmetriser_product", lambda i, j, m, q: (
+        product(i, j, m, q).scale(2)))
+
+
 def _break_commutation(monkeypatch):
     grid = fused._grid
 
@@ -215,12 +224,14 @@ def _break_associativity(monkeypatch):
 @pytest.mark.parametrize("perturb, line", [
     (_break_unit, "defining relations in H_4"),
     (_break_symmetriser, "symmetriser identities in H_4"),
+    (_break_symmetriser_product, "symmetriser identities in H_4"),
     (_break_idempotence, "projector idempotent"),
     (_break_sandwich, "partial braidings sandwiched"),
     (_break_commutation, "projector commutation with R(u)"),
     (_break_associativity, "random associativity (3 trials, seed 20240)"),
-], ids=["defining relations", "symmetriser identities", "projector idempotent",
-        "partial braidings sandwiched", "projector commutation", "random associativity"])
+], ids=["defining relations", "symmetriser identities", "symmetriser product",
+        "projector idempotent", "partial braidings sandwiched", "projector commutation",
+        "random associativity"])
 def test_verify_algebra_line_fails_alone_on_a_perturbed_input(capsys, monkeypatch, perturb, line):
     code, out, _ = run(capsys, "verify-algebra", "--k", "2", "--n", "2", "--trials", "3")
     assert code == 0 and f"{line}: ok" in out.splitlines()
@@ -239,6 +250,43 @@ def test_reproduce_all_examples(capsys):
     code, out, _ = run(capsys, "reproduce-paper", "--example", "k2N2", "--q", "3/2")
     assert code == 0
     assert "all 81 entries match" in out
+
+
+@pytest.mark.parametrize("example, k, reference", [
+    ("k1-hecke", 1, "reference_coefficients_k1"),
+    ("k2-coefficients", 2, "reference_coefficients_k2"),
+])
+def test_reproduce_coefficients_reports_each_match(capsys, monkeypatch, example, k, reference):
+    argv = ("reproduce-paper", "--example", example, "--q", "2", "--u", "3/7")
+    got = [format_rational(a) for a in baxter_coefficients(k, k, F(3, 7), F(2)).values]
+    lines = [f"a_{p}: computed {a} reference {a} -> match" for p, a in enumerate(got)]
+    assert run(capsys, *argv) == (0, "\n".join(lines) + "\n", "")
+    # a_0 of the reference raised by one: its line alone reads MISMATCH
+    want = getattr(reference_data, reference)
+    monkeypatch.setattr(reference_data, reference, lambda u, q: (
+        want(u, q)[0] + 1, *want(u, q)[1:]))
+    raised = format_rational(want(F(3, 7), F(2))[0] + 1)
+    lines[0] = f"a_0: computed {got[0]} reference {raised} -> MISMATCH"
+    assert run(capsys, *argv) == (1, "\n".join(lines) + "\n", "")
+
+
+def test_reproduce_k2N2_prints_both_matrices_as_json(capsys):
+    code, out, err = run(capsys, "reproduce-paper", "--example", "k2N2-matrices", "--q", "3/2")
+    assert code == 0 and err == ""
+    objects = [json.loads(line) for line in out.splitlines()[2:]]
+    assert objects == [
+        {"k": 2, "N": 2, "q": "3/2", "dim": 9,
+         "matrix": [[format_rational(v) for v in row] for row in sigma_matrix(2, p, 2, F(3, 2))]}
+        for p in (1, 2)
+    ]
+
+
+def test_reproduce_h22_product_with_a_perturbed_reference_exits_1(capsys, monkeypatch):
+    want = reference_data.reference_h22_product_coefficients
+    monkeypatch.setattr(reference_data, "reference_h22_product_coefficients", lambda q: (
+        want(q)[0] + 1, *want(q)[1:]))
+    assert run(capsys, "reproduce-paper", "--example", "h22-product", "--q", "2") == (
+        1, "two-ellipse product matches no crossing interpretation\n", "")
 
 
 def test_output_file(tmp_path, capsys):
@@ -262,6 +310,11 @@ def test_qnum_missing_or_negative_L_exits_2(capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "--L" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("fn, value", [("int", "0"), ("factorial", "1"), ("brace", "0")])
+def test_qnum_at_L_zero(capsys, fn, value):
+    assert run(capsys, "qnum", "--fn", fn, "--L", "0", "--q", "2") == (0, f"{value}\n", "")
 
 
 def test_qnum_negative_pochhammer_p_exits_2(capsys):
@@ -291,6 +344,12 @@ def test_verify_algebra_negative_trials_exits_2(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "--trials" in err
     assert len(err.splitlines()) == 1
+
+
+def test_verify_algebra_with_zero_trials(capsys):
+    code, out, err = run(capsys, "verify-algebra", "--k", "1", "--n", "2", "--trials", "0")
+    assert code == 0 and err == "" and "FAILED" not in out
+    assert out.splitlines()[-1] == "random associativity (0 trials, seed 20240): ok"
 
 
 @pytest.mark.parametrize("argv", [("--k", "2", "--n", "1"), ("--k", "0", "--n", "2")],
@@ -436,6 +495,19 @@ def test_verify_ybe_over_strand_bound_exits_2(capsys, monkeypatch):
             assert code == 2 and out == ""
             assert err.startswith(f"error: {3 * k} strands exceeds the bound 9")
             assert len(err.splitlines()) == 1
+
+
+def test_compute_r_element_checks_the_strand_bound_before_any_coefficient(capsys, monkeypatch):
+    monkeypatch.delenv("FUSED_HECKE_MAX_STRANDS", raising=False)
+
+    def no_coefficients(*args):
+        raise AssertionError("a coefficient was computed")
+
+    monkeypatch.setattr(hecke._Baxterisation, "numerators", no_coefficients)
+    code, out, err = run(capsys, "compute-r", "--k", "100")
+    assert code == 2 and out == ""
+    assert err.startswith("error: 200 strands exceeds the bound 9")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -308,6 +308,39 @@ def test_word_chains_check_the_strand_bound(monkeypatch, k):
             verify_classical_ybe(k, 3, F(7, 2), F(9, 4), method=method)
 
 
+def _no_coefficients(*args):
+    raise AssertionError("a coefficient was computed")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: baxter_R_expansion(FusedContext(100, 2, F(2)), 1, F(3, 5)), ResourceError,
+     "200 strands exceeds the bound 9"),
+    (lambda: baxter_R_expansion(FusedContext(100, 2, F(2)), 5, F(3, 5)), DomainError,
+     "ellipse index i=5 out of range 1..1"),
+    (lambda: classical_baxter_R(100, 2, 1, F(7, 2)), ResourceError,
+     "200 strands exceeds the bound 9"),
+    (lambda: classical_baxter_R(100, 2, 5, F(7, 2)), DomainError,
+     "ellipse index i=5 out of range 1..1"),
+], ids=["expansion-strands", "expansion-ellipse", "classical-strands", "classical-ellipse"])
+def test_expansions_check_their_bounds_before_any_coefficient(monkeypatch, call, error, message):
+    # at k = 100 the coefficients alone take most of a second: the bounds
+    # must reject the call before any of them is computed
+    monkeypatch.delenv("FUSED_HECKE_MAX_STRANDS", raising=False)
+    monkeypatch.setattr(hecke._Baxterisation, "numerators", _no_coefficients)
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value).startswith(message)
+
+
+def test_expansion_reports_the_strand_bound_before_a_coefficient_pole(monkeypatch):
+    # u = 1 is a pole of a_0 (the bracket 1 - u at shift 0), and H_10 is past the bound
+    monkeypatch.delenv("FUSED_HECKE_MAX_STRANDS", raising=False)
+    with pytest.raises(PoleError, match="^pole at argument 1, shift s = 0$"):
+        baxter_coefficients(5, 5, 1, F(2))
+    with pytest.raises(ResourceError, match="^10 strands exceeds the bound 9"):
+        baxter_R_expansion(FusedContext(5, 2, F(2)), 1, 1)
+
+
 def test_classical_coefficients():
     assert classical_coefficients(2, F(7, 2)) == (F(8, 35), F(8, 5), F(1))
     assert classical_coefficients(3, F(9, 2))[3] == F(1)

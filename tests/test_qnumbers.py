@@ -5,7 +5,9 @@ import pytest
 from fusedhecke import (
     FusedContext,
     ParameterError,
+    baxter_coefficients,
     brace_int,
+    classical_coefficients,
     format_rational,
     partial_braiding_mixed,
     q_binomial,
@@ -61,6 +63,68 @@ def test_cached_function_rejects_a_float_q_after_its_fraction(call):
     with pytest.raises(ParameterError) as err:
         call(1.625)
     assert str(err.value) == "cannot interpret 1.625 as an exact rational"
+
+
+# the q-keyed public caches, each with its arguments before q, by name
+Q_CACHES = {
+    symmetriser_sum: {"i": 1, "j": 2, "m": 3},
+    partial_braiding_mixed: {"k": 1, "ell": 2, "p": 1},
+    w_basis: {"k": 2, "N": 2},
+    sigma_matrix: {"k": 2, "p": 1, "N": 2},
+}
+
+
+@pytest.mark.parametrize("fn", Q_CACHES, ids=lambda fn: fn.__name__)
+def test_cached_function_keeps_one_entry_per_value_of_q(fn):
+    head = Q_CACHES[fn]
+    fn.cache_clear()
+    results = [fn(*head.values(), q) for q in (2, F(2), "2", " 2")]
+    results.append(fn(*head.values(), q=2))
+    results.append(fn(**head, q=2))
+    assert all(r is results[0] for r in results)
+    assert fn.cache_info().currsize == 1
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("fn", Q_CACHES, ids=lambda fn: fn.__name__)
+def test_cached_function_answers_another_argument_type_alike_cold_and_warm(fn):
+    # the cache is typed: a float count such as k = 2.0 misses the entry of
+    # its int, so cache history cannot change what it gives
+    name, value = next(iter(Q_CACHES[fn].items()))
+    head = {**Q_CACHES[fn], name: float(value)}
+    fn.cache_clear()
+    cold = _outcome(lambda: fn(**head, q=2))
+    fn(**Q_CACHES[fn], q=2)
+    assert _outcome(lambda: fn(**head, q=2)) == cold
+
+
+@pytest.mark.parametrize("fn", Q_CACHES, ids=lambda fn: fn.__name__)
+def test_cached_function_rejects_an_unhashable_q(fn):
+    with pytest.raises(ParameterError) as err:
+        fn(*Q_CACHES[fn].values(), [2])
+    assert str(err.value) == "cannot interpret [2] as an exact rational"
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: as_fraction(x),
+    lambda x: FusedContext(1, 3, x),
+    lambda x: sigma_matrix(2, 1, 2, x),
+    lambda x: baxter_coefficients(1, 1, x, 2),
+    lambda x: classical_coefficients(1, x),
+], ids=["as_fraction", "FusedContext q", "sigma_matrix q", "baxter_coefficients u",
+        "classical_coefficients mu"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_not_a_rational(call, flag):
+    # bool is a subclass of int, but True is no spelling of q = 1
+    with pytest.raises(ParameterError) as err:
+        call(flag)
+    assert str(err.value) == f"cannot interpret {flag} as an exact rational"
 
 
 def test_q_factorial():
